@@ -3,8 +3,8 @@
  * Shared plumbing for the figure-reproduction harnesses: default
  * simulation windows, REPRO_SCALE handling, the common CLI flags
  * (--jobs/--json/--filter), and the Sweep front end to SweepRunner
- * that gives every figure parallel execution, result caching and
- * machine-readable output.
+ * that gives every figure parallel execution, in-sweep memoization
+ * and machine-readable output.
  *
  * Port pattern: a harness enqueues every run first (Sweep::add, in
  * the exact loop order it will consume them), executes the sweep
@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "sim/config.h"
-#include "sim/memo_cache.h"
 #include "sim/runner.h"
 #include "sim/system.h"
 #include "support/json.h"
@@ -51,12 +50,6 @@ struct Options
     std::string jsonPath;
     /** Substring filter over benchmark names (--filter). */
     std::string filter;
-    /**
-     * Persistent memo cache directory (--memo-dir, empty via
-     * --no-memo). Fingerprint-identical runs from earlier processes
-     * are served from here instead of simulating.
-     */
-    std::string memoDir = "results/.memo";
     /**
      * Progress style (--progress): "lines" prints one complete line
      * per finished run (the default, atomic under concurrency);
@@ -93,10 +86,6 @@ parseArgs(int argc, char **argv, const char *figure)
             opt.jsonPath = value();
         } else if (arg == "--filter") {
             opt.filter = value();
-        } else if (arg == "--memo-dir") {
-            opt.memoDir = value();
-        } else if (arg == "--no-memo") {
-            opt.memoDir.clear();
         } else if (arg == "--progress" ||
                    arg.rfind("--progress=", 0) == 0) {
             opt.progress = arg == "--progress"
@@ -109,16 +98,12 @@ parseArgs(int argc, char **argv, const char *figure)
                           figure, opt.progress.c_str());
         } else if (arg == "--help" || arg == "-h") {
             std::printf("usage: %s [--jobs N] [--json PATH] "
-                        "[--filter BENCH] [--memo-dir DIR | --no-memo] "
-                        "[--progress MODE]\n"
+                        "[--filter BENCH] [--progress MODE]\n"
                         "  --jobs N      worker threads (default: all "
                         "cores)\n"
                         "  --json PATH   also write results as JSON\n"
                         "  --filter S    only benchmarks whose name "
                         "contains S\n"
-                        "  --memo-dir D  persistent result cache "
-                        "(default: results/.memo)\n"
-                        "  --no-memo     disable the persistent cache\n"
                         "  --progress M  stderr progress style: lines "
                         "(default) or ticker\n"
                         "REPRO_SCALE scales the simulation windows "
@@ -173,10 +158,6 @@ class Sweep
     {
         SweepRunner::Options ropt;
         ropt.jobs = opt.jobs;
-        if (!opt_.memoDir.empty()) {
-            memo_ = std::make_unique<MemoCache>(opt_.memoDir);
-            ropt.memoCache = memo_.get();
-        }
         if (opt_.progress == "ticker") {
             // Opt-in single-line ticker: rewrite one stderr line in
             // place, ending it with a newline on the final run. A run
@@ -212,12 +193,11 @@ class Sweep
                                   "  [%3zu/%3zu] %-28s ERROR: %s\n",
                                   done, total, e.label.c_str(),
                                   e.error.c_str());
-                } else if (e.memoized || e.fromCache) {
+                } else if (e.memoized) {
                     std::snprintf(line, sizeof line,
-                                  "  [%3zu/%3zu] %-28s ipc=%.3f (%s)\n",
+                                  "  [%3zu/%3zu] %-28s ipc=%.3f (cached)\n",
                                   done, total, e.label.c_str(),
-                                  e.result.ipc,
-                                  e.memoized ? "cached" : "disk");
+                                  e.result.ipc);
                 } else {
                     std::snprintf(line, sizeof line,
                                   "  [%3zu/%3zu] %-28s ipc=%.3f\n",
@@ -269,13 +249,6 @@ class Sweep
                      runner_->jobCount(), unique,
                      runner_->effectiveJobs());
         runner_->run();
-        // CI greps executed= to prove a warm cache re-runs nothing.
-        if (memo_)
-            std::fprintf(stderr,
-                         "  [memo] dir=%s loaded=%zu hits=%zu "
-                         "executed=%zu\n",
-                         memo_->dir().c_str(), memo_->loadedFiles(),
-                         runner_->diskHits(), runner_->executedJobs());
     }
 
     /** Index takeEntry() will consume next (for job metadata). */
@@ -322,8 +295,6 @@ class Sweep
 
   private:
     Options opt_;
-    /** Declared before runner_: the runner holds a raw pointer. */
-    std::unique_ptr<MemoCache> memo_;
     std::unique_ptr<SweepRunner> runner_;
     std::size_t next_ = 0;
 };

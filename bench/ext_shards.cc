@@ -22,8 +22,8 @@
  *
  * Rows carry an explicit fingerprint salted with a harness domain
  * tag: unlike ext_smp, this harness computes verify_bytes_per_cycle
- * even for the K = 1 anchor rows, so its rows must never be served
- * from a memoized ext_smp run of the same SmpConfig.
+ * even for the K = 1 anchor rows, so its rows must never share a
+ * memoization key with an ext_smp run of the same SmpConfig.
  */
 
 #include "bench/common.h"

@@ -11,8 +11,8 @@
  * The runs go through the shared Sweep engine with a custom executor
  * per job (an SMP mix is not a single SystemConfig). Each job carries
  * an explicit SmpConfig fingerprint and packs per-core IPCs into
- * SimResult::perCoreIpc, so SMP rows memoize - in-process and across
- * processes via --memo-dir - exactly like single-core rows.
+ * SimResult::perCoreIpc, so duplicate SMP mixes in one sweep run once,
+ * exactly like single-core rows.
  */
 
 #include "bench/common.h"
@@ -85,8 +85,8 @@ main(int argc, char **argv)
                 label += ":" + b;
             // Mirror the mix in the config so error rows and JSON
             // stay identifiable; the thunk does the real work. The
-            // SmpConfig fingerprint keys the memo cache, and the
-            // returned row carries everything the table needs.
+            // SmpConfig fingerprint keys in-sweep memoization, and
+            // the returned row carries everything the table needs.
             SystemConfig tag = baseConfig(mix.front(), scheme);
             const SmpConfig mixCfg = mixConfig(mix, scheme);
             sweep.add(

@@ -2,8 +2,8 @@
  * @file
  * Shared plumbing for the micro-benchmark binaries (micro_crypto,
  * micro_tree, micro_sim), wiring them onto the same Sweep engine as
- * the figure harnesses: --jobs/--json/--filter/--memo-dir/--progress,
- * the persistent memo cache, and regress-comparable JSON rows.
+ * the figure harnesses: --jobs/--json/--filter/--progress and
+ * regress-comparable JSON rows.
  *
  * A micro workload is a fixed, deterministic operation count (scaled
  * by REPRO_SCALE like the figure windows) plus a checksum folded over
@@ -18,9 +18,8 @@
  *
  * The only timing signal is the per-run host_seconds the sweep JSON
  * already records; human-readable throughput goes to stderr so stdout
- * stays a pure function of the configuration. Note the memo cache
- * restores the original host_seconds on a hit - pass --no-memo when
- * re-measuring throughput rather than checking determinism.
+ * stays a pure function of the configuration. These rows check
+ * determinism; host-time measurement belongs to perfbench/.
  */
 
 #ifndef CMT_BENCH_MICRO_COMMON_H

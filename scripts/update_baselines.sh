@@ -13,9 +13,10 @@
 # arguments, inspect `git diff results/baselines/`, and commit the
 # update alongside the change that caused it.
 #
-# CI uses the OUTDIR argument to regenerate the same sweeps into a
-# scratch directory and compare them against the committed ones; the
-# sanitizer jobs point CMT_BUILD_DIR at their preset build tree.
+# CI and the regress_baselines ctest use the OUTDIR argument to
+# regenerate the same sweeps into a scratch directory and compare them
+# against the committed ones; the sanitizer jobs point CMT_BUILD_DIR at
+# their preset build tree.
 set -e
 cd "$(dirname "$0")/.."
 outdir="${1:-results/baselines}"
@@ -26,7 +27,7 @@ mkdir -p "$outdir"
 run() {
     bin="$1"; shift
     echo "== $bin =="
-    REPRO_SCALE="$scale" "$builddir"/bench/"$bin" --jobs 2 --no-memo \
+    REPRO_SCALE="$scale" "$builddir"/bench/"$bin" --jobs 2 \
         --json "$outdir/$bin.json" "$@" > /dev/null
 }
 
@@ -45,9 +46,13 @@ echo "== cmt_loadgen =="
 sock="$(mktemp -u /tmp/cmt_baseline_XXXXXX).sock"
 "$builddir"/tools/cmt_served --socket "$sock" 2> /dev/null &
 served_pid=$!
+# A failing cmt_loadgen exits the script under set -e; never leave the
+# daemon running behind it.
+trap 'kill -TERM "$served_pid" 2> /dev/null || true' EXIT
 REPRO_SCALE="$scale" "$builddir"/tools/cmt_loadgen --socket "$sock" \
     --json "$outdir/cmt_loadgen.json" 2> /dev/null
 kill -TERM "$served_pid"
 wait "$served_pid"
+trap - EXIT
 
 echo "baselines written to $outdir (REPRO_SCALE=$scale)"

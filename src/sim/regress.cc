@@ -1,7 +1,5 @@
 #include "sim/regress.h"
 
-#include <algorithm>
-#include <cmath>
 #include <set>
 
 #include "support/json.h"
@@ -80,7 +78,6 @@ rowStatusName(RowStatus status)
     switch (status) {
     case RowStatus::kMatch: return "match";
     case RowStatus::kDrift: return "drift";
-    case RowStatus::kTimeDrift: return "time-drift";
     case RowStatus::kErrorMismatch: return "error-mismatch";
     case RowStatus::kMissing: return "missing";
     case RowStatus::kExtra: return "extra";
@@ -89,8 +86,7 @@ rowStatusName(RowStatus status)
 }
 
 RegressReport
-compareSweeps(const Json &baseline, const Json &current,
-              const RegressOptions &options)
+compareSweeps(const Json &baseline, const Json &current)
 {
     RegressReport report;
 
@@ -214,33 +210,6 @@ compareSweeps(const Json &baseline, const Json &current,
             ++report.drifted;
             report.rows.push_back(std::move(verdict));
             continue;
-        }
-
-        // Deterministic fields agree; optionally police wall-clock.
-        if (options.timeTolerance >= 1) {
-            const Json *bt = baseRun.find("host_seconds");
-            const Json *ct = curRun.find("host_seconds");
-            if (bt && ct && bt->isNumber() && ct->isNumber()) {
-                const double b = bt->asNumber();
-                const double c = ct->asNumber();
-                const double lo = std::min(b, c);
-                const double hi = std::max(b, c);
-                if (lo > 0 && hi / lo > options.timeTolerance) {
-                    verdict.status = RowStatus::kTimeDrift;
-                    StatDelta delta;
-                    delta.stat = "host_seconds";
-                    delta.baseline = bt->dump();
-                    delta.current = ct->dump();
-                    if (b != 0) {
-                        delta.ratio = c / b;
-                        delta.hasRatio = true;
-                    }
-                    verdict.deltas.push_back(std::move(delta));
-                    ++report.drifted;
-                    report.rows.push_back(std::move(verdict));
-                    continue;
-                }
-            }
         }
 
         ++report.matched;

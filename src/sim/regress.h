@@ -9,9 +9,9 @@
  * exactly on every deterministic field - the full result block and
  * the full config block - because the simulator is deterministic by
  * construction. Wall-clock (host_seconds) is the one nondeterministic
- * stat: it is ignored by default and checked against a ratio
- * tolerance band when one is configured. The "jobs" header field is
- * an execution detail (machine core count) and is never compared.
+ * stat and is never compared; host time is measured by the perfbench
+ * benchmark, not here. The "jobs" header field is an execution detail
+ * (machine core count) and is never compared either.
  *
  * A non-clean report means the paper's reproduced numbers moved:
  * either a code change altered simulation behaviour (fail the build)
@@ -31,24 +31,11 @@
 namespace cmt
 {
 
-/** Tunables for one baseline/current comparison. */
-struct RegressOptions
-{
-    /**
-     * Maximum allowed host_seconds ratio between baseline and
-     * current, applied symmetrically (max/min <= tolerance). Values
-     * < 1 (including the default 0) disable wall-clock checking -
-     * timing is environment noise on shared CI machines.
-     */
-    double timeTolerance = 0;
-};
-
 /** Verdict for one paired (or unpaired) sweep row. */
 enum class RowStatus
 {
     kMatch,         ///< deterministic fields identical
     kDrift,         ///< a result/config field changed value
-    kTimeDrift,     ///< only host_seconds left the tolerance band
     kErrorMismatch, ///< ok flag flipped between baseline and current
     kMissing,       ///< row in baseline but not in current sweep
     kExtra,         ///< row in current but not in baseline sweep
@@ -90,7 +77,7 @@ struct RegressReport
     std::string docError;
     std::vector<RowVerdict> rows;
     std::size_t matched = 0;
-    std::size_t drifted = 0; ///< kDrift + kTimeDrift + kErrorMismatch
+    std::size_t drifted = 0; ///< kDrift + kErrorMismatch
     std::size_t missing = 0;
     std::size_t extra = 0;
 
@@ -106,8 +93,7 @@ struct RegressReport
  * as written by Sweep::writeJson()). Never exits or throws on bad
  * input - malformed documents surface as docError.
  */
-RegressReport compareSweeps(const Json &baseline, const Json &current,
-                            const RegressOptions &options = {});
+RegressReport compareSweeps(const Json &baseline, const Json &current);
 
 /**
  * Human-readable report: a ratio table of every non-matching row

@@ -11,7 +11,6 @@
 #include "cpu/core.h"
 #include "mem/main_memory.h"
 #include "sim/config.h"
-#include "sim/memo_cache.h"
 #include "sim/smp.h"
 #include "support/json.h"
 #include "support/logging.h"
@@ -130,8 +129,8 @@ foldL2(Fingerprint &fp, const L2Params &l2)
     fp.u64(53).u64(l2.encryptData ? 1 : 0);
     fp.u64(54).u64(l2.decryptLatency);
     fp.u64(55).bytes(l2.key.data(), l2.key.size());
-    // Folded only when sharding is on so every pre-shards fingerprint
-    // (and the memo caches built from them) stays valid.
+    // Folded only when sharding is on, so a single-tree config keeps
+    // the fingerprint it had before the field existed.
     if (l2.shards != 1)
         fp.u64(56).u64(l2.shards);
 }
@@ -251,8 +250,6 @@ struct MemoGroup
 {
     std::size_t leader;
     std::vector<std::size_t> followers;
-    /** Memoization key; absent for non-memoizable (thunk) jobs. */
-    std::optional<std::uint64_t> key;
 };
 
 /**
@@ -276,8 +273,6 @@ memoKey(const SweepJob &job)
 std::size_t
 SweepRunner::uniqueJobs() const
 {
-    if (!options_.memoize)
-        return jobs_.size();
     std::vector<std::uint64_t> seen;
     std::size_t unique = 0;
     for (const SweepJob &job : jobs_) {
@@ -311,8 +306,8 @@ SweepRunner::run()
     {
         std::vector<std::pair<std::uint64_t, std::size_t>> index;
         for (std::size_t i = 0; i < jobs_.size(); ++i) {
-            std::optional<std::uint64_t> fp;
-            if (options_.memoize && (fp = memoKey(jobs_[i]))) {
+            const std::optional<std::uint64_t> fp = memoKey(jobs_[i]);
+            if (fp) {
                 bool merged = false;
                 for (const auto &[seen_fp, group] : index) {
                     if (seen_fp == *fp) {
@@ -325,15 +320,13 @@ SweepRunner::run()
                     continue;
                 index.emplace_back(*fp, groups.size());
             }
-            groups.push_back(MemoGroup{i, {}, fp});
+            groups.push_back(MemoGroup{i, {}});
         }
     }
 
     const std::size_t total = jobs_.size();
     std::atomic<std::size_t> nextGroup{0};
     std::atomic<std::size_t> done{0};
-    std::atomic<std::size_t> executed{0};
-    std::atomic<std::size_t> diskHits{0};
 
     const auto runGroup = [&](std::size_t g) {
         const MemoGroup &group = groups[g];
@@ -341,41 +334,24 @@ SweepRunner::run()
         SweepEntry entry;
         entry.label = job.label;
 
-        // Persistent cache first: a hit restores the original result
-        // and wall-clock, so a fully cached re-run writes the same
-        // bytes the executing run did.
-        const MemoCache::Row *cached =
-            options_.memoCache && group.key
-                ? options_.memoCache->find(*group.key)
-                : nullptr;
-        if (cached) {
-            entry.result = cached->result;
-            entry.hostSeconds = cached->hostSeconds;
-            entry.fromCache = true;
-            diskHits.fetch_add(1);
-        } else {
-            const auto start = std::chrono::steady_clock::now();
-            try {
-                // Panics/fatals inside the simulator surface as
-                // SimError here instead of terminating the sweep.
-                ScopedThrowOnError guard;
-                entry.result = job.simulate
-                                   ? job.simulate(job.config)
-                                   : options_.simulateFn(job.config);
-            } catch (const std::exception &e) {
-                entry.ok = false;
-                entry.error = e.what();
-                // Keep the row identifiable in tables and JSON.
-                entry.result = SimResult{};
-                entry.result.benchmark = job.config.benchmark;
-                entry.result.scheme = job.config.l2.scheme;
-            }
-            entry.hostSeconds =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-            executed.fetch_add(1);
+        const auto start = std::chrono::steady_clock::now();
+        try {
+            // Panics/fatals inside the simulator surface as SimError
+            // here instead of terminating the sweep.
+            ScopedThrowOnError guard;
+            entry.result = job.simulate ? job.simulate(job.config)
+                                        : options_.simulateFn(job.config);
+        } catch (const std::exception &e) {
+            entry.ok = false;
+            entry.error = e.what();
+            // Keep the row identifiable in tables and JSON.
+            entry.result = SimResult{};
+            entry.result.benchmark = job.config.benchmark;
+            entry.result.scheme = job.config.l2.scheme;
         }
+        entry.hostSeconds = std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
 
         entries_[group.leader] = entry;
         notifyProgress(entries_[group.leader], done, total);
@@ -409,26 +385,6 @@ SweepRunner::run()
             pool.emplace_back(workerLoop);
         for (std::thread &t : pool)
             t.join();
-    }
-    executed_ = executed.load();
-    diskHits_ = diskHits.load();
-
-    // Persist this sweep's fresh work: every keyed leader that
-    // executed successfully becomes one cache row. Error rows are
-    // never cached - a fixed simulator must re-run them.
-    if (options_.memoCache && executed_ > 0) {
-        std::vector<MemoCache::Row> fresh;
-        for (const MemoGroup &group : groups) {
-            const SweepEntry &entry = entries_[group.leader];
-            if (!group.key || !entry.ok || entry.fromCache)
-                continue;
-            MemoCache::Row row;
-            row.fingerprint = *group.key;
-            row.hostSeconds = entry.hostSeconds;
-            row.result = entry.result;
-            fresh.push_back(std::move(row));
-        }
-        options_.memoCache->append(fresh);
     }
     return entries_;
 }

@@ -29,7 +29,6 @@
 namespace cmt
 {
 
-class MemoCache;
 struct SmpConfig;
 
 /**
@@ -93,13 +92,6 @@ struct SweepEntry
     /** True when the result was copied from an identical config
      *  earlier in this sweep. */
     bool memoized = false;
-    /**
-     * True when the result was served by the persistent MemoCache
-     * instead of executing. Deliberately not serialized: a disk hit
-     * restores the original hostSeconds, keeping re-run JSON
-     * byte-identical to the first run.
-     */
-    bool fromCache = false;
     std::string error;
     /** Host wall-clock seconds for the run (0 when memoized). */
     double hostSeconds = 0;
@@ -113,8 +105,6 @@ class SweepRunner
     {
         /** Worker threads; 0 selects hardware_concurrency. */
         unsigned jobs = 0;
-        /** Reuse results across identical configs. */
-        bool memoize = true;
         /**
          * Invoked after each executed or memoized job with the entry
          * and completion counts. Called from worker threads, but the
@@ -128,13 +118,6 @@ class SweepRunner
         /** Simulation function (default cmt::simulate). Tests inject
          *  counting or throwing stand-ins here. */
         std::function<SimResult(const SystemConfig &)> simulateFn;
-        /**
-         * Optional persistent cross-process memo store (non-owning;
-         * must outlive run()). Fingerprint hits skip execution and
-         * restore the cached result + host seconds; rows executed
-         * successfully in this sweep are appended on completion.
-         */
-        MemoCache *memoCache = nullptr;
     };
 
     SweepRunner() : SweepRunner(Options()) {}
@@ -163,12 +146,6 @@ class SweepRunner
     const SweepEntry &entry(std::size_t i) const;
     const SweepJob &job(std::size_t i) const;
 
-    /** Jobs actually simulated by run() (not memoized, not served
-     *  from the persistent cache). */
-    std::size_t executedJobs() const { return executed_; }
-    /** Jobs served by the persistent MemoCache during run(). */
-    std::size_t diskHits() const { return diskHits_; }
-
   private:
     /**
      * Hand one finished entry to the user progress callback; the
@@ -182,8 +159,6 @@ class SweepRunner
     Options options_;
     std::vector<SweepJob> jobs_;
     std::vector<SweepEntry> entries_;
-    std::size_t executed_ = 0;
-    std::size_t diskHits_ = 0;
     bool ran_ = false;
     /** Serializes Options::progress across worker threads. */
     Mutex progressMu_;

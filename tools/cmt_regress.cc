@@ -7,7 +7,6 @@
  *
  *     --baselines DIR    committed baselines (default results/baselines)
  *     --results DIR      fresh sweep output  (default results)
- *     --time-tolerance R also flag host_seconds ratios beyond R
  *     --verbose          list matched rows too
  *
  * Directory mode pairs every baselines/<figure>.json with
@@ -41,8 +40,8 @@ namespace
 usage()
 {
     std::cerr
-        << "usage: cmt_regress [--baselines DIR] [--results DIR]\n"
-           "                   [--time-tolerance R] [--verbose]\n"
+        << "usage: cmt_regress [--baselines DIR] [--results DIR] "
+           "[--verbose]\n"
            "                   [BASELINE.json CURRENT.json]\n";
     std::exit(2);
 }
@@ -68,8 +67,7 @@ readJsonFile(const std::string &path, Json *out, std::string *error)
 /** @return true when the comparison is clean. */
 bool
 compareFiles(const std::string &baselinePath,
-             const std::string &currentPath,
-             const RegressOptions &options, bool verbose)
+             const std::string &currentPath, bool verbose)
 {
     Json baseline, current;
     std::string error;
@@ -78,7 +76,7 @@ compareFiles(const std::string &baselinePath,
         std::cerr << "cmt_regress: " << error << "\n";
         std::exit(2);
     }
-    RegressReport report = compareSweeps(baseline, current, options);
+    RegressReport report = compareSweeps(baseline, current);
     if (report.figure.empty())
         report.figure = fs::path(baselinePath).stem().string();
     printReport(std::cout, report, verbose);
@@ -92,7 +90,6 @@ main(int argc, char **argv)
 {
     std::string baselinesDir = "results/baselines";
     std::string resultsDir = "results";
-    RegressOptions options;
     bool verbose = false;
     std::vector<std::string> positional;
 
@@ -107,12 +104,6 @@ main(int argc, char **argv)
             baselinesDir = value();
         } else if (arg == "--results") {
             resultsDir = value();
-        } else if (arg == "--time-tolerance") {
-            try {
-                options.timeTolerance = std::stod(value());
-            } catch (const std::exception &) {
-                usage();
-            }
         } else if (arg == "--verbose") {
             verbose = true;
         } else if (arg == "--help" || arg == "-h") {
@@ -126,7 +117,7 @@ main(int argc, char **argv)
 
     if (positional.size() == 2) {
         const bool clean = compareFiles(positional[0], positional[1],
-                                        options, verbose);
+                                        verbose);
         std::cout << "cmt_regress: " << (clean ? "PASS" : "FAIL")
                   << "\n";
         return clean ? 0 : 1;
@@ -164,8 +155,7 @@ main(int argc, char **argv)
             ++failures;
             continue;
         }
-        if (!compareFiles(baselinePath, currentPath.string(), options,
-                          verbose))
+        if (!compareFiles(baselinePath, currentPath.string(), verbose))
             ++failures;
     }
 

@@ -7,9 +7,9 @@
  *  - nondeterminism : no rand()/srand()/std::random_device/time()/
  *                     clock()/system_clock/getpid() inside src/.
  *                     Simulation results must be a pure function of
- *                     the config (the memo cache and byte-identity
- *                     guarantees depend on it); all randomness goes
- *                     through the seeded cmt::Rng.
+ *                     the config (sweep memoization and the
+ *                     byte-identical baselines depend on it); all
+ *                     randomness goes through the seeded cmt::Rng.
  *  - stdout-discipline : no std::cout / bare printf()/puts() in src/
  *                     outside src/support/. Library code reports
  *                     through logging.h (line-atomic) or returns data;
