@@ -26,6 +26,7 @@
 
 #include "sim/config.h"
 #include "sim/runner.h"
+#include "sim/smp.h"
 #include "sim/system.h"
 #include "support/json.h"
 #include "support/table.h"
@@ -312,6 +313,45 @@ header(const char *figure, const char *what, const SystemConfig &cfg)
     std::cout << "==========================\n";
     printConfigTable(std::cout, cfg);
     std::cout << "\n";
+}
+
+/**
+ * Enqueue one multiprogrammed-SMP mix. @p tag names the row in error
+ * rows and JSON; @p cfg is what runs. The row carries the machine's
+ * aggregate IPC, cycles, integrity failures, DRAM bandwidth and the
+ * per-core IPCs; `benchmark` is "mix" and `instructions` stays 0.
+ * With @p verify_bandwidth it also reports hash-unit bytes per cycle
+ * for single-tree runs, which SimResult otherwise leaves at zero.
+ */
+inline void
+addSmpRow(Sweep &sweep, const std::string &label, const SystemConfig &tag,
+          const SmpConfig &cfg, bool verify_bandwidth)
+{
+    // Keeps the in-sweep dedup key covering everything the row
+    // depends on, the verify_bandwidth choice included.
+    constexpr std::uint64_t kVerifySalt = 0x6578745f73686172ull;
+    sweep.add(
+        label, tag,
+        [cfg, verify_bandwidth](const SystemConfig &) {
+            SmpSystem smp(cfg);
+            const SmpResult run = smp.run();
+            SimResult r;
+            r.benchmark = "mix";
+            r.scheme = cfg.l2.scheme;
+            r.ipc = run.aggregateIpc;
+            r.cycles = run.cycles;
+            r.integrityFailures = run.integrityFailures;
+            r.bandwidthBytesPerCycle = run.bandwidthBytesPerCycle;
+            if (verify_bandwidth)
+                r.verifyBytesPerCycle =
+                    static_cast<double>(
+                        smp.system().hasher().stat_bytes.value()) /
+                    static_cast<double>(run.cycles);
+            for (const SimResult &core : run.perCore)
+                r.perCoreIpc.push_back(core.ipc);
+            return r;
+        },
+        configFingerprint(cfg) ^ (verify_bandwidth ? kVerifySalt : 0));
 }
 
 } // namespace cmt::bench

@@ -20,10 +20,8 @@
  *
  * K = 1 is the paper's machine and anchors both scaling columns.
  *
- * Rows carry an explicit fingerprint salted with a harness domain
- * tag: unlike ext_smp, this harness computes verify_bytes_per_cycle
- * even for the K = 1 anchor rows, so its rows must never share a
- * memoization key with an ext_smp run of the same SmpConfig.
+ * Unlike ext_smp, this harness reports verify_bytes_per_cycle even
+ * for the K = 1 anchor rows.
  */
 
 #include "bench/common.h"
@@ -39,9 +37,6 @@ using namespace cmt::bench;
 
 namespace
 {
-
-/** Keys this harness's rows apart from ext_smp's (see file header). */
-constexpr std::uint64_t kDomainSalt = 0x6578745f73686172ull; // "ext_shar"
 
 SmpConfig
 shardConfig(Scheme scheme, unsigned shards,
@@ -62,40 +57,15 @@ shardConfig(Scheme scheme, unsigned shards,
     return cfg;
 }
 
+/** One row; the K = 1 anchor reports verify bandwidth like the rest. */
 void
-addRow(Sweep &sweep, const std::string &label,
-       const SmpConfig &cfg)
+addRow(Sweep &sweep, const std::string &label, const SmpConfig &cfg)
 {
     SystemConfig tag = baseConfig(cfg.benchmarks.front(),
                                   cfg.l2.scheme);
     tag.l2.shards = cfg.l2.shards;
     tag.l2.protectedSize = cfg.l2.protectedSize;
-    sweep.add(
-        label, tag,
-        [cfg](const SystemConfig &) {
-            SmpSystem system(cfg);
-            const SmpResult smp = system.run();
-            SimResult r;
-            r.benchmark = "mix";
-            r.scheme = cfg.l2.scheme;
-            r.ipc = smp.aggregateIpc;
-            r.cycles = smp.cycles;
-            r.integrityFailures = smp.integrityFailures;
-            r.bandwidthBytesPerCycle = smp.bandwidthBytesPerCycle;
-            // The K = 1 anchor needs the same metric the sharded
-            // rows report; SmpResult leaves it zero there to keep
-            // ext_smp's baselines stable.
-            r.verifyBytesPerCycle =
-                smp.verifyBytesPerCycle != 0
-                    ? smp.verifyBytesPerCycle
-                    : static_cast<double>(
-                          system.hasher().stat_bytes.value()) /
-                          static_cast<double>(smp.cycles);
-            for (const SimResult &core : smp.perCore)
-                r.perCoreIpc.push_back(core.ipc);
-            return r;
-        },
-        configFingerprint(cfg) ^ kDomainSalt);
+    addSmpRow(sweep, label, tag, cfg, true);
 }
 
 } // namespace

@@ -8,9 +8,9 @@
  * shared verified L2 and reports how the c scheme's cost composes
  * with inter-program contention for the bus and the hash engine.
  *
- * The runs go through the shared Sweep engine with a custom executor
- * per job (an SMP mix is not a single SystemConfig). Each job carries
- * an explicit SmpConfig fingerprint and packs per-core IPCs into
+ * The runs go through the shared Sweep engine as addSmpRow rows (an
+ * SMP mix is not a single SystemConfig): each is keyed by its
+ * SmpConfig fingerprint and packs per-core IPCs into
  * SimResult::perCoreIpc, so duplicate SMP mixes in one sweep run once,
  * exactly like single-core rows.
  */
@@ -83,30 +83,10 @@ main(int argc, char **argv)
             std::string label = schemeName(scheme);
             for (const auto &b : mix)
                 label += ":" + b;
-            // Mirror the mix in the config so error rows and JSON
-            // stay identifiable; the thunk does the real work. The
-            // SmpConfig fingerprint keys in-sweep memoization, and
-            // the returned row carries everything the table needs.
-            SystemConfig tag = baseConfig(mix.front(), scheme);
-            const SmpConfig mixCfg = mixConfig(mix, scheme);
-            sweep.add(
-                label, tag,
-                [mixCfg, scheme](const SystemConfig &) {
-                    SmpSystem system(mixCfg);
-                    const SmpResult smp = system.run();
-                    SimResult r;
-                    r.benchmark = "mix";
-                    r.scheme = scheme;
-                    r.ipc = smp.aggregateIpc;
-                    r.cycles = smp.cycles;
-                    r.integrityFailures = smp.integrityFailures;
-                    r.bandwidthBytesPerCycle =
-                        smp.bandwidthBytesPerCycle;
-                    for (const SimResult &core : smp.perCore)
-                        r.perCoreIpc.push_back(core.ipc);
-                    return r;
-                },
-                configFingerprint(mixCfg));
+            // Mirror the mix's first program in the tag so error rows
+            // and JSON stay identifiable; addSmpRow runs the mix.
+            addSmpRow(sweep, label, baseConfig(mix.front(), scheme),
+                      mixConfig(mix, scheme), false);
         }
     }
     sweep.run();

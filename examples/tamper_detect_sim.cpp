@@ -28,30 +28,20 @@ main(int argc, char **argv)
     System system(cfg);
     printConfigTable(std::cout, cfg);
 
-    auto &events = system.events();
-    Cycle cycle = 0;
-    auto run_to = [&](std::uint64_t instructions) {
-        while (system.core().committed() < instructions) {
-            events.runUntil(cycle);
-            system.core().tick();
-            ++cycle;
-        }
-    };
-
     std::printf("\nphase 1: %s runs cleanly...\n",
                 cfg.benchmark.c_str());
-    run_to(150'000);
+    system.runUntilCommitted(150'000);
     std::printf("  %llu instructions, %llu cycles, checks so far "
                 "failed: %llu\n",
                 static_cast<unsigned long long>(
                     system.core().committed()),
-                static_cast<unsigned long long>(cycle),
+                static_cast<unsigned long long>(system.cycle()),
                 static_cast<unsigned long long>(
                     system.l2().integrityFailures()));
 
     std::printf("phase 2: adversary rewrites 64KB of DRAM at cycle "
                 "%llu...\n",
-                static_cast<unsigned long long>(cycle));
+                static_cast<unsigned long long>(system.cycle()));
     const auto &layout = system.l2().layout();
     for (std::uint64_t addr = 64ULL << 20;
          addr < (64ULL << 20) + (64 << 10); addr += 64) {
@@ -61,7 +51,7 @@ main(int argc, char **argv)
 
     std::printf("phase 3: execution continues; checks complete in the "
                 "background...\n");
-    run_to(400'000);
+    system.runUntilCommitted(400'000);
 
     const auto failures = system.l2().integrityFailures();
     std::printf("\nresult: %llu integrity exception(s) raised.\n",

@@ -1,17 +1,13 @@
 #include "sim/smp.h"
 
-#include "cpu/core.h"
-#include "mem/main_memory.h"
+#include "cpu/trace.h"
+#include "sim/config.h"
 #include "sim/system.h"
+#include "support/bitops.h"
 #include "support/logging.h"
 #include "trace/specgen.h"
-#include "tree/authenticator.h"
-#include "tree/chunk_store.h"
-#include "tree/hash_engine.h"
-#include "tree/integrity_policy.h"
 #include "tree/l2_controller.h"
-#include "tree/scheme.h"
-#include "tree/shard_router.h"
+#include "tree/layout.h"
 
 namespace cmt
 {
@@ -31,57 +27,47 @@ constexpr std::uint64_t kSliceBytes = 4ULL << 30;
  */
 constexpr std::uint64_t kSliceStagger = 51ULL << 20;
 
-} // namespace
-
-SmpSystem::SmpSystem(const SmpConfig &config) : config_(config)
+/** The machine half of @p config; the cores run sliceTraces(). */
+SystemConfig
+machineConfig(const SmpConfig &config)
 {
-    cmt_assert(!config_.benchmarks.empty());
-
-    tree_ = std::make_unique<ShardRouter>(
-        config_.l2.chunkSize, config_.l2.protectedSize,
-        config_.l2.shards, config_.l2.readBufferEntries,
-        config_.l2.writeBufferEntries);
-    const Authenticator::Kind kind =
-        config_.l2.scheme == Scheme::kIncremental
-            ? Authenticator::Kind::kXorMac
-            : config_.l2.authKind;
-    auth_ = std::make_unique<Authenticator>(kind, config_.l2.key,
-                                            config_.l2.blockSize,
-                                            config_.l2.timestamps);
-    ram_ = std::make_unique<ChunkStore>(store_, *tree_, *auth_);
-    memory_ = std::make_unique<MainMemory>(events_, *ram_, config_.mem,
-                                           stats_);
-    // One hash lane per shard: cores whose misses land in different
-    // shards verify concurrently instead of queueing on one pipeline.
-    hasher_ = std::make_unique<HashEngine>(events_, config_.hash,
-                                           stats_, config_.l2.shards);
-
-    L2Params l2_params = config_.l2;
-    l2_params.authKind = kind;
-    l2_ = std::make_unique<L2Controller>(
-        events_, *memory_, *ram_, *hasher_, *tree_, *auth_, l2_params,
-        stats_, makeIntegrityPolicy);
-
-    for (std::size_t i = 0; i < config_.benchmarks.size(); ++i) {
-        const std::uint64_t offset =
-            coreSliceOffset(static_cast<unsigned>(i));
-        cmt_assert(offset + kSliceBytes <= tree_->dataBytes());
-        auto gen = std::make_unique<SpecGen>(
-            profileFor(config_.benchmarks[i]), config_.seed + i);
-        traces_.push_back(
-            std::make_unique<OffsetTrace>(std::move(gen), offset));
-        cores_.push_back(std::make_unique<Core>(
-            events_, *l2_, *traces_.back(), config_.core, stats_));
-    }
-
-    // Inclusion: an L2 eviction drops every core's L1 copies.
-    l2_->onBackInvalidate = [this](std::uint64_t addr, unsigned len) {
-        for (auto &core : cores_)
-            core->invalidateL1(addr, len);
-    };
+    SystemConfig machine;
+    machine.warmupInstructions = config.warmupInstructions;
+    machine.measureInstructions = config.measureInstructions;
+    machine.core = config.core;
+    machine.l2 = config.l2;
+    machine.mem = config.mem;
+    machine.hash = config.hash;
+    return machine;
 }
 
-SmpSystem::~SmpSystem() = default;
+/** Core i runs benchmark i with seed + i, displaced into its slice. */
+std::vector<std::unique_ptr<TraceSource>>
+sliceTraces(const SmpConfig &config)
+{
+    cmt_assert(!config.benchmarks.empty());
+    std::vector<std::unique_ptr<TraceSource>> traces;
+    for (std::size_t i = 0; i < config.benchmarks.size(); ++i) {
+        auto gen = std::make_unique<SpecGen>(
+            profileFor(config.benchmarks[i]), config.seed + i);
+        traces.push_back(std::make_unique<OffsetTrace>(
+            std::move(gen), SmpSystem::coreSliceOffset(
+                                config.l2, static_cast<unsigned>(i))));
+    }
+    return traces;
+}
+
+} // namespace
+
+SmpSystem::SmpSystem(const SmpConfig &config)
+    : benchmarks_(config.benchmarks),
+      system_(machineConfig(config), sliceTraces(config))
+{
+    for (std::size_t i = 0; i < benchmarks_.size(); ++i)
+        cmt_assert(coreSliceOffset(config.l2, static_cast<unsigned>(i)) +
+                       kSliceBytes <=
+                   system_.tree().dataBytes());
+}
 
 std::uint64_t
 SmpSystem::sliceOffset(unsigned i)
@@ -90,107 +76,49 @@ SmpSystem::sliceOffset(unsigned i)
 }
 
 std::uint64_t
-SmpSystem::coreSliceOffset(unsigned i) const
+SmpSystem::coreSliceOffset(const L2Params &l2, unsigned i)
 {
-    const unsigned shards = tree_->shards();
-    if (shards == 1)
+    if (l2.shards == 1)
         return sliceOffset(i);
     // Core i lives in shard i % K; cores sharing a shard stack their
     // slices like the single-tree layout. The per-shard stagger keeps
     // slices in different shards off identical L2 sets (shard spans
-    // are powers of two, so bare shard bases would alias).
-    const unsigned shard = i % shards;
-    const unsigned slot = i / shards;
-    return shard * tree_->shardLayout().dataBytes() +
-           slot * (kSliceBytes + kSliceStagger) +
+    // are powers of two, so bare shard bases would alias). The span
+    // is ShardRouter's per-shard layout, derived before it exists.
+    cmt_assert(isPow2(l2.shards));
+    const std::uint64_t shard_bytes =
+        TreeLayout(l2.chunkSize, l2.protectedSize / l2.shards)
+            .dataBytes();
+    const unsigned shard = i % l2.shards;
+    const unsigned slot = i / l2.shards;
+    return shard * shard_bytes + slot * (kSliceBytes + kSliceStagger) +
            shard * kSliceStagger;
 }
 
 SmpResult
 SmpSystem::run()
 {
-    Cycle cycle = events_.now();
-
-    const auto all_reached = [&](std::uint64_t per_core) {
-        for (const auto &core : cores_) {
-            if (core->committed() < per_core)
-                return false;
-        }
-        return true;
-    };
-
-    const auto run_until = [&](std::uint64_t per_core) {
-        std::uint64_t watchdog = 0;
-        while (!all_reached(per_core)) {
-            events_.runUntil(cycle);
-            for (auto &core : cores_)
-                core->tick();
-            ++cycle;
-            cmt_assert(++watchdog < 2'000'000'000ULL);
-            // Cycle skip (see System::run): legal only when every
-            // core is provably stalled - a single active core can
-            // reach into shared state (L2, back-invalidations) on any
-            // tick.
-            Cycle wake = Core::kNoWake;
-            for (const auto &core : cores_) {
-                const Cycle w = core->stalledUntil();
-                if (w == 0) {
-                    wake = 0;
-                    break;
-                }
-                wake = std::min(wake, w);
-            }
-            if (wake == 0)
-                continue;
-            Cycle next = wake;
-            if (!events_.empty())
-                next = std::min(next, events_.nextEventTime());
-            if (next != Core::kNoWake && next > cycle)
-                cycle = next;
-        }
-    };
-
-    run_until(config_.warmupInstructions);
-    stats_.resetAll();
-    const Cycle start = cycle;
-    std::vector<std::uint64_t> committed_start;
-    for (auto &core : cores_)
-        committed_start.push_back(core->committed());
-
-    // Each core must complete its measured window; fast cores keep
-    // running (and keep contending) until the slowest finishes, as in
-    // a real multiprogrammed machine.
-    std::uint64_t max_target = 0;
-    for (const std::uint64_t c : committed_start)
-        max_target = std::max(max_target,
-                              c + config_.measureInstructions);
-    run_until(max_target);
+    const SimResult machine = system_.run();
 
     SmpResult result;
-    result.cycles = cycle - start;
-    std::uint64_t total_instr = 0;
-    for (std::size_t i = 0; i < cores_.size(); ++i) {
+    result.cycles = machine.cycles;
+    result.aggregateIpc = machine.ipc;
+    result.integrityFailures = machine.integrityFailures;
+    result.bandwidthBytesPerCycle = machine.bandwidthBytesPerCycle;
+    result.verifyBytesPerCycle = machine.verifyBytesPerCycle;
+    for (std::size_t i = 0; i < benchmarks_.size(); ++i) {
         SimResult r;
-        r.benchmark = config_.benchmarks[i];
-        r.scheme = config_.l2.scheme;
-        r.instructions = cores_[i]->committed() - committed_start[i];
-        r.cycles = result.cycles;
-        r.ipc = static_cast<double>(r.instructions) / result.cycles;
-        r.integrityFailures = l2_->integrityFailures();
+        r.benchmark = benchmarks_[i];
+        r.scheme = machine.scheme;
+        // run() zeroed every counter at the measured window's start,
+        // so a core's commit count is its measured instructions.
+        r.instructions =
+            system_.core(static_cast<unsigned>(i)).committed();
+        r.cycles = machine.cycles;
+        r.ipc = static_cast<double>(r.instructions) / r.cycles;
+        r.integrityFailures = machine.integrityFailures;
         result.perCore.push_back(r);
-        total_instr += r.instructions;
     }
-    result.aggregateIpc =
-        static_cast<double>(total_instr) / result.cycles;
-    result.integrityFailures = l2_->integrityFailures();
-    result.bandwidthBytesPerCycle =
-        static_cast<double>(memory_->bytesTransferred()) / result.cycles;
-    // Mirror SimResult: only sharded runs report verify bandwidth so
-    // single-tree rows keep the committed baselines' JSON shape.
-    if (config_.l2.shards != 1)
-        result.verifyBytesPerCycle =
-            static_cast<double>(hasher_->stat_bytes.value()) /
-            result.cycles;
     return result;
 }
 

@@ -4,11 +4,13 @@
  *
  * Section 4 motivates verification with Bob renting out his machine
  * while continuing to use it: several programs share one secure
- * processor complex. SmpSystem instantiates N cores (each with its
- * own L1s, branch predictor and workload) over a single shared
- * L2Controller, hash engine, bus and protected memory - the natural
- * shared-L2 topology for the paper's machinery, and the setting the
- * authors' follow-up work on snooping-based SMP integrity studies.
+ * processor complex. SmpSystem builds a System with N cores (each
+ * with its own L1s, branch predictor and workload) over its single
+ * shared L2Controller, hash engine, bus and protected memory - the
+ * natural shared-L2 topology for the paper's machinery, and the
+ * setting the authors' follow-up work on snooping-based SMP integrity
+ * studies. What is SMP-specific lives here: placing each program in
+ * its own slice, and folding the run into per-core results.
  *
  * Workloads are multiprogrammed, not data-sharing: each core's
  * addresses are displaced into a private slice of the protected
@@ -27,16 +29,10 @@
 
 #include "cpu/core.h"
 #include "cpu/trace.h"
-#include "mem/backing_store.h"
 #include "mem/main_memory.h"
 #include "sim/system.h"
-#include "support/event.h"
-#include "support/stats.h"
-#include "tree/authenticator.h"
-#include "tree/chunk_store.h"
 #include "tree/hash_engine.h"
 #include "tree/l2_controller.h"
-#include "tree/shard_router.h"
 
 namespace cmt
 {
@@ -103,20 +99,17 @@ class OffsetTrace : public TraceSource
     std::uint64_t offset_;
 };
 
-/** N cores over one shared verified memory system. */
+/** N programs on one System, each in a private memory slice. */
 class SmpSystem
 {
   public:
     explicit SmpSystem(const SmpConfig &config);
-    ~SmpSystem();
 
     /** Run warmup + measured window on every core. */
     SmpResult run();
 
-    unsigned coreCount() const
-    {
-        return static_cast<unsigned>(cores_.size());
-    }
+    /** The machine: one core per benchmark over the shared uncore. */
+    System &system() { return system_; }
 
     /** Single-tree CPU-address displacement of core @p i's slice. */
     static std::uint64_t sliceOffset(unsigned i);
@@ -127,27 +120,11 @@ class SmpSystem
      * round-robin across shard spans so their verification traffic
      * parallelises across root registers, buffers and hash lanes.
      */
-    std::uint64_t coreSliceOffset(unsigned i) const;
-    L2Controller &l2() { return *l2_; }
-    Core &core(unsigned i) { return *cores_.at(i); }
-    ChunkStore &ram() { return *ram_; }
-    ShardRouter &tree() { return *tree_; }
-    HashEngine &hasher() { return *hasher_; }
-    EventQueue &events() { return events_; }
+    static std::uint64_t coreSliceOffset(const L2Params &l2, unsigned i);
 
   private:
-    SmpConfig config_;
-    StatGroup stats_;
-    EventQueue events_;
-    BackingStore store_;
-    std::unique_ptr<ShardRouter> tree_;
-    std::unique_ptr<Authenticator> auth_;
-    std::unique_ptr<ChunkStore> ram_;
-    std::unique_ptr<MainMemory> memory_;
-    std::unique_ptr<HashEngine> hasher_;
-    std::unique_ptr<L2Controller> l2_;
-    std::vector<std::unique_ptr<TraceSource>> traces_;
-    std::vector<std::unique_ptr<Core>> cores_;
+    std::vector<std::string> benchmarks_;
+    System system_;
 };
 
 } // namespace cmt

@@ -1,5 +1,6 @@
 #include "sim/system.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <mutex>
 
@@ -78,10 +79,34 @@ printConfigTable(std::ostream &os, const SystemConfig &config)
     os << "\n";
 }
 
+namespace
+{
+
+/** The single-core machine's trace: @p trace, or the config's specgen
+ *  benchmark when none is given. */
+std::vector<std::unique_ptr<TraceSource>>
+singleTrace(const SystemConfig &config, std::unique_ptr<TraceSource> trace)
+{
+    std::vector<std::unique_ptr<TraceSource>> traces;
+    traces.push_back(trace ? std::move(trace)
+                           : std::make_unique<SpecGen>(
+                                 profileFor(config.benchmark),
+                                 config.seed));
+    return traces;
+}
+
+} // namespace
+
 System::System(const SystemConfig &config,
                std::unique_ptr<TraceSource> trace)
-    : config_(config)
+    : System(config, singleTrace(config, std::move(trace)))
+{}
+
+System::System(const SystemConfig &config,
+               std::vector<std::unique_ptr<TraceSource>> traces)
+    : config_(config), traces_(std::move(traces))
 {
+    cmt_assert(!traces_.empty());
     tree_ = std::make_unique<ShardRouter>(
         config_.l2.chunkSize, config_.l2.protectedSize,
         config_.l2.shards, config_.l2.readBufferEntries,
@@ -107,70 +132,97 @@ System::System(const SystemConfig &config,
         events_, *memory_, *ram_, *hasher_, *tree_, *auth_, l2_params,
         stats_, makeIntegrityPolicy);
 
-    trace_ = trace ? std::move(trace)
-                   : std::make_unique<SpecGen>(
-                         profileFor(config_.benchmark), config_.seed);
-    core_ = std::make_unique<Core>(events_, *l2_, *trace_, config_.core,
-                                   stats_);
+    for (const auto &trace : traces_)
+        cores_.push_back(std::make_unique<Core>(events_, *l2_, *trace,
+                                                config_.core, stats_));
+    // Inclusion: an L2 eviction drops every core's L1 copies.
     l2_->onBackInvalidate = [this](std::uint64_t addr, unsigned len) {
-        core_->invalidateL1(addr, len);
+        for (auto &core : cores_)
+            core->invalidateL1(addr, len);
     };
 }
 
 System::~System() = default;
 
+void
+System::runUntilCommitted(std::uint64_t target)
+{
+    constexpr Cycle kDeadlockCycles = 5'000'000;
+    // Progress is a commit by any core: the counters only grow within
+    // one call (run() resets them between calls, never inside one).
+    const auto committed = [this] {
+        std::uint64_t total = 0;
+        for (const auto &core : cores_)
+            total += core->committed();
+        return total;
+    };
+    const auto finished = [this, target] {
+        for (const auto &core : cores_) {
+            if (core->committed() < target && !core->done())
+                return false;
+        }
+        return true;
+    };
+
+    std::uint64_t last_committed = committed();
+    Cycle last_progress = cycle_;
+    while (!finished()) {
+        events_.runUntil(cycle_);
+        for (auto &core : cores_)
+            core->tick();
+        ++cycle_;
+        const std::uint64_t now_committed = committed();
+        if (now_committed != last_committed) {
+            last_committed = now_committed;
+            last_progress = cycle_;
+            continue;
+        }
+        if (cycle_ - last_progress > kDeadlockCycles) {
+            cmt_panic("no commit progress for 5M cycles at cycle "
+                      "%llu (deadlock?)",
+                      static_cast<unsigned long long>(cycle_));
+        }
+        // Cycle skip: while every core is provably stalled, each tick
+        // until the earliest wake-up (the next event, a fetch stall
+        // window closing, or the deadlock bound) is a no-op - advance
+        // the clock there directly. A core that must tick reports 0,
+        // which blocks the skip: one active core can reach shared
+        // state (the L2, its back-invalidations) on any tick. Timing
+        // is unchanged; only empty loop iterations are elided.
+        Cycle next = last_progress + kDeadlockCycles;
+        for (const auto &core : cores_)
+            next = std::min(next, core->stalledUntil());
+        if (next == 0)
+            continue;
+        if (!events_.empty())
+            next = std::min(next, events_.nextEventTime());
+        if (next > cycle_)
+            cycle_ = next;
+    }
+}
+
 SimResult
 System::run()
 {
-    Cycle cycle = events_.now();
-
-    const auto run_until_committed = [&](std::uint64_t target) {
-        std::uint64_t last_committed = core_->committed();
-        Cycle last_progress = cycle;
-        while (core_->committed() < target && !core_->done()) {
-            events_.runUntil(cycle);
-            core_->tick();
-            ++cycle;
-            if (core_->committed() != last_committed) {
-                last_committed = core_->committed();
-                last_progress = cycle;
-                continue;
-            }
-            if (cycle - last_progress > 5'000'000) {
-                cmt_panic("no commit progress for 5M cycles at cycle "
-                          "%llu (deadlock?)",
-                          static_cast<unsigned long long>(cycle));
-            }
-            // Cycle skip: while the core is provably stalled, every
-            // tick until the next event (or the fetch stall window
-            // closing, or the deadlock bound) is a no-op - advance
-            // the clock there directly. Timing is unchanged; only
-            // empty loop iterations are elided.
-            const Cycle wake = core_->stalledUntil();
-            if (wake == 0)
-                continue;
-            Cycle next = last_progress + 5'000'000;
-            if (!events_.empty())
-                next = std::min(next, events_.nextEventTime());
-            next = std::min(next, wake);
-            if (next > cycle)
-                cycle = next;
-        }
-    };
-
     // Warmup: fill caches and grow the tree, then reset every stat.
-    run_until_committed(config_.warmupInstructions);
+    // The reset zeroes each core's commit count, so the measured
+    // window ends once every core has committed measureInstructions.
+    runUntilCommitted(config_.warmupInstructions);
     stats_.resetAll();
-    const Cycle measure_start = cycle;
-    const std::uint64_t committed_start = core_->committed();
-
-    run_until_committed(committed_start + config_.measureInstructions);
+    const Cycle measure_start = cycle_;
+    runUntilCommitted(config_.measureInstructions);
 
     SimResult r;
     r.benchmark = config_.benchmark;
     r.scheme = config_.l2.scheme;
-    r.instructions = core_->committed() - committed_start;
-    r.cycles = cycle - measure_start;
+    r.cycles = cycle_ - measure_start;
+    std::uint64_t branches = 0;
+    std::uint64_t mispredicts = 0;
+    for (const auto &core : cores_) {
+        r.instructions += core->committed();
+        branches += core->stat_branches.value();
+        mispredicts += core->stat_mispredicts.value();
+    }
     r.ipc = static_cast<double>(r.instructions) / r.cycles;
 
     r.l2DemandAccesses = l2_->stat_reads.value();
@@ -197,12 +249,8 @@ System::run()
             static_cast<double>(hasher_->stat_bytes.value()) / r.cycles;
     r.integrityFailures = l2_->integrityFailures();
     r.bufferStalls = l2_->stat_bufferStallEvents.value();
-    const std::uint64_t branches = core_->stat_branches.value();
     r.branchMispredictRate =
-        branches ? static_cast<double>(
-                       core_->stat_mispredicts.value()) /
-                       branches
-                 : 0.0;
+        branches ? static_cast<double>(mispredicts) / branches : 0.0;
     return r;
 }
 

@@ -1,9 +1,10 @@
 /**
  * @file
- * System assembly and run control: builds the core, caches, hash
+ * System assembly and run control: builds the cores, caches, hash
  * machinery, bus and DRAM from a SystemConfig, runs warmup + measured
  * windows, and reports the metrics every figure in the paper is
- * built from.
+ * built from. One core is the paper's machine; several cores over
+ * the same uncore are the multiprogrammed extension (sim/smp.h).
  */
 
 #ifndef CMT_SIM_SYSTEM_H
@@ -69,7 +70,10 @@ struct SimResult
     std::vector<double> perCoreIpc;
 };
 
-/** One complete simulated machine. */
+/**
+ * One complete simulated machine: a single uncore (tree, L2, hash
+ * engine, bus, DRAM) shared by one or more cores.
+ */
 class System
 {
   public:
@@ -81,10 +85,34 @@ class System
      */
     explicit System(const SystemConfig &config,
                     std::unique_ptr<TraceSource> trace = nullptr);
+
+    /**
+     * One core per trace, all over the same uncore; the config's
+     * benchmark and seed are unused. An L2 eviction drops every
+     * core's L1 copies (inclusion).
+     */
+    System(const SystemConfig &config,
+           std::vector<std::unique_ptr<TraceSource>> traces);
     ~System();
 
-    /** Run warmup then the measured window; @return the metrics. */
+    /**
+     * Run warmup then the measured window: every core commits at
+     * least measureInstructions, and fast cores keep running (and
+     * contending) until the slowest finishes. @return the metrics of
+     * the whole machine; instructions and ipc sum over the cores.
+     */
     SimResult run();
+
+    /**
+     * Advance the clock until every core has committed @p target
+     * instructions or run out of trace. Cycles in which every core
+     * is provably stalled are skipped without changing timing.
+     * Panics after 5M cycles in which no core commits (deadlock).
+     */
+    void runUntilCommitted(std::uint64_t target);
+
+    /** The next cycle the machine will execute. */
+    Cycle cycle() const { return cycle_; }
 
     /** Dump every registered statistic (post-run diagnostics). */
     void dumpStats(std::ostream &os) const;
@@ -93,7 +121,7 @@ class System
     const StatGroup &stats() const { return stats_; }
 
     L2Controller &l2() { return *l2_; }
-    Core &core() { return *core_; }
+    Core &core(unsigned i = 0) { return *cores_.at(i); }
     ChunkStore &ram() { return *ram_; }
     ShardRouter &tree() { return *tree_; }
     HashEngine &hasher() { return *hasher_; }
@@ -110,8 +138,9 @@ class System
     std::unique_ptr<MainMemory> memory_;
     std::unique_ptr<HashEngine> hasher_;
     std::unique_ptr<L2Controller> l2_;
-    std::unique_ptr<TraceSource> trace_;
-    std::unique_ptr<Core> core_;
+    std::vector<std::unique_ptr<TraceSource>> traces_;
+    std::vector<std::unique_ptr<Core>> cores_;
+    Cycle cycle_ = 0;
 };
 
 /** Convenience: build, run, and return the result for a config. */

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
+#include "sim/config.h"
 #include "sim/smp.h"
+#include "sim/system.h"
+#include "support/logging.h"
+#include "tree/scheme.h"
 
 namespace cmt
 {
@@ -58,41 +65,92 @@ TEST(SmpTest, FourCoreTreeStaysConsistent)
     SmpSystem smp(quickConfig({"gzip", "twolf", "vpr", "gcc"},
                               Scheme::kCached));
     (void)smp.run();
-    smp.l2().flushAllDirty();
-    while (!smp.events().empty())
-        smp.events().runUntil(smp.events().nextEventTime());
-    EXPECT_EQ(smp.l2().integrityFailures(), 0u);
-    EXPECT_TRUE(smp.l2().verifyTreeConsistency());
+    System &sys = smp.system();
+    sys.l2().flushAllDirty();
+    while (!sys.events().empty())
+        sys.events().runUntil(sys.events().nextEventTime());
+    EXPECT_EQ(sys.l2().integrityFailures(), 0u);
+    EXPECT_TRUE(sys.l2().verifyTreeConsistency());
 }
 
 TEST(SmpTest, TamperInOneSliceDetected)
 {
     SmpConfig cfg = quickConfig({"twolf", "vpr"}, Scheme::kCached);
     SmpSystem smp(cfg);
-    auto &events = smp.events();
-    Cycle cycle = 0;
-    auto run_to = [&](std::uint64_t per_core) {
-        while (smp.core(0).committed() < per_core ||
-               smp.core(1).committed() < per_core) {
-            events.runUntil(cycle);
-            smp.core(0).tick();
-            smp.core(1).tick();
-            ++cycle;
-        }
-    };
-    run_to(30'000);
+    System &sys = smp.system();
+    sys.runUntilCommitted(30'000);
     // Corrupt core 1's slice (second 4 GB) in its hot random region.
-    const auto &layout = smp.l2().layout();
+    const auto &layout = sys.l2().layout();
     for (std::uint64_t a = 0; a < (128 << 10); a += 2048) {
         std::uint8_t poison[8] = {0xBA, 0xD0};
-        smp.ram().write(
+        sys.ram().write(
             layout.dataToRam(SmpSystem::sliceOffset(1) +
                              (64ULL << 20) + a),
             poison);
     }
-    run_to(200'000);
-    EXPECT_GT(smp.l2().integrityFailures(), 0u);
+    sys.runUntilCommitted(200'000);
+    EXPECT_GT(sys.l2().integrityFailures(), 0u);
 }
+
+TEST(SmpTest, DeadlockPanicsPromptly)
+{
+    // With no check-buffer entries no verification can ever issue, so
+    // the cores stall for good. The run must stop with the no-progress
+    // panic instead of spinning.
+    SmpConfig cfg = quickConfig({"twolf", "swim"}, Scheme::kCached);
+    cfg.l2.readBufferEntries = 0;
+    cfg.l2.writeBufferEntries = 0;
+    ScopedThrowOnError guard;
+    try {
+        (void)SmpSystem(cfg).run();
+        FAIL() << "a machine without check buffers completed its run";
+    } catch (const SimError &e) {
+        EXPECT_NE(std::string(e.what()).find("no commit progress"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+/** A one-program SMP machine is the single-core System. */
+class SmpOneCore
+    : public ::testing::TestWithParam<std::tuple<Scheme, unsigned>>
+{
+};
+
+TEST_P(SmpOneCore, OneCoreMatchesSystem)
+{
+    const auto [scheme, shards] = GetParam();
+    SmpConfig smp = quickConfig({"twolf"}, scheme);
+    smp.l2.shards = shards;
+    SystemConfig single;
+    single.benchmark = "twolf";
+    single.seed = smp.seed;
+    single.warmupInstructions = smp.warmupInstructions;
+    single.measureInstructions = smp.measureInstructions;
+    single.core = smp.core;
+    single.l2 = smp.l2;
+    single.mem = smp.mem;
+    single.hash = smp.hash;
+
+    const SmpResult a = SmpSystem(smp).run();
+    const SimResult b = simulate(single);
+    ASSERT_EQ(a.perCore.size(), 1u);
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.perCore[0].instructions, b.instructions);
+    EXPECT_EQ(a.bandwidthBytesPerCycle, b.bandwidthBytesPerCycle);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SchemesAndShards, SmpOneCore,
+    ::testing::Combine(::testing::Values(Scheme::kBase, Scheme::kNaive,
+                                         Scheme::kCached,
+                                         Scheme::kIncremental),
+                       ::testing::Values(1u, 2u)),
+    [](const ::testing::TestParamInfo<std::tuple<Scheme, unsigned>>
+           &info) {
+        return std::string(schemeName(std::get<0>(info.param))) + "_k" +
+               std::to_string(std::get<1>(info.param));
+    });
 
 } // namespace
 } // namespace cmt

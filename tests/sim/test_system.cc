@@ -112,14 +112,8 @@ TEST(SystemTest, TamperDuringRunIsDetected)
 
     // Warm up a little, then tamper with a random data chunk that the
     // hot window keeps touching, then continue.
-    // We drive the loop manually to inject mid-run.
-    auto &events = sys.events();
-    Cycle cycle = 0;
-    while (sys.core().committed() < 50'000) {
-        events.runUntil(cycle);
-        sys.core().tick();
-        ++cycle;
-    }
+    // We drive the loop in steps to inject mid-run.
+    sys.runUntilCommitted(50'000);
     // Flip bits across a swath of the random region's RAM.
     const auto &layout = sys.l2().layout();
     for (std::uint64_t addr = 64ULL << 20;
@@ -129,11 +123,7 @@ TEST(SystemTest, TamperDuringRunIsDetected)
         b ^= 0xff;
         sys.ram().write(layout.dataToRam(addr), {&b, 1});
     }
-    while (sys.core().committed() < 300'000) {
-        events.runUntil(cycle);
-        sys.core().tick();
-        ++cycle;
-    }
+    sys.runUntilCommitted(300'000);
     EXPECT_GT(sys.l2().integrityFailures(), 0u);
 }
 
@@ -141,13 +131,7 @@ TEST(SystemTest, BaseSchemeCannotDetectTamper)
 {
     SystemConfig cfg = quickConfig("twolf", Scheme::kBase);
     System sys(cfg);
-    auto &events = sys.events();
-    Cycle cycle = 0;
-    while (sys.core().committed() < 50'000) {
-        events.runUntil(cycle);
-        sys.core().tick();
-        ++cycle;
-    }
+    sys.runUntilCommitted(50'000);
     const auto &layout = sys.l2().layout();
     for (std::uint64_t addr = 64ULL << 20;
          addr < (64ULL << 20) + (64 << 10); addr += 4096) {
@@ -156,11 +140,7 @@ TEST(SystemTest, BaseSchemeCannotDetectTamper)
         b ^= 0xff;
         sys.ram().write(layout.dataToRam(addr), {&b, 1});
     }
-    while (sys.core().committed() < 200'000) {
-        events.runUntil(cycle);
-        sys.core().tick();
-        ++cycle;
-    }
+    sys.runUntilCommitted(200'000);
     EXPECT_EQ(sys.l2().integrityFailures(), 0u);
 }
 
