@@ -13,6 +13,8 @@
 #define CMT_CPU_TRACE_H
 
 #include <cstdint>
+#include <memory>
+#include <utility>
 
 namespace cmt
 {
@@ -54,6 +56,35 @@ class TraceSource
 
     /** Produce the next instruction; false at end of stream. */
     virtual bool next(TraceInstr &out) = 0;
+};
+
+/**
+ * Address-displacing wrapper: shifts every pc and load/store address
+ * by a fixed offset, giving a program a private memory slice.
+ */
+class OffsetTrace : public TraceSource
+{
+  public:
+    OffsetTrace(std::unique_ptr<TraceSource> inner,
+                std::uint64_t data_offset)
+        : inner_(std::move(inner)), offset_(data_offset)
+    {}
+
+    bool
+    next(TraceInstr &out) override
+    {
+        if (!inner_->next(out))
+            return false;
+        if (out.type == InstrType::kLoad ||
+            out.type == InstrType::kStore)
+            out.addr += offset_;
+        out.pc += offset_;
+        return true;
+    }
+
+  private:
+    std::unique_ptr<TraceSource> inner_;
+    std::uint64_t offset_;
 };
 
 } // namespace cmt

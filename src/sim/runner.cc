@@ -6,12 +6,12 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <thread>
 
 #include "cpu/core.h"
 #include "mem/main_memory.h"
 #include "sim/config.h"
-#include "sim/smp.h"
 #include "support/json.h"
 #include "support/logging.h"
 #include "support/thread_annotations.h"
@@ -80,11 +80,9 @@ authKindName(Authenticator::Kind kind)
     return "?";
 }
 
-// Shared parameter-block folds: SystemConfig and SmpConfig embed the
-// same four structs, so both fingerprints fold them through one
-// helper each and new fields only need adding in one place. Every
-// field is preceded by a tag so adjacent same-width fields cannot
-// cancel by transposition.
+// Parameter-block folds, one helper per embedded struct. Every field
+// is preceded by a tag so adjacent same-width fields cannot cancel by
+// transposition.
 
 void
 foldCore(Fingerprint &fp, const CoreParams &c)
@@ -167,26 +165,6 @@ configFingerprint(const SystemConfig &config)
     return fp.value();
 }
 
-std::uint64_t
-configFingerprint(const SmpConfig &config)
-{
-    Fingerprint fp;
-    // Domain tag: an SmpConfig key must never collide with a
-    // SystemConfig key that happens to share field values.
-    fp.u64(0x534d5021); // "SMP!"
-    fp.u64(1).u64(config.benchmarks.size());
-    for (const std::string &bench : config.benchmarks)
-        fp.str(bench);
-    fp.u64(2).u64(config.seed);
-    fp.u64(3).u64(config.warmupInstructions);
-    fp.u64(4).u64(config.measureInstructions);
-    foldCore(fp, config.core);
-    foldL2(fp, config.l2);
-    foldMem(fp, config.mem);
-    foldHash(fp, config.hash);
-    return fp.value();
-}
-
 bool
 parseWorkerCount(const std::string &text, unsigned *out)
 {
@@ -253,16 +231,13 @@ struct MemoGroup
 };
 
 /**
- * The job's memoization key: an explicit fingerprint when supplied,
- * the config fingerprint for plain jobs, nothing for custom thunks
- * without one (those never memoize - the config alone does not
- * describe their work).
+ * The job's memoization key: the config fingerprint for plain jobs,
+ * nothing for custom thunks (those never memoize - the config alone
+ * does not describe their work).
  */
 std::optional<std::uint64_t>
 memoKey(const SweepJob &job)
 {
-    if (job.fingerprint)
-        return job.fingerprint;
     if (job.simulate)
         return std::nullopt;
     return configFingerprint(job.config);

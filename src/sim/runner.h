@@ -17,7 +17,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,8 +28,6 @@
 namespace cmt
 {
 
-struct SmpConfig;
-
 /**
  * Order-independent 64-bit digest over every SystemConfig field.
  * Used as the sweep memoization key: two configs compare equal for
@@ -39,14 +36,6 @@ struct SmpConfig;
  * flips each field and checks the key moves).
  */
 std::uint64_t configFingerprint(const SystemConfig &config);
-
-/**
- * Memoization key for a multiprogrammed SMP mix. Folds every
- * SmpConfig field under a distinct domain tag, so an SmpConfig can
- * never alias a SystemConfig (or vice versa) even where the structs
- * share parameter blocks.
- */
-std::uint64_t configFingerprint(const SmpConfig &config);
 
 /**
  * Strict base-10 parse of a worker/thread count CLI value. Rejects
@@ -66,20 +55,11 @@ struct SweepJob
     SystemConfig config;
     /**
      * Optional per-job simulation override (multiprogrammed mixes,
-     * test instrumentation). Without @ref fingerprint, jobs with an
-     * override are executed unconditionally - the config fingerprint
-     * only describes the config, so memoizing against it would alias
-     * distinct workloads.
+     * test instrumentation). Jobs with an override are executed
+     * unconditionally - the config fingerprint only describes the
+     * config, so memoizing against it would alias distinct workloads.
      */
     std::function<SimResult(const SystemConfig &)> simulate;
-    /**
-     * Explicit memoization key for jobs whose work is not described
-     * by @ref config (e.g. an SMP mix fingerprinted over its
-     * SmpConfig). Supplying it opts a custom-thunk job back into
-     * memoization; the caller guarantees the key covers everything
-     * that can change the returned SimResult.
-     */
-    std::optional<std::uint64_t> fingerprint;
 };
 
 /** Outcome of one job, in submission order. */

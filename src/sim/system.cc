@@ -8,6 +8,7 @@
 #include "cpu/trace.h"
 #include "mem/main_memory.h"
 #include "sim/config.h"
+#include "support/bitops.h"
 #include "support/logging.h"
 #include "trace/specgen.h"
 #include "tree/authenticator.h"
@@ -15,6 +16,7 @@
 #include "tree/hash_engine.h"
 #include "tree/integrity_policy.h"
 #include "tree/l2_controller.h"
+#include "tree/layout.h"
 #include "tree/scheme.h"
 #include "tree/shard_router.h"
 
@@ -265,6 +267,68 @@ simulate(const SystemConfig &config)
 {
     System system(config);
     return system.run();
+}
+
+namespace
+{
+
+/** Private 4 GB slice per core inside the shared protected space. */
+constexpr std::uint64_t kSliceBytes = 4ULL << 30;
+
+/**
+ * Per-core stagger within the slice. Slices are a power-of-two apart,
+ * so without it every program's regions would land on identical L2
+ * sets (the set index uses low address bits only) - a conflict
+ * pathology a real OS avoids through distinct physical mappings.
+ * 51 MB is 64 KB-aligned but not a multiple of the 2 MB set span.
+ */
+constexpr std::uint64_t kSliceStagger = 51ULL << 20;
+
+/** Data bytes of one shard: ShardRouter's per-shard layout, derived
+ *  before the router exists. */
+std::uint64_t
+shardDataBytes(const L2Params &l2)
+{
+    return TreeLayout(l2.chunkSize, l2.protectedSize / l2.shards)
+        .dataBytes();
+}
+
+} // namespace
+
+std::uint64_t
+coreSliceOffset(const L2Params &l2, unsigned i)
+{
+    if (l2.shards == 1)
+        return i * (kSliceBytes + kSliceStagger);
+    // Core i lives in shard i % K; cores sharing a shard stack their
+    // slices like the single-tree layout. The per-shard stagger keeps
+    // slices in different shards off identical L2 sets (shard spans
+    // are powers of two, so bare shard bases would alias).
+    cmt_assert(isPow2(l2.shards));
+    const unsigned shard = i % l2.shards;
+    const unsigned slot = i / l2.shards;
+    return shard * shardDataBytes(l2) +
+           slot * (kSliceBytes + kSliceStagger) + shard * kSliceStagger;
+}
+
+std::vector<std::unique_ptr<TraceSource>>
+mixTraces(const SystemConfig &machine,
+          const std::vector<std::string> &benchmarks)
+{
+    cmt_assert(!benchmarks.empty());
+    const std::uint64_t protected_bytes =
+        machine.l2.shards * shardDataBytes(machine.l2);
+    std::vector<std::unique_ptr<TraceSource>> traces;
+    for (std::size_t i = 0; i < benchmarks.size(); ++i) {
+        const std::uint64_t offset =
+            coreSliceOffset(machine.l2, static_cast<unsigned>(i));
+        cmt_assert(offset + kSliceBytes <= protected_bytes);
+        traces.push_back(std::make_unique<OffsetTrace>(
+            std::make_unique<SpecGen>(profileFor(benchmarks[i]),
+                                      machine.seed + i),
+            offset));
+    }
+    return traces;
 }
 
 } // namespace cmt

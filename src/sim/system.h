@@ -4,7 +4,16 @@
  * machinery, bus and DRAM from a SystemConfig, runs warmup + measured
  * windows, and reports the metrics every figure in the paper is
  * built from. One core is the paper's machine; several cores over
- * the same uncore are the multiprogrammed extension (sim/smp.h).
+ * the same uncore are the multiprogrammed extension of Section 4:
+ * System(machine, mixTraces(machine, benchmarks)) runs one program
+ * per core, each in a private slice of the one protected region.
+ *
+ * Workloads are multiprogrammed, not data-sharing: each core's
+ * addresses are displaced into its own slice, so coherence reduces
+ * to L2 inclusion (every core's L1 copies are dropped when the shared
+ * L2 evicts a block). One tree covers all slices; every core's
+ * traffic is verified by the same machinery and contends for the
+ * same hash buffers.
  */
 
 #ifndef CMT_SIM_SYSTEM_H
@@ -12,6 +21,7 @@
 
 #include <memory>
 #include <ostream>
+#include <string>
 #include <vector>
 
 #include "cpu/core.h"
@@ -145,6 +155,23 @@ class System
 
 /** Convenience: build, run, and return the result for a config. */
 SimResult simulate(const SystemConfig &config);
+
+/**
+ * CPU-address displacement of core @p i's private 4 GB slice. With
+ * one shard slices stack through the single tree; with K shards cores
+ * go round-robin across shard spans, so their verification traffic
+ * parallelises across root registers, buffers and hash lanes.
+ */
+std::uint64_t coreSliceOffset(const L2Params &l2, unsigned i);
+
+/**
+ * The traces of a multiprogrammed run on @p machine: core i runs
+ * benchmark i with seed machine.seed + i, displaced into its slice.
+ * Panics unless every slice fits in the protected region.
+ */
+std::vector<std::unique_ptr<TraceSource>>
+mixTraces(const SystemConfig &machine,
+          const std::vector<std::string> &benchmarks);
 
 /** REPRO_SCALE environment scaling (1.0 if unset). */
 double reproScale();

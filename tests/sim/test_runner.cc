@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "sim/runner.h"
-#include "sim/smp.h"
 #include "support/logging.h"
 
 namespace cmt
@@ -329,167 +328,6 @@ TEST(ConfigFingerprint, DistinctFieldFlipsGetDistinctKeys)
                 << kMutators[j].field;
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// SmpConfig fingerprints: same guarantees for the SMP key, plus
-// domain separation from the single-core key (shared param blocks
-// must not let the two config types alias each other).
-// ---------------------------------------------------------------------
-
-using SmpMutator = void (*)(SmpConfig &);
-
-struct NamedSmpMutator
-{
-    const char *field;
-    SmpMutator mutate;
-};
-
-// Top-level SmpConfig fields exhaustively; the nested param blocks go
-// through the same per-field folds the SystemConfig mutators above
-// already cover exhaustively, so one sentinel field per block is
-// enough to prove each block is folded in at all.
-const NamedSmpMutator kSmpMutators[] = {
-    {"benchmarks[0]",
-     [](SmpConfig &c) { c.benchmarks[0] = "twolf"; }},
-    {"benchmarks order",
-     [](SmpConfig &c) {
-         std::swap(c.benchmarks[0], c.benchmarks[1]);
-     }},
-    {"benchmarks count",
-     [](SmpConfig &c) { c.benchmarks.push_back("gcc"); }},
-    {"seed", [](SmpConfig &c) { c.seed += 1; }},
-    {"warmupInstructions",
-     [](SmpConfig &c) { c.warmupInstructions += 1; }},
-    {"measureInstructions",
-     [](SmpConfig &c) { c.measureInstructions += 1; }},
-    {"core block", [](SmpConfig &c) { c.core.fetchWidth += 1; }},
-    {"l2 block", [](SmpConfig &c) { c.l2.sizeBytes *= 2; }},
-    {"mem block", [](SmpConfig &c) { c.mem.dramLatency += 1; }},
-    {"hash block", [](SmpConfig &c) { c.hash.latency += 1; }},
-};
-
-TEST(SmpConfigFingerprint, StableForEqualConfigs)
-{
-    const SmpConfig a, b;
-    EXPECT_EQ(configFingerprint(a), configFingerprint(b));
-}
-
-TEST(SmpConfigFingerprint, EveryFieldChangesTheKey)
-{
-    const SmpConfig base;
-    const std::uint64_t ref = configFingerprint(base);
-    for (const NamedSmpMutator &m : kSmpMutators) {
-        SmpConfig mutated = base;
-        m.mutate(mutated);
-        EXPECT_NE(configFingerprint(mutated), ref)
-            << "SMP fingerprint ignores field " << m.field;
-    }
-}
-
-TEST(SmpConfigFingerprint, DistinctFieldFlipsGetDistinctKeys)
-{
-    const SmpConfig base;
-    std::vector<std::uint64_t> keys;
-    for (const NamedSmpMutator &m : kSmpMutators) {
-        SmpConfig mutated = base;
-        m.mutate(mutated);
-        keys.push_back(configFingerprint(mutated));
-    }
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-        for (std::size_t j = i + 1; j < keys.size(); ++j) {
-            EXPECT_NE(keys[i], keys[j])
-                << kSmpMutators[i].field << " collides with "
-                << kSmpMutators[j].field;
-        }
-    }
-}
-
-TEST(SmpConfigFingerprint, NeverAliasesSystemConfig)
-{
-    // Make the two config types agree on every shared field; the
-    // domain tag must still keep their keys apart, or a persistent
-    // memo cache could serve a single-core row for an SMP mix.
-    SystemConfig single;
-    SmpConfig smp;
-    smp.benchmarks = {single.benchmark};
-    smp.seed = single.seed;
-    smp.warmupInstructions = single.warmupInstructions;
-    smp.measureInstructions = single.measureInstructions;
-    smp.core = single.core;
-    smp.l2 = single.l2;
-    smp.mem = single.mem;
-    smp.hash = single.hash;
-    EXPECT_NE(configFingerprint(single), configFingerprint(smp));
-}
-
-// ---------------------------------------------------------------------
-// Explicit job fingerprints: custom-thunk jobs normally execute
-// unconditionally, but an explicit key opts them back into in-sweep
-// memoization.
-// ---------------------------------------------------------------------
-
-TEST(SweepRunner, ExplicitFingerprintMemoizesThunkJobs)
-{
-    auto calls = std::make_shared<std::atomic<int>>(0);
-    SweepRunner::Options opt;
-    opt.jobs = 1;
-    SweepRunner runner(std::move(opt));
-
-    const auto thunk = [calls](const SystemConfig &cfg) {
-        calls->fetch_add(1);
-        SimResult r;
-        r.benchmark = cfg.benchmark;
-        r.ipc = 1.5;
-        return r;
-    };
-    SweepJob a;
-    a.label = "mix-a";
-    a.config = tinyConfig("gcc", Scheme::kBase);
-    a.simulate = thunk;
-    a.fingerprint = 0xfeedULL;
-    SweepJob b = a;
-    b.label = "mix-b";
-    runner.add(std::move(a));
-    runner.add(std::move(b));
-
-    EXPECT_EQ(runner.uniqueJobs(), 1u);
-    runner.run();
-    EXPECT_EQ(calls->load(), 1);
-    EXPECT_FALSE(runner.entry(0).memoized);
-    EXPECT_TRUE(runner.entry(1).memoized);
-    expectSameResult(runner.entry(0).result, runner.entry(1).result);
-}
-
-TEST(SweepRunner, DistinctExplicitFingerprintsDoNotMemoize)
-{
-    auto calls = std::make_shared<std::atomic<int>>(0);
-    SweepRunner::Options opt;
-    opt.jobs = 1;
-    SweepRunner runner(std::move(opt));
-
-    const auto thunk = [calls](const SystemConfig &cfg) {
-        calls->fetch_add(1);
-        SimResult r;
-        r.benchmark = cfg.benchmark;
-        r.ipc = 1.5;
-        return r;
-    };
-    SweepJob a;
-    a.label = "mix-a";
-    a.config = tinyConfig("gcc", Scheme::kBase);
-    a.simulate = thunk;
-    a.fingerprint = 0xfeedULL;
-    SweepJob b = a;
-    b.label = "mix-b";
-    b.fingerprint = 0xbeefULL;
-    runner.add(std::move(a));
-    runner.add(std::move(b));
-
-    EXPECT_EQ(runner.uniqueJobs(), 2u);
-    runner.run();
-    EXPECT_EQ(calls->load(), 2);
-    EXPECT_FALSE(runner.entry(1).memoized);
 }
 
 // The strict worker-count parser behind --jobs/--workers/--clients:

@@ -4,9 +4,9 @@
 
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "sim/config.h"
-#include "sim/smp.h"
 #include "sim/system.h"
 #include "support/logging.h"
 #include "tree/scheme.h"
@@ -16,56 +16,68 @@ namespace cmt
 namespace
 {
 
-SmpConfig
-quickConfig(std::vector<std::string> benchmarks, Scheme scheme)
+SystemConfig
+quickMachine(Scheme scheme)
 {
-    SmpConfig cfg;
-    cfg.benchmarks = std::move(benchmarks);
+    SystemConfig cfg;
     cfg.warmupInstructions = 30'000;
     cfg.measureInstructions = 80'000;
     cfg.l2.scheme = scheme;
+    // Room for four staggered 4 GB per-core slices.
+    cfg.l2.protectedSize = 32ULL << 30;
     return cfg;
+}
+
+/** One core per benchmark over @p machine's uncore. */
+System
+mix(const SystemConfig &machine, const std::vector<std::string> &benchmarks)
+{
+    return System(machine, mixTraces(machine, benchmarks));
 }
 
 TEST(SmpTest, TwoCoresRunCleanly)
 {
-    SmpSystem smp(quickConfig({"gzip", "twolf"}, Scheme::kCached));
-    const SmpResult r = smp.run();
-    ASSERT_EQ(r.perCore.size(), 2u);
-    EXPECT_GE(r.perCore[0].instructions, 80'000u);
-    EXPECT_GE(r.perCore[1].instructions, 80'000u);
+    System smp = mix(quickMachine(Scheme::kCached), {"gzip", "twolf"});
+    const SimResult r = smp.run();
+    EXPECT_GE(smp.core(0).committed(), 80'000u);
+    EXPECT_GE(smp.core(1).committed(), 80'000u);
+    EXPECT_EQ(r.instructions,
+              smp.core(0).committed() + smp.core(1).committed());
     EXPECT_EQ(r.integrityFailures, 0u);
-    EXPECT_GT(r.aggregateIpc, 0.0);
+    EXPECT_GT(r.ipc, 0.0);
 }
 
 TEST(SmpTest, Deterministic)
 {
-    const SmpResult a =
-        SmpSystem(quickConfig({"gcc", "vpr"}, Scheme::kCached)).run();
-    const SmpResult b =
-        SmpSystem(quickConfig({"gcc", "vpr"}, Scheme::kCached)).run();
+    const SystemConfig machine = quickMachine(Scheme::kCached);
+    const SimResult a = mix(machine, {"gcc", "vpr"}).run();
+    const SimResult b = mix(machine, {"gcc", "vpr"}).run();
     EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_DOUBLE_EQ(a.aggregateIpc, b.aggregateIpc);
+    EXPECT_DOUBLE_EQ(a.ipc, b.ipc);
 }
 
 TEST(SmpTest, SharedMachineSlowsEachProgram)
 {
     // A program running alongside a bandwidth hog must be slower than
     // running alone on the same machine.
-    SmpConfig solo = quickConfig({"twolf"}, Scheme::kCached);
-    SmpConfig pair = quickConfig({"twolf", "swim"}, Scheme::kCached);
-    const SmpResult alone = SmpSystem(solo).run();
-    const SmpResult shared = SmpSystem(pair).run();
-    EXPECT_LT(shared.perCore[0].ipc, alone.perCore[0].ipc)
+    const SystemConfig machine = quickMachine(Scheme::kCached);
+    System alone = mix(machine, {"twolf"});
+    System shared = mix(machine, {"twolf", "swim"});
+    const SimResult a = alone.run();
+    const SimResult s = shared.run();
+    const double alone_ipc =
+        static_cast<double>(alone.core(0).committed()) / a.cycles;
+    const double shared_ipc =
+        static_cast<double>(shared.core(0).committed()) / s.cycles;
+    EXPECT_LT(shared_ipc, alone_ipc)
         << "bus/hash contention must be visible";
 }
 
 TEST(SmpTest, FourCoreTreeStaysConsistent)
 {
-    SmpSystem smp(quickConfig({"gzip", "twolf", "vpr", "gcc"},
-                              Scheme::kCached));
-    (void)smp.run();
-    System &sys = smp.system();
+    System sys = mix(quickMachine(Scheme::kCached),
+                     {"gzip", "twolf", "vpr", "gcc"});
+    (void)sys.run();
     sys.l2().flushAllDirty();
     while (!sys.events().empty())
         sys.events().runUntil(sys.events().nextEventTime());
@@ -75,16 +87,15 @@ TEST(SmpTest, FourCoreTreeStaysConsistent)
 
 TEST(SmpTest, TamperInOneSliceDetected)
 {
-    SmpConfig cfg = quickConfig({"twolf", "vpr"}, Scheme::kCached);
-    SmpSystem smp(cfg);
-    System &sys = smp.system();
+    const SystemConfig machine = quickMachine(Scheme::kCached);
+    System sys = mix(machine, {"twolf", "vpr"});
     sys.runUntilCommitted(30'000);
     // Corrupt core 1's slice (second 4 GB) in its hot random region.
     const auto &layout = sys.l2().layout();
     for (std::uint64_t a = 0; a < (128 << 10); a += 2048) {
         std::uint8_t poison[8] = {0xBA, 0xD0};
         sys.ram().write(
-            layout.dataToRam(SmpSystem::sliceOffset(1) +
+            layout.dataToRam(coreSliceOffset(machine.l2, 1) +
                              (64ULL << 20) + a),
             poison);
     }
@@ -92,17 +103,27 @@ TEST(SmpTest, TamperInOneSliceDetected)
     EXPECT_GT(sys.l2().integrityFailures(), 0u);
 }
 
+TEST(SmpTest, SlicesMustFitTheProtectedRegion)
+{
+    // Two 4 GB slices do not fit in L2Params' default 4 GB region.
+    SystemConfig machine = quickMachine(Scheme::kCached);
+    machine.l2.protectedSize = 4ULL << 30;
+    (void)mixTraces(machine, {"twolf"});
+    ScopedThrowOnError guard;
+    EXPECT_THROW((void)mixTraces(machine, {"twolf", "gzip"}), SimError);
+}
+
 TEST(SmpTest, DeadlockPanicsPromptly)
 {
     // With no check-buffer entries no verification can ever issue, so
     // the cores stall for good. The run must stop with the no-progress
     // panic instead of spinning.
-    SmpConfig cfg = quickConfig({"twolf", "swim"}, Scheme::kCached);
-    cfg.l2.readBufferEntries = 0;
-    cfg.l2.writeBufferEntries = 0;
+    SystemConfig machine = quickMachine(Scheme::kCached);
+    machine.l2.readBufferEntries = 0;
+    machine.l2.writeBufferEntries = 0;
     ScopedThrowOnError guard;
     try {
-        (void)SmpSystem(cfg).run();
+        (void)mix(machine, {"twolf", "swim"}).run();
         FAIL() << "a machine without check buffers completed its run";
     } catch (const SimError &e) {
         EXPECT_NE(std::string(e.what()).find("no commit progress"),
@@ -111,7 +132,7 @@ TEST(SmpTest, DeadlockPanicsPromptly)
     }
 }
 
-/** A one-program SMP machine is the single-core System. */
+/** A one-program mix is the single-core System on the same config. */
 class SmpOneCore
     : public ::testing::TestWithParam<std::tuple<Scheme, unsigned>>
 {
@@ -120,23 +141,14 @@ class SmpOneCore
 TEST_P(SmpOneCore, OneCoreMatchesSystem)
 {
     const auto [scheme, shards] = GetParam();
-    SmpConfig smp = quickConfig({"twolf"}, scheme);
-    smp.l2.shards = shards;
-    SystemConfig single;
+    SystemConfig single = quickMachine(scheme);
+    single.l2.shards = shards;
     single.benchmark = "twolf";
-    single.seed = smp.seed;
-    single.warmupInstructions = smp.warmupInstructions;
-    single.measureInstructions = smp.measureInstructions;
-    single.core = smp.core;
-    single.l2 = smp.l2;
-    single.mem = smp.mem;
-    single.hash = smp.hash;
 
-    const SmpResult a = SmpSystem(smp).run();
+    const SimResult a = mix(single, {"twolf"}).run();
     const SimResult b = simulate(single);
-    ASSERT_EQ(a.perCore.size(), 1u);
     EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.perCore[0].instructions, b.instructions);
+    EXPECT_EQ(a.instructions, b.instructions);
     EXPECT_EQ(a.bandwidthBytesPerCycle, b.bandwidthBytesPerCycle);
 }
 

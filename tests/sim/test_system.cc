@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/smp.h"
+#include "cpu/trace.h"
 #include "sim/system.h"
 #include "trace/specgen.h"
 
