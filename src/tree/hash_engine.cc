@@ -17,7 +17,8 @@ HashEngine::HashEngine(EventQueue &events, const HashEngineParams &params,
       events_(events), params_(params),
       lanes_(lanes == 0 ? 1 : lanes)
 {
-    cmt_assert(params_.throughputBytesPerCycle > 0);
+    cmt_assert(params_.throughputBytesPerCycle >=
+               kMinThroughputBytesPerCycle);
 }
 
 Cycle

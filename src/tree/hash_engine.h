@@ -56,6 +56,14 @@ struct HashEngineParams
 class HashEngine
 {
   public:
+    /**
+     * Slowest accepted hash unit, in bytes per cycle. At this floor
+     * the largest message (2^32 bytes) occupies 2^52 cycles, so one
+     * message's occupancy and the sums built from it stay inside
+     * Cycle; the constructor panics below it (and on NaN).
+     */
+    static constexpr double kMinThroughputBytesPerCycle = 0x1p-20;
+
     HashEngine(EventQueue &events, const HashEngineParams &params,
                StatGroup &stats, unsigned lanes = 1);
 

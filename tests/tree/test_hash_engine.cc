@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
+#include "support/logging.h"
 #include "tree/hash_engine.h"
 
 namespace cmt
@@ -25,6 +27,21 @@ struct Fixture
     HashEngineParams params;
     std::unique_ptr<HashEngine> engine;
 };
+
+TEST(HashEngineTest, RejectsThroughputBelowFloor)
+{
+    // Below the floor one message's occupancy would overflow Cycle.
+    ScopedThrowOnError guard;
+    for (const double throughput :
+         {1e-300, HashEngine::kMinThroughputBytesPerCycle / 2, 0.0,
+          -1.0, std::nan("")})
+        EXPECT_THROW(Fixture{throughput}, SimError) << throughput;
+    Fixture slowest(HashEngine::kMinThroughputBytesPerCycle);
+    Cycle done = 0;
+    slowest.engine->hash(1, [&] { done = slowest.events.now(); });
+    slowest.events.runUntil(1ULL << 21);
+    EXPECT_EQ(done, (1ULL << 20) + 80);
+}
 
 TEST(HashEngineTest, SingleJobLatency)
 {

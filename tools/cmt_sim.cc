@@ -14,8 +14,8 @@
  *     --hash-gbps <f>     hash throughput        (default 3.2)
  *     --no-spec           block until checks complete (ablation)
  *     --encrypt           enable the privacy extension
- *     --warmup <n>        warmup instructions    (default 250000)
- *     --instr <n>         measured instructions  (default 600000)
+ *     --warmup <n>        warmup instructions    (default 200000)
+ *     --instr <n>         measured instructions  (default 1000000)
  *     --seed <n>          workload seed          (default 1)
  *     --stats             dump every counter after the run
  *     --json <path>       write config/result/stats as JSON
