@@ -28,6 +28,7 @@
 #include "sim/runner.h"
 #include "sim/system.h"
 #include "support/json.h"
+#include "support/parse.h"
 #include "support/table.h"
 #include "trace/specgen.h"
 #include "tree/scheme.h"
@@ -74,14 +75,8 @@ parseArgs(int argc, char **argv, const char *figure)
             return argv[++i];
         };
         if (arg == "--jobs") {
-            const std::string v = value();
-            // parseWorkerCount checks errno/ERANGE: an overflowing
-            // "--jobs 99999999999999999999" must fail loudly, not
-            // wrap into a huge worker count.
-            if (!parseWorkerCount(v, &opt.jobs))
-                cmt_fatal("%s: --jobs expects a worker count, got "
-                          "'%s'",
-                          figure, v.c_str());
+            opt.jobs =
+                parseFlag<unsigned>(figure, arg, value(), 0, kMaxCount);
         } else if (arg == "--json") {
             opt.jsonPath = value();
         } else if (arg == "--filter") {

@@ -11,7 +11,7 @@
  * so a failure found by tools/cmt_fuzz can be committed to
  * tests/fuzz/corpus/ and replayed forever. All randomness flows from
  * the explicitly seeded cmt::Rng - no wall clock, no pid (enforced by
- * the cmt_lint nondeterminism rule).
+ * the cmt_analyze nondeterminism rule).
  */
 
 #ifndef CMT_FUZZ_TRACE_GEN_H

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <thread>
@@ -163,24 +161,6 @@ configFingerprint(const SystemConfig &config)
     foldMem(fp, config.mem);
     foldHash(fp, config.hash);
     return fp.value();
-}
-
-bool
-parseWorkerCount(const std::string &text, unsigned *out)
-{
-    if (text.empty())
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long n = std::strtoul(text.c_str(), &end, 10);
-    // strtoul happily accepts "-3" (wrapping it) and saturates an
-    // overflowing "99999999999999999999" to ULONG_MAX with ERANGE:
-    // both must fail, not become a worker count.
-    if (errno != 0 || end != text.c_str() + text.size() ||
-        text[0] == '-' || n > 1'000'000)
-        return false;
-    *out = static_cast<unsigned>(n);
-    return true;
 }
 
 SweepRunner::SweepRunner(Options options) : options_(std::move(options))

@@ -37,17 +37,6 @@ namespace cmt
  */
 std::uint64_t configFingerprint(const SystemConfig &config);
 
-/**
- * Strict base-10 parse of a worker/thread count CLI value. Rejects
- * empty strings, trailing garbage, negative values, and - unlike a
- * bare strtoul, whose ERANGE result wraps into a huge but "valid"
- * number - anything outside [0, 1'000'000]. Shared by every harness
- * flag that names a thread count (--jobs, --workers, --clients).
- *
- * @return true and store the value; false leaves @p out untouched.
- */
-bool parseWorkerCount(const std::string &text, unsigned *out);
-
 /** One unit of work in a sweep. */
 struct SweepJob
 {

@@ -71,7 +71,7 @@ class SlabPool
         void *raw = slabs_.back()->bytes +
                     sizeof(T) * usedInLastSlab_;
         ++usedInLastSlab_;
-        T *obj = ::new (raw) T(); // cmt-lint: allow(naked-new) - placement new into slab storage
+        T *obj = ::new (raw) T(); // cmt-analyze: allow(naked-new) - placement new into slab storage
         constructed_.push_back(obj);
         return obj;
     }

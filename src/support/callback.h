@@ -55,7 +55,7 @@ class SmallCallback<R(Args...), Capacity>
                       "over-aligned capture");
         static_assert(std::is_nothrow_move_constructible_v<Fd>,
                       "capture must be nothrow-move-constructible");
-        ::new (static_cast<void *>(storage_)) // cmt-lint: allow(naked-new) - placement new into the inline buffer
+        ::new (static_cast<void *>(storage_)) // cmt-analyze: allow(naked-new) - placement new into the inline buffer
             Fd(std::forward<F>(fn));
         ops_ = &OpsImpl<Fd>::ops;
     }
@@ -124,7 +124,7 @@ class SmallCallback<R(Args...), Capacity>
         static void
         relocate(unsigned char *to, unsigned char *from) noexcept
         {
-            ::new (static_cast<void *>(to)) // cmt-lint: allow(naked-new) - placement move into the new buffer
+            ::new (static_cast<void *>(to)) // cmt-analyze: allow(naked-new) - placement move into the new buffer
                 Fd(std::move(*at(from)));
             at(from)->~Fd();
         }

@@ -204,7 +204,7 @@ class EventQueue
                       alignof(Fd) <= alignof(std::max_align_t) &&
                       std::is_nothrow_move_constructible_v<Fd>) {
             Node *node = acquireNode();
-            ::new (static_cast<void *>(node->storage)) // cmt-lint: allow(naked-new) - placement new into pooled node
+            ::new (static_cast<void *>(node->storage)) // cmt-analyze: allow(naked-new) - placement new into pooled node
                 Fd(std::forward<F>(fn));
             node->op = &opInline<Fd>;
             return node;

@@ -18,7 +18,7 @@
 #ifndef CMT_TRACE_TRACE_FILE_H
 #define CMT_TRACE_TRACE_FILE_H
 
-// cmt-lint: allow(stdout-discipline) - owns a FILE* for trace files
+// cmt-analyze: allow(stdout-discipline) - owns a FILE* for trace files
 #include <cstdio>
 #include <string>
 

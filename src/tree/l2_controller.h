@@ -66,7 +66,7 @@ class L2Controller;
  */
 using PolicyFactory =
     // Construction-time wiring, never the per-miss path.
-    // cmt-lint: allow(hot-path-alloc)
+    // cmt-analyze: allow(hot-path-alloc)
     std::function<std::unique_ptr<IntegrityPolicy>(Scheme,
                                                    L2Controller &)>;
 
@@ -156,7 +156,7 @@ class L2Controller
     /** Invoked with (cpu_addr, len) when inclusion evicts L1 copies.
      *  Bound once at system construction; back-invalidations are
      *  eviction-path, not the per-miss verify path. */
-    // cmt-lint: allow(hot-path-alloc)
+    // cmt-analyze: allow(hot-path-alloc)
     std::function<void(std::uint64_t, unsigned)> onBackInvalidate;
 
     /**

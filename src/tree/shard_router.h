@@ -22,7 +22,7 @@
  *
  * The router - not its callers - is the only place allowed to touch
  * root registers: all reads and writes go through rootOf() /
- * TreeContext::roots (enforced by the cmt_lint root-registers rule).
+ * TreeContext::roots (enforced by the cmt_analyze root-registers rule).
  */
 
 #ifndef CMT_TREE_SHARD_ROUTER_H

@@ -1,7 +1,7 @@
 #include "verify/persistence.h"
 
 #include <cerrno>
-// cmt-lint: allow(stdout-discipline) - atomic rename needs std::rename
+// cmt-analyze: allow(stdout-discipline) - atomic rename needs std::rename
 #include <cstdio>
 #include <cstring>
 #include <memory>

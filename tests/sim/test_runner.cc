@@ -330,43 +330,5 @@ TEST(ConfigFingerprint, DistinctFieldFlipsGetDistinctKeys)
     }
 }
 
-// The strict worker-count parser behind --jobs/--workers/--clients:
-// out-of-range values must fail instead of wrapping through ERANGE
-// into an absurd thread count.
-TEST(ParseWorkerCount, AcceptsPlainCounts)
-{
-    unsigned n = 77;
-    EXPECT_TRUE(parseWorkerCount("0", &n));
-    EXPECT_EQ(n, 0u);
-    EXPECT_TRUE(parseWorkerCount("12", &n));
-    EXPECT_EQ(n, 12u);
-    EXPECT_TRUE(parseWorkerCount("1000000", &n));
-    EXPECT_EQ(n, 1'000'000u);
-}
-
-TEST(ParseWorkerCount, RejectsGarbageAndLeavesOutputUntouched)
-{
-    unsigned n = 42;
-    EXPECT_FALSE(parseWorkerCount("", &n));
-    EXPECT_FALSE(parseWorkerCount("12x", &n));
-    EXPECT_FALSE(parseWorkerCount("x12", &n));
-    EXPECT_FALSE(parseWorkerCount("1 2", &n));
-    EXPECT_FALSE(parseWorkerCount("-4", &n));
-    EXPECT_FALSE(parseWorkerCount("0x10", &n));
-    EXPECT_EQ(n, 42u);
-}
-
-TEST(ParseWorkerCount, RejectsOverflowInsteadOfWrapping)
-{
-    unsigned n = 42;
-    // ERANGE saturation: strtoul returns ULONG_MAX and the old code
-    // truncated it into a "valid" unsigned. Must fail instead.
-    EXPECT_FALSE(parseWorkerCount("99999999999999999999", &n));
-    // In-range for unsigned long but an absurd worker count.
-    EXPECT_FALSE(parseWorkerCount("1000001", &n));
-    EXPECT_FALSE(parseWorkerCount("4294967296", &n));
-    EXPECT_EQ(n, 42u);
-}
-
 } // namespace
 } // namespace cmt

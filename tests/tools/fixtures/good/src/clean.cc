@@ -2,7 +2,7 @@
 #include "clean.h"
 
 #include <chrono>
-// cmt-lint: allow(stdout-discipline) - justified FILE* formatting use
+// cmt-analyze: allow(stdout-discipline) - justified FILE* formatting use
 #include <cstdio>
 #include <stdexcept>
 
@@ -48,7 +48,7 @@ Widget::deleted() const
 
 // Explicitly suppressed violation: the directive-only line covers the
 // next line.
-// cmt-lint: allow(nondeterminism)
+// cmt-analyze: allow(nondeterminism)
 extern "C" int rand();
 
 } // namespace fixture

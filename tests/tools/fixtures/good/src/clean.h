@@ -4,7 +4,7 @@
 #ifndef CMT_TESTS_TOOLS_FIXTURES_GOOD_SRC_CLEAN_H
 #define CMT_TESTS_TOOLS_FIXTURES_GOOD_SRC_CLEAN_H
 
-// cmt-lint: allow(stdout-discipline) - justified FILE* formatting use
+// cmt-analyze: allow(stdout-discipline) - justified FILE* formatting use
 #include <cstdio>
 #include <memory>
 #include <vector>

@@ -13,7 +13,7 @@ placementTarget()
     alignas(Int) unsigned char buf[sizeof(Int)];
     // Placement new is still an allocation expression textually; the
     // sanctioned pool use justifies itself.
-    Int *p = new (buf) Int(7); // cmt-lint: allow(naked-new)
+    Int *p = new (buf) Int(7); // cmt-analyze: allow(naked-new)
     const Int v = *p;
     p->~Int();
     return v;

@@ -18,7 +18,7 @@ struct Policy
     SmallCallback<void(std::uint64_t)> onFill;
 
     // Bound once when the system is wired up; never on the miss path.
-    // cmt-lint: allow(hot-path-alloc)
+    // cmt-analyze: allow(hot-path-alloc)
     std::function<void()> onConstructed;
 
     void make_shared_things_happen(); // substring, not the call

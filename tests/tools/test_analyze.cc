@@ -1,17 +1,17 @@
 /**
  * @file
- * Unit tests for the cmt_analyze engine: the shared tokenizer, the
- * per-file symbol index (including its JSON cache round trip), each
- * whole-program rule pass against inline known-good/known-bad
- * sources, the suppression-directive contract, and the committed
- * fixture trees under tests/tools/fixtures/analyze/. The binary's
- * exit-code contract is covered by the analyze_* ctest entries in
- * tests/CMakeLists.txt.
+ * Unit tests for the cmt_analyze engine: the tokenizer, the per-file
+ * symbol index, each per-file rule and each whole-program pass
+ * against inline known-good/known-bad sources, the
+ * suppression-directive contract, and the committed fixture trees
+ * under tests/tools/fixtures/ (bad/ lights up every per-file rule,
+ * each analyze/bad/<rule> fires exactly its pass, the good trees stay
+ * clean). The binary's exit-code contract is covered by the
+ * analyze_* ctest entries in tests/CMakeLists.txt.
  */
 
 #include <algorithm>
-#include <filesystem>
-#include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -37,6 +37,18 @@ lexCode(const std::string &src)
         if (t.kind != TokKind::kComment)
             out.push_back(t);
     return out;
+}
+
+std::string
+scrub(const std::string &src)
+{
+    return scrubSource(src, tokenize(src));
+}
+
+FileSummary
+summarize(const std::string &path, const std::string &src)
+{
+    return summarizeSource(path, tokenize(src));
 }
 
 TEST(Tokenizer, DigitSeparatorsStayInsideTheNumberToken)
@@ -118,7 +130,7 @@ TEST(Tokenizer, LineSplicesContinueTheDirective)
 
 TEST(Tokenizer, ScrubBlanksLiteralsButKeepsStructure)
 {
-    const std::string out = scrubSource(
+    const std::string out = scrub(
         "int a; // secret()\n"
         "const char *s = \"secret()\";\n"
         "char c = 'x';\n");
@@ -127,18 +139,6 @@ TEST(Tokenizer, ScrubBlanksLiteralsButKeepsStructure)
     // Quote delimiters survive; contents are spaces.
     EXPECT_NE(out.find('"'), std::string::npos);
     EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 3);
-}
-
-TEST(Tokenizer, ScrubKeepCommentsPreservesDirectives)
-{
-    const std::string out = scrubSource(
-        "int a; // cmt-analyze: allow(lock-order)\n"
-        "const char *s = \"cmt-analyze: allow(lock-order)\";\n",
-        /*keepComments=*/true);
-    // The comment survives; the string-literal copy does not.
-    EXPECT_EQ(out.find("allow", out.find('"')), std::string::npos);
-    EXPECT_NE(out.find("// cmt-analyze: allow(lock-order)"),
-              std::string::npos);
 }
 
 TEST(Tokenizer, KeywordsClassify)
@@ -161,7 +161,7 @@ findFn(const FileSummary &s, const std::string &name)
 
 TEST(Index, ExtractsFunctionShape)
 {
-    const FileSummary s = summarizeSource(
+    const FileSummary s = summarize(
         "src/tree/x.cc",
         "std::vector<std::uint8_t>\n"
         "Widget::fetch(std::uint64_t chunk)\n"
@@ -182,7 +182,7 @@ TEST(Index, ExtractsFunctionShape)
 
 TEST(Index, DetectsMutableSpanOutParams)
 {
-    const FileSummary s = summarizeSource(
+    const FileSummary s = summarize(
         "src/tree/x.cc",
         "void fill(std::span<std::uint8_t> out) {}\n"
         "void peek(std::span<const std::uint8_t> in) {}\n");
@@ -194,7 +194,7 @@ TEST(Index, DetectsMutableSpanOutParams)
 
 TEST(Index, BranchesLocksAndDiscardsBecomeEvents)
 {
-    const FileSummary s = summarizeSource(
+    const FileSummary s = summarize(
         "src/tree/x.cc",
         "void f()\n"
         "{\n"
@@ -225,7 +225,7 @@ TEST(Index, BranchesLocksAndDiscardsBecomeEvents)
 
 TEST(Index, DeclaredSymbolsCoverTypesEnumsAliasesAndMacros)
 {
-    const FileSummary s = summarizeSource(
+    const FileSummary s = summarize(
         "src/x.h",
         "#define WIDTH 8\n"
         "struct Node { int v; };\n"
@@ -242,7 +242,7 @@ TEST(Index, DeclaredSymbolsCoverTypesEnumsAliasesAndMacros)
 
 TEST(Index, AllowDirectivesCoverTheirLineAndTheNext)
 {
-    const FileSummary s = summarizeSource(
+    const FileSummary s = summarize(
         "src/x.cc",
         "int a; // cmt-analyze: allow(lock-order)\n"
         "// cmt-analyze: allow(trust-boundary)\n"
@@ -256,63 +256,467 @@ TEST(Index, AllowDirectivesCoverTheirLineAndTheNext)
     EXPECT_FALSE(allowedAt(s, "trust-boundary", 4));
 }
 
+TEST(Index, BlockCommentDirectiveSitsOnItsOwnLine)
+{
+    const FileSummary s = summarize(
+        "src/x.cc",
+        "/*\n"
+        " * cmt-analyze: allow(naked-new)\n"
+        " */\n"
+        "int *p = new int;\n");
+    EXPECT_FALSE(allowedAt(s, "naked-new", 1));
+    EXPECT_TRUE(allowedAt(s, "naked-new", 2));
+    EXPECT_TRUE(allowedAt(s, "naked-new", 3));
+    EXPECT_FALSE(allowedAt(s, "naked-new", 4));
+}
+
 TEST(Index, DirectiveInsideStringLiteralIsData)
 {
-    const FileSummary s = summarizeSource(
+    const FileSummary s = summarize(
         "src/x.cc",
         "const char *s = \"// cmt-analyze: allow(lock-order)\";\n");
     EXPECT_FALSE(allowedAt(s, "lock-order", 1));
 }
 
-TEST(Index, ContentHashDistinguishesBytes)
+// --- per-file rules -------------------------------------------------
+
+std::vector<std::string>
+rulesFired(const std::string &path, const std::string &source)
 {
-    EXPECT_EQ(contentHash("abc"), contentHash("abc"));
-    EXPECT_NE(contentHash("abc"), contentHash("abd"));
+    std::vector<std::string> rules;
+    const FileSummary file = summarize(path, source);
+    for (const Diagnostic &d : fileRulePass(file, scrub(source), {}))
+        rules.push_back(d.rule);
+    return rules;
 }
 
-// --- index cache round trip -------------------------------------------
+bool
+fires(const std::string &path, const std::string &source,
+      const std::string &rule)
+{
+    const auto rules = rulesFired(path, source);
+    return std::find(rules.begin(), rules.end(), rule) != rules.end();
+}
 
-TEST(IndexCache, JsonRoundTripPreservesTheSummary)
+TEST(LintNondeterminism, FlagsRandFamilyInSrc)
+{
+    EXPECT_TRUE(fires("src/sim/x.cc", "int x = rand();",
+                      "nondeterminism"));
+    EXPECT_TRUE(fires("src/sim/x.cc", "srand(42);", "nondeterminism"));
+    EXPECT_TRUE(fires("src/sim/x.cc", "std::random_device rd;",
+                      "nondeterminism"));
+    EXPECT_TRUE(fires("src/sim/x.cc", "auto t = time(nullptr);",
+                      "nondeterminism"));
+    EXPECT_TRUE(fires("src/sim/x.cc", "auto c = clock();",
+                      "nondeterminism"));
+    EXPECT_TRUE(fires("src/sim/x.cc",
+                      "auto n = std::chrono::system_clock::now();",
+                      "nondeterminism"));
+}
+
+TEST(LintNondeterminism, SilentOutsideSrcAndOnCleanCode)
+{
+    // bench/tests may use wall-clock freely.
+    EXPECT_FALSE(fires("bench/x.cc", "int x = rand();",
+                       "nondeterminism"));
+    EXPECT_FALSE(fires("tests/x.cc", "srand(42);", "nondeterminism"));
+    // Identifier substrings and monotonic clocks are fine in src/.
+    EXPECT_FALSE(fires("src/x.cc", "int operand = timestamp;",
+                       "nondeterminism"));
+    EXPECT_FALSE(fires(
+        "src/x.cc",
+        "auto t = std::chrono::steady_clock::now();"
+        "auto d = t.time_since_epoch();",
+        "nondeterminism"));
+    EXPECT_FALSE(fires("src/x.cc", "// call rand() for chaos",
+                       "nondeterminism"));
+}
+
+// --- stdout-discipline ------------------------------------------------
+
+TEST(LintStdout, FlagsCoutAndBarePrintfInSrc)
+{
+    EXPECT_TRUE(fires("src/tree/x.cc", "std::cout << 1;",
+                      "stdout-discipline"));
+    EXPECT_TRUE(fires("src/tree/x.cc", "printf(\"%d\", 1);",
+                      "stdout-discipline"));
+    EXPECT_TRUE(fires("src/tree/x.cc", "std::printf(\"x\");",
+                      "stdout-discipline"));
+    EXPECT_TRUE(
+        fires("src/tree/x.cc", "puts(\"x\");", "stdout-discipline"));
+}
+
+TEST(LintStdout, AllowsSupportBenchToolsAndBufferedFormatting)
+{
+    // src/support owns the logging implementation.
+    EXPECT_FALSE(fires("src/support/logging.cc", "printf(\"x\");",
+                       "stdout-discipline"));
+    // Harness/tool mains own stdout.
+    EXPECT_FALSE(fires("bench/fig0.cc", "std::cout << 1;",
+                       "stdout-discipline"));
+    EXPECT_FALSE(fires("tools/cli.cc", "printf(\"x\");",
+                       "stdout-discipline"));
+    // Formatting into buffers / single-call stderr stays legal.
+    EXPECT_FALSE(fires("src/x.cc", "snprintf(b, n, \"x\");",
+                       "stdout-discipline"));
+    EXPECT_FALSE(fires("src/x.cc", "std::fprintf(stderr, \"x\");",
+                       "stdout-discipline"));
+    EXPECT_FALSE(fires("src/x.cc", "std::fputs(line, stderr);",
+                       "stdout-discipline"));
+}
+
+TEST(LintStdout, FlagsCstdioIncludeOutsideSupport)
+{
+    EXPECT_TRUE(fires("src/tree/x.cc", "#include <cstdio>\n",
+                      "stdout-discipline"));
+    EXPECT_TRUE(fires("src/tree/x.h", "#include <stdio.h>\n",
+                      "stdout-discipline"));
+    EXPECT_TRUE(fires("src/mem/x.cc", "#  include  <cstdio>\n",
+                      "stdout-discipline"));
+}
+
+TEST(LintStdout, AllowsCstdioWhereJustified)
+{
+    // src/support owns the serialized stderr sink.
+    EXPECT_FALSE(fires("src/support/logging.cc", "#include <cstdio>\n",
+                       "stdout-discipline"));
+    // Harness/tool mains own their output streams.
+    EXPECT_FALSE(fires("bench/fig0.cc", "#include <cstdio>\n",
+                       "stdout-discipline"));
+    EXPECT_FALSE(fires("tools/cli.cc", "#include <cstdio>\n",
+                       "stdout-discipline"));
+    // A justified FILE* owner documents itself with a directive.
+    EXPECT_FALSE(fires("src/trace/x.h",
+                       "// cmt-analyze: allow(stdout-discipline)\n"
+                       "#include <cstdio>\n",
+                       "stdout-discipline"));
+    // Other C headers must not match.
+    EXPECT_FALSE(fires("src/tree/x.cc", "#include <cstdlib>\n",
+                       "stdout-discipline"));
+    EXPECT_FALSE(fires("src/tree/x.cc", "#include <cstdint>\n",
+                       "stdout-discipline"));
+}
+
+// --- naked-new --------------------------------------------------------
+
+TEST(LintNakedNew, FlagsNewAndDeleteExpressions)
+{
+    EXPECT_TRUE(fires("src/x.cc", "int *p = new int[4];",
+                      "naked-new"));
+    EXPECT_TRUE(fires("src/x.cc", "delete p;", "naked-new"));
+    EXPECT_TRUE(fires("src/x.cc", "delete[] p;", "naked-new"));
+}
+
+TEST(LintNakedNew, AllowsDeletedMembersAndIdentifiers)
+{
+    EXPECT_FALSE(fires("src/x.h", "Widget(const Widget &) = delete;",
+                       "naked-new"));
+    EXPECT_FALSE(fires("src/x.h",
+                       "Widget &operator=(Widget &&) =\n    delete;",
+                       "naked-new"));
+    EXPECT_FALSE(
+        fires("src/x.cc", "int newish = renewed;", "naked-new"));
+    EXPECT_FALSE(fires("src/x.cc", "// the new line starts valid",
+                       "naked-new"));
+    // Outside src/ the rule is off (tests/bench build what they like).
+    EXPECT_FALSE(fires("tests/x.cc", "delete p;", "naked-new"));
+}
+
+// --- header-guard -----------------------------------------------------
+
+TEST(LintHeaderGuard, AcceptsBothGuardStyles)
+{
+    EXPECT_FALSE(fires("src/a.h",
+                       "#ifndef CMT_A_H\n#define CMT_A_H\n#endif\n",
+                       "header-guard"));
+    EXPECT_FALSE(
+        fires("src/b.h", "#pragma once\nint f();\n", "header-guard"));
+}
+
+TEST(LintHeaderGuard, FlagsMissingAndMismatchedGuards)
+{
+    EXPECT_TRUE(fires("src/a.h", "int f();\n", "header-guard"));
+    // #ifndef whose #define names a different macro is no guard.
+    EXPECT_TRUE(fires("src/a.h",
+                      "#ifndef CMT_A_H\n#define CMT_B_H\n#endif\n",
+                      "header-guard"));
+    // Sources are exempt.
+    EXPECT_FALSE(fires("src/a.cc", "int f() { return 1; }\n",
+                       "header-guard"));
+}
+
+// --- catch-all --------------------------------------------------------
+
+TEST(LintCatchAll, FlagsEllipsisCatchInSrcBenchTools)
+{
+    EXPECT_TRUE(fires("src/x.cc", "try { f(); } catch (...) {}",
+                      "catch-all"));
+    EXPECT_TRUE(fires("bench/x.cc", "catch ( ... ) { }",
+                      "catch-all"));
+    EXPECT_TRUE(fires("tools/x.cc", "catch(...) {}", "catch-all"));
+}
+
+TEST(LintCatchAll, AllowsNarrowCatchesAndTests)
+{
+    EXPECT_FALSE(fires("src/x.cc",
+                       "catch (const std::exception &e) {}",
+                       "catch-all"));
+    // gtest machinery may catch-all inside tests/.
+    EXPECT_FALSE(fires("tests/x.cc", "catch (...) {}", "catch-all"));
+}
+
+// --- root-registers ---------------------------------------------------
+
+TEST(LintRootRegisters, FlagsRawMemberAndDirectIndexing)
+{
+    EXPECT_TRUE(fires("src/tree/x.h", "std::vector<Slot> roots_;",
+                      "root-registers"));
+    EXPECT_TRUE(
+        fires("src/tree/x.cc", "return roots_[i];", "root-registers"));
+    EXPECT_TRUE(fires("src/verify/x.cc", "ctx.roots[chunk] = slot;",
+                      "root-registers"));
+    EXPECT_TRUE(fires("src/tree/x.cc", "tree->roots[0] = s;",
+                      "root-registers"));
+}
+
+TEST(LintRootRegisters, AllowsRouterAndSanctionedAccess)
+{
+    // The router itself owns the registers.
+    EXPECT_FALSE(fires("src/tree/shard_router.h",
+                       "return contexts_[s].roots[c];",
+                       "root-registers"));
+    // rootOf() and whole-context iteration are the sanctioned API.
+    EXPECT_FALSE(fires("src/verify/x.cc", "tree_.rootOf(chunk) = v;",
+                       "root-registers"));
+    EXPECT_FALSE(fires("src/verify/x.cc",
+                       "for (Slot &r : tree_.context(s).roots)\n"
+                       "    fold(r);\n",
+                       "root-registers"));
+    // Longer identifiers must not match.
+    EXPECT_FALSE(fires("src/tree/x.cc", "unsigned roots_seen = 0;",
+                       "root-registers"));
+    // Outside src/ the rule is off (tests poke internals freely).
+    EXPECT_FALSE(fires("tests/tree/x.cc", "Slot roots_[4];",
+                       "root-registers"));
+}
+
+// --- seed-nondeterminism ----------------------------------------------
+
+TEST(LintSeedNondeterminism, FlagsWallClockSeedsInTestsBenchTools)
+{
+    EXPECT_TRUE(fires("tests/fuzz/x.cc",
+                      "cmt::Rng rng(time(nullptr));",
+                      "seed-nondeterminism"));
+    EXPECT_TRUE(fires("tests/fuzz/x.cc",
+                      "unsigned s = getpid() ^ 7;",
+                      "seed-nondeterminism"));
+    EXPECT_TRUE(fires("bench/x.cc", "std::random_device rd;",
+                      "seed-nondeterminism"));
+    EXPECT_TRUE(fires("tools/x.cc", "seed ^= time(0);",
+                      "seed-nondeterminism"));
+}
+
+TEST(LintSeedNondeterminism, AllowsFixedSeedsAndDefersToSrcRule)
+{
+    // Explicit seeds and identifier substrings stay clean.
+    EXPECT_FALSE(fires("tests/fuzz/x.cc", "cmt::Rng rng(12345);",
+                       "seed-nondeterminism"));
+    EXPECT_FALSE(fires("tests/x.cc", "auto d = runtime(cfg);",
+                       "seed-nondeterminism"));
+    EXPECT_FALSE(fires("tests/x.cc", "long p = cmt_getpid();",
+                       "seed-nondeterminism"));
+    EXPECT_FALSE(fires("tests/x.cc", "// seed from time() is bad",
+                       "seed-nondeterminism"));
+    // src/ wall-clock use is the stricter nondeterminism rule's job.
+    EXPECT_FALSE(fires("src/sim/x.cc", "auto t = time(nullptr);",
+                       "seed-nondeterminism"));
+    EXPECT_TRUE(fires("src/sim/x.cc", "pid_t p = getpid();",
+                      "nondeterminism"));
+}
+
+TEST(LintHotPathAlloc, FlagsTypeErasureAndSharedAllocInTree)
+{
+    EXPECT_TRUE(fires("src/tree/cached_tree_policy.cc",
+                      "std::function<void()> cb = job;",
+                      "hot-path-alloc"));
+    EXPECT_TRUE(fires("src/tree/naive_policy.cc",
+                      "auto job = std::make_shared<Job>();",
+                      "hot-path-alloc"));
+    EXPECT_TRUE(fires("src/tree/hash_engine.h",
+                      "std :: function<void()> f;",
+                      "hot-path-alloc"));
+}
+
+TEST(LintHotPathAlloc, ScopedToTreeAndRespectsEscapes)
+{
+    // The rule polices the per-miss policy paths only; the rest of
+    // the simulator (and harness code) may use type erasure freely.
+    EXPECT_FALSE(fires("src/sim/runner.cc",
+                       "std::function<void()> task;",
+                       "hot-path-alloc"));
+    EXPECT_FALSE(fires("tests/tree/x.cc",
+                       "auto p = std::make_shared<Policy>();",
+                       "hot-path-alloc"));
+    // Identifier substrings are not calls.
+    EXPECT_FALSE(fires("src/tree/x.cc",
+                       "void make_shared_things_happen();",
+                       "hot-path-alloc"));
+    EXPECT_FALSE(fires("src/tree/x.cc",
+                       "SmallCallback<void()> onDone;",
+                       "hot-path-alloc"));
+    // Cold-path wiring justifies itself with the usual directive.
+    EXPECT_FALSE(fires("src/tree/l2.h",
+                       "// cmt-analyze: allow(hot-path-alloc)\n"
+                       "std::function<void()> onBackInvalidate;\n",
+                       "hot-path-alloc"));
+}
+
+TEST(LintNakedNew, SkipsPreprocessorDirectives)
+{
+    // The earlier fix: #include <new> and macro lines never contain
+    // allocation expressions, so the rule must not fire on them.
+    EXPECT_FALSE(fires("src/support/x.cc", "#include <new>\n",
+                       "naked-new"));
+    EXPECT_FALSE(fires("src/support/x.cc",
+                       "  #define MAKE_NEW(T) T\n", "naked-new"));
+    EXPECT_TRUE(fires("src/support/x.cc", "int *p = new int;\n",
+                      "naked-new"));
+}
+
+// --- suppression directives -------------------------------------------
+
+TEST(LintAllow, TrailingDirectiveSuppressesItsLine)
+{
+    EXPECT_FALSE(fires(
+        "src/x.cc",
+        "int x = rand(); // cmt-analyze: allow(nondeterminism)\n",
+        "nondeterminism"));
+}
+
+TEST(LintAllow, DirectiveOnlyLineCoversNextLine)
+{
+    EXPECT_FALSE(fires("src/x.cc",
+                       "// cmt-analyze: allow(naked-new)\n"
+                       "int *p = new int;\n",
+                       "naked-new"));
+    // ...but not two lines down.
+    EXPECT_TRUE(fires("src/x.cc",
+                      "// cmt-analyze: allow(naked-new)\n"
+                      "int a = 0;\n"
+                      "int *p = new int;\n",
+                      "naked-new"));
+}
+
+TEST(LintAllow, SuppressionIsPerRule)
+{
+    // Allowing one rule must not silence another on the same line.
+    EXPECT_TRUE(fires(
+        "src/x.cc",
+        "int *p = new int(rand()); "
+        "// cmt-analyze: allow(nondeterminism)\n",
+        "naked-new"));
+}
+
+TEST(LintAllow, CommaListSuppressesSeveralRulesOnOneLine)
 {
     const std::string src =
-        "#include \"tree/layout.h\"\n"
-        "// cmt-analyze: allow(include-hygiene)\n"
-        "struct Probe { int v; };\n"
-        "bool verifyProbe(std::uint64_t c)\n"
-        "{\n"
-        "    auto img = ram_.readChunk(c);\n"
-        "    return verify(c, img);\n"
-        "}\n";
-    const FileSummary a = summarizeSource("src/tree/p.cc", src);
-    FileSummary b;
-    ASSERT_TRUE(summaryFromJson(summaryToJson(a), &b));
-    EXPECT_EQ(summaryToJson(a), summaryToJson(b));
-    EXPECT_EQ(b.path, a.path);
-    EXPECT_EQ(b.contentHash, a.contentHash);
-    EXPECT_EQ(b.quotedIncludes, a.quotedIncludes);
-    EXPECT_EQ(b.declaredSymbols, a.declaredSymbols);
-    ASSERT_EQ(b.functions.size(), a.functions.size());
-    for (std::size_t i = 0; i < a.functions.size(); ++i) {
-        EXPECT_EQ(b.functions[i].name, a.functions[i].name);
-        EXPECT_EQ(b.functions[i].events.size(),
-                  a.functions[i].events.size());
-    }
+        "int *p = new int(rand()); "
+        "// cmt-analyze: allow(naked-new, nondeterminism)\n";
+    EXPECT_FALSE(fires("src/x.cc", src, "naked-new"));
+    EXPECT_FALSE(fires("src/x.cc", src, "nondeterminism"));
+    // The list is still per-rule: unlisted rules keep firing.
+    EXPECT_TRUE(fires(
+        "src/x.cc",
+        "try { f(); } catch (...) { srand(1); } "
+        "// cmt-analyze: allow(nondeterminism, header-guard)\n",
+        "catch-all"));
 }
 
-TEST(IndexCache, MalformedOrAlienJsonIsRejected)
+TEST(LintAllow, BlockCommentDirectiveCounts)
 {
-    FileSummary out;
-    EXPECT_FALSE(summaryFromJson("not json at all", &out));
-    EXPECT_FALSE(summaryFromJson("{}", &out));
-    // A wrong schema version must miss so old caches die cleanly.
-    const FileSummary a = summarizeSource("src/x.cc", "int a;\n");
-    std::string json = summaryToJson(a);
-    const std::string key =
-        "\"schema\":" + std::to_string(kIndexSchemaVersion);
-    const auto at = json.find(key);
-    ASSERT_NE(at, std::string::npos);
-    json.replace(at, key.size(), "\"schema\":999");
-    EXPECT_FALSE(summaryFromJson(json, &out));
+    EXPECT_FALSE(fires(
+        "src/x.cc",
+        "int x = rand(); /* cmt-analyze: allow(nondeterminism) */\n",
+        "nondeterminism"));
+}
+
+TEST(LintAllow, UnknownRuleNameIsItselfDiagnosed)
+{
+    EXPECT_TRUE(fires("src/x.cc",
+                      "int x = 0; // cmt-analyze: allow(no-such-rule)\n",
+                      "bad-directive"));
+}
+
+TEST(LintAllow, PlaceholderInProseIsNoDirective)
+{
+    // Docs spell the syntax with a placeholder; rule names are
+    // [A-Za-z0-9_-], so `<rule>` neither parses nor misfires.
+    EXPECT_FALSE(fires("src/x.cc",
+                       "// suppress with `// cmt-analyze: allow(<rule>)`\n",
+                       "bad-directive"));
+}
+
+TEST(LintAllow, DirectiveInsideStringLiteralIsData)
+{
+    // A directive spelled in a string literal neither suppresses a
+    // finding nor counts as a (mis)spelled directive.
+    EXPECT_FALSE(fires(
+        "src/x.cc",
+        "const char *s = \"// cmt-analyze: allow(no-such-rule)\";\n",
+        "bad-directive"));
+    EXPECT_TRUE(fires("src/x.cc",
+                      "int x = rand(); const char *s = "
+                      "\"cmt-analyze: allow(nondeterminism)\";\n",
+                      "nondeterminism"));
+}
+
+TEST(LintAllow, DirectiveInsideRawStringIsData)
+{
+    // Raw strings blank entirely during the directive scan, so a
+    // directive spelled inside one must not suppress anything.
+    EXPECT_TRUE(fires(
+        "src/x.cc",
+        "int x = rand(); const char *s = "
+        "R\"(// cmt-analyze: allow(nondeterminism))\";\n",
+        "nondeterminism"));
+}
+
+// --- scrubber ---------------------------------------------------------
+
+TEST(LintScrub, RemovesCommentsAndLiteralContents)
+{
+    const std::string out = scrub(
+        "int a; // rand()\n"
+        "/* new delete */ int b;\n"
+        "const char *s = \"catch (...)\";\n"
+        "char c = 'x';\n");
+    EXPECT_EQ(out.find("rand"), std::string::npos);
+    EXPECT_EQ(out.find("new"), std::string::npos);
+    EXPECT_EQ(out.find("catch"), std::string::npos);
+    EXPECT_NE(out.find("int a;"), std::string::npos);
+    EXPECT_NE(out.find("int b;"), std::string::npos);
+    // Line structure is preserved for diagnostics.
+    EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 4);
+}
+
+TEST(LintScrub, HandlesRawStringsAndDigitSeparators)
+{
+    const std::string out = scrub(
+        "auto s = R\"(printf(\"x\") rand())\";\n"
+        "std::uint64_t n = 1'000'000;\n"
+        "int after = rand();\n");
+    EXPECT_EQ(out.find("printf"), std::string::npos);
+    // The digit separator must not open a char literal that swallows
+    // the rest of the file.
+    EXPECT_NE(out.find("int after = rand();"), std::string::npos);
+}
+
+TEST(LintScrub, EscapedQuotesStayInsideStrings)
+{
+    const std::string out = scrub(
+        "const char *s = \"a \\\" rand() b\";\nint keep;\n");
+    EXPECT_EQ(out.find("rand"), std::string::npos);
+    EXPECT_NE(out.find("int keep;"), std::string::npos);
 }
 
 // --- trust-boundary ---------------------------------------------------
@@ -323,7 +727,7 @@ runOn(const std::vector<std::pair<std::string, std::string>> &srcs,
 {
     std::vector<FileSummary> files;
     for (const auto &[path, text] : srcs)
-        files.push_back(summarizeSource(path, text));
+        files.push_back(summarize(path, text));
     return runPasses(files, {rule});
 }
 
@@ -631,7 +1035,7 @@ TEST(IncludeHygiene, AllowDirectiveOnTheIncludeLineSuppresses)
 std::string
 fixtureDir(const std::string &leaf)
 {
-    return std::string(CMT_ANALYZE_FIXTURES_DIR) + "/" + leaf;
+    return std::string(CMT_ANALYZE_FIXTURES_DIR) + "/analyze/" + leaf;
 }
 
 std::size_t
@@ -649,7 +1053,7 @@ TEST(AnalyzeTree, GoodFixtureTreeIsClean)
     AnalyzeOptions opt;
     opt.root = fixtureDir("good");
     const AnalyzeReport report = analyzeTree(opt);
-    EXPECT_GT(report.filesIndexed, 0u);
+    EXPECT_GT(report.filesChecked, 0u);
     for (const Diagnostic &d : report.diagnostics)
         ADD_FAILURE() << d.file << ":" << d.line << " [" << d.rule
                       << "] " << d.message;
@@ -682,38 +1086,40 @@ TEST(AnalyzeTree, RuleFilterRestrictsThePasses)
     opt.root = fixtureDir("bad/trust_boundary");
     opt.rules = {"lock-order"};
     EXPECT_TRUE(analyzeTree(opt).diagnostics.empty());
+
+    // The filter covers the per-file rules too.
+    opt.root = std::string(CMT_ANALYZE_FIXTURES_DIR) + "/bad";
+    opt.rules = {"naked-new"};
+    const AnalyzeReport report = analyzeTree(opt);
+    EXPECT_GT(countRule(report.diagnostics, "naked-new"), 0u);
+    EXPECT_EQ(countRule(report.diagnostics, "naked-new"),
+              report.diagnostics.size());
 }
 
-TEST(AnalyzeTree, CacheHitsOnSecondRunAndSurvivesCorruption)
+// --- committed fixture tree -------------------------------------------
+
+TEST(LintFixtures, BadTreeLightsUpEveryRule)
 {
-    namespace fs = std::filesystem;
-    const std::string cache =
-        testing::TempDir() + "/cmt_analyze_cache_test";
-    fs::remove_all(cache);
-
     AnalyzeOptions opt;
-    opt.root = fixtureDir("bad/trust_boundary");
-    opt.cacheDir = cache;
+    opt.root = std::string(CMT_ANALYZE_FIXTURES_DIR) + "/bad";
+    std::set<std::string> seen;
+    for (const Diagnostic &d : analyzeTree(opt).diagnostics)
+        seen.insert(d.rule);
+    for (const char *rule :
+         {"nondeterminism", "stdout-discipline", "naked-new",
+          "header-guard", "catch-all", "root-registers",
+          "seed-nondeterminism", "hot-path-alloc"})
+        EXPECT_TRUE(seen.count(rule) == 1)
+            << "fixture tree never fired rule: " << rule;
+}
 
-    const AnalyzeReport cold = analyzeTree(opt);
-    EXPECT_EQ(cold.cacheHits, 0u);
-    ASSERT_EQ(countRule(cold.diagnostics, "trust-boundary"), 1u);
-
-    const AnalyzeReport warm = analyzeTree(opt);
-    EXPECT_EQ(warm.cacheHits, warm.filesIndexed);
-    EXPECT_EQ(warm.filesIndexed, cold.filesIndexed);
-    ASSERT_EQ(countRule(warm.diagnostics, "trust-boundary"), 1u);
-
-    // Corrupt entries must be silent misses, not wrong answers.
-    for (const fs::directory_entry &e :
-         fs::directory_iterator(cache)) {
-        std::ofstream out(e.path(), std::ios::trunc);
-        out << "{ corrupted";
-    }
-    const AnalyzeReport rebuilt = analyzeTree(opt);
-    EXPECT_EQ(rebuilt.cacheHits, 0u);
-    EXPECT_EQ(countRule(rebuilt.diagnostics, "trust-boundary"), 1u);
-    fs::remove_all(cache);
+TEST(LintFixtures, GoodTreeIsClean)
+{
+    AnalyzeOptions opt;
+    opt.root = std::string(CMT_ANALYZE_FIXTURES_DIR) + "/good";
+    for (const Diagnostic &d : analyzeTree(opt).diagnostics)
+        ADD_FAILURE() << d.file << ":" << d.line << " [" << d.rule
+                      << "] " << d.message;
 }
 
 } // namespace

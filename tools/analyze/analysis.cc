@@ -1,6 +1,8 @@
 #include "analyze/analysis.h"
 
 #include "analyze/index.h"
+#include "analyze/passes.h"
+#include "analyze/tokenizer.h"
 
 #include <algorithm>
 #include <filesystem>
@@ -23,8 +25,8 @@ isSourceFile(const fs::path &p)
            ext == ".hpp";
 }
 
-/** Same skip set as cmt_lint: generated trees, committed fixtures,
- *  vendored code, build dirs. Explicit paths always index. */
+/** Generated trees, committed fixtures, vendored code, build dirs.
+ *  Explicit paths are always checked. */
 bool
 skipDirectory(const std::string &name)
 {
@@ -103,53 +105,6 @@ relativize(const std::string &path, const std::string &root)
     return p;
 }
 
-std::string
-cacheEntryPath(const std::string &cacheDir,
-               const std::string &relPath)
-{
-    std::string name = relPath;
-    std::replace(name.begin(), name.end(), '/', '_');
-    return cacheDir + "/" + name + ".json";
-}
-
-/** A usable cached summary must parse, match the schema, and match
- *  the current content hash; anything else is a miss. */
-bool
-loadCached(const std::string &cacheDir, const std::string &relPath,
-           std::uint64_t hash, FileSummary *out)
-{
-    std::string text;
-    if (!readFile(cacheEntryPath(cacheDir, relPath), &text))
-        return false;
-    FileSummary summary;
-    if (!summaryFromJson(text, &summary))
-        return false;
-    if (summary.path != relPath || summary.contentHash != hash)
-        return false;
-    *out = std::move(summary);
-    return true;
-}
-
-void
-storeCached(const std::string &cacheDir,
-            const FileSummary &summary)
-{
-    std::error_code ec;
-    fs::create_directories(cacheDir, ec);
-    const std::string path =
-        cacheEntryPath(cacheDir, summary.path);
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary);
-        if (!out)
-            return;
-        out << summaryToJson(summary) << '\n';
-    }
-    fs::rename(tmp, path, ec);
-    if (ec)
-        fs::remove(tmp, ec);
-}
-
 } // namespace
 
 AnalyzeReport
@@ -157,52 +112,61 @@ analyzeTree(const AnalyzeOptions &options)
 {
     AnalyzeReport report;
 
-    std::vector<std::string> roots = options.paths;
+    // (path, indexed): the whole-program passes see only the trees
+    // their rules are defined over; explicit paths always index.
+    std::vector<std::pair<std::string, bool>> roots;
+    for (const std::string &path : options.paths)
+        roots.emplace_back(path, true);
     if (roots.empty()) {
-        for (const char *dir : {"src", "tools", "bench"}) {
+        static const std::pair<const char *, bool> kDefaultRoots[] = {
+            {"src", true},    {"bench", true},     {"tools", true},
+            {"tests", false}, {"examples", false},
+        };
+        for (const auto &[dir, index] : kDefaultRoots) {
             const std::string p = options.root + "/" + dir;
             std::error_code ec;
             if (fs::is_directory(p, ec))
-                roots.push_back(p);
+                roots.emplace_back(p, index);
         }
     }
 
-    std::vector<std::string> paths;
-    for (const std::string &root : roots)
+    std::vector<FileSummary> indexed;
+    for (const auto &[root, index] : roots) {
+        std::vector<std::string> paths;
         collectFiles(root, paths, report.diagnostics);
-
-    std::vector<FileSummary> files;
-    for (const std::string &path : paths) {
-        std::string contents;
-        if (!readFile(path, &contents)) {
-            Diagnostic d;
-            d.file = path;
-            d.rule = "io";
-            d.message = "cannot read file";
-            report.diagnostics.push_back(std::move(d));
-            continue;
+        for (const std::string &path : paths) {
+            std::string contents;
+            if (!readFile(path, &contents)) {
+                Diagnostic d;
+                d.file = path;
+                d.rule = "io";
+                d.message = "cannot read file";
+                report.diagnostics.push_back(std::move(d));
+                continue;
+            }
+            const std::vector<Token> tokens = tokenize(contents);
+            FileSummary summary =
+                summarizeSource(relativize(path, options.root), tokens);
+            std::vector<Diagnostic> findings =
+                fileRulePass(summary, scrubSource(contents, tokens),
+                             options.rules);
+            report.diagnostics.insert(
+                report.diagnostics.end(),
+                std::make_move_iterator(findings.begin()),
+                std::make_move_iterator(findings.end()));
+            if (index)
+                indexed.push_back(std::move(summary));
+            ++report.filesChecked;
         }
-        const std::string rel = relativize(path, options.root);
-        const std::uint64_t hash = contentHash(contents);
-        FileSummary summary;
-        if (!options.cacheDir.empty() &&
-            loadCached(options.cacheDir, rel, hash, &summary)) {
-            ++report.cacheHits;
-        } else {
-            summary = summarizeSource(rel, contents);
-            if (!options.cacheDir.empty())
-                storeCached(options.cacheDir, summary);
-        }
-        files.push_back(std::move(summary));
-        ++report.filesIndexed;
     }
 
     std::vector<Diagnostic> findings =
-        runPasses(files, options.rules);
+        runPasses(indexed, options.rules);
     report.diagnostics.insert(
         report.diagnostics.end(),
         std::make_move_iterator(findings.begin()),
         std::make_move_iterator(findings.end()));
+    sortDiagnostics(report.diagnostics);
     return report;
 }
 

@@ -1,15 +1,8 @@
 /**
  * @file
- * cmt_analyze engine: walk the tree, build (or load) the symbol
- * index, run the rule passes.
- *
- * Indexing is per-file and content-addressed, so `--cache-dir`
- * makes warm runs skip tokenizing/parsing unchanged files: each
- * summary persists as one JSON entry keyed by its repo-relative
- * path, validated against the file's FNV-1a hash and the index
- * schema version before reuse (stale or corrupt entries are silent
- * misses). CI caches the directory across runs keyed on source
- * hashes.
+ * cmt_analyze engine: walk the tree once, reading and lexing each
+ * file once; run the per-file rules on every file and the
+ * whole-program passes on the symbol index.
  */
 
 #ifndef CMT_TOOLS_ANALYZE_ANALYSIS_H
@@ -27,11 +20,10 @@ struct AnalyzeOptions
 {
     /** Repo root; paths report relative to it. */
     std::string root = ".";
-    /** Files/directories to index. Empty: src/ tools/ bench/ under
-     *  the root (the trees the symbol index is defined over). */
+    /** Files/directories to check; every file is also indexed.
+     *  Empty: src/ bench/ tools/ tests/ examples/ under the root,
+     *  of which src/ tools/ bench/ form the symbol index. */
     std::vector<std::string> paths;
-    /** Persist/reuse per-file summaries here; empty disables. */
-    std::string cacheDir;
     /** Subset of ruleNames() to run; empty runs all. */
     std::vector<std::string> rules;
 };
@@ -40,8 +32,7 @@ struct AnalyzeReport
 {
     /** Sorted findings; rule == "io" marks unreadable inputs. */
     std::vector<Diagnostic> diagnostics;
-    std::size_t filesIndexed = 0;
-    std::size_t cacheHits = 0;
+    std::size_t filesChecked = 0;
 };
 
 AnalyzeReport analyzeTree(const AnalyzeOptions &options);

@@ -2,8 +2,6 @@
 
 #include "analyze/tokenizer.h"
 
-#include "support/json.h"
-
 #include <algorithm>
 #include <regex>
 
@@ -78,8 +76,10 @@ class Parser
 
     void scanDirectivesAndUses()
     {
+        // Rule names are [A-Za-z0-9_-] lists, so a placeholder in
+        // prose (`allow(<rule>)`) is not a directive at all.
         static const std::regex allowRe(
-            R"(cmt-analyze:\s*allow\(([^)]*)\))");
+            R"(cmt-analyze:\s*allow\(\s*([A-Za-z0-9_,\- ]+)\s*\))");
         // First code token per line, to tell directive-only comment
         // lines (which also cover the following line) from trailing
         // comments.
@@ -124,18 +124,24 @@ class Parser
                 std::smatch m;
                 if (!std::regex_search(t.text, m, allowRe))
                     break;
+                // A directive inside a block comment sits on its own
+                // line of that comment, not the comment's first.
+                const auto at = t.text.begin() + m.position(0);
+                const int line =
+                    t.line + static_cast<int>(std::count(
+                                 t.text.begin(), at, '\n'));
                 const bool ownLine =
+                    line > t.line ||
                     !firstCodeOnLine.contains(t.line) ||
                     firstCodeOnLine[t.line] >= t.begin;
-                std::string rules = m[1].str();
                 std::string rule;
-                for (char c : rules + ",") {
-                    if (c == ',' || c == ' ' || c == '\t') {
+                for (char c : m[1].str() + ",") {
+                    if (c == ',' || c == ' ') {
                         if (!rule.empty()) {
-                            out_.allowLines[rule].insert(t.line);
+                            out_.directives.emplace_back(line, rule);
+                            out_.allowLines[rule].insert(line);
                             if (ownLine)
-                                out_.allowLines[rule].insert(
-                                    t.line + 1);
+                                out_.allowLines[rule].insert(line + 1);
                             rule.clear();
                         }
                     } else {
@@ -834,25 +840,13 @@ class Parser
 } // namespace
 
 FileSummary
-summarizeSource(const std::string &path, const std::string &contents)
+summarizeSource(const std::string &path,
+                const std::vector<Token> &tokens)
 {
     FileSummary out;
     out.path = path;
-    out.contentHash = contentHash(contents);
-    const std::vector<Token> tokens = tokenize(contents);
     Parser(tokens, out).run();
     return out;
-}
-
-std::uint64_t
-contentHash(const std::string &contents)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (unsigned char c : contents) {
-        h ^= c;
-        h *= 0x100000001b3ULL;
-    }
-    return h;
 }
 
 bool
@@ -860,295 +854,6 @@ allowedAt(const FileSummary &file, const std::string &rule, int line)
 {
     auto it = file.allowLines.find(rule);
     return it != file.allowLines.end() && it->second.contains(line);
-}
-
-// ------------------------------------------------- cache round-trip
-
-namespace
-{
-
-std::string
-hashToHex(std::uint64_t h)
-{
-    static const char *digits = "0123456789abcdef";
-    std::string out(16, '0');
-    for (int i = 15; i >= 0; --i) {
-        out[static_cast<std::size_t>(i)] = digits[h & 0xf];
-        h >>= 4;
-    }
-    return out;
-}
-
-bool
-hexToHash(const std::string &s, std::uint64_t *out)
-{
-    if (s.size() != 16)
-        return false;
-    std::uint64_t h = 0;
-    for (char c : s) {
-        h <<= 4;
-        if (c >= '0' && c <= '9')
-            h |= static_cast<std::uint64_t>(c - '0');
-        else if (c >= 'a' && c <= 'f')
-            h |= static_cast<std::uint64_t>(c - 'a' + 10);
-        else
-            return false;
-    }
-    *out = h;
-    return true;
-}
-
-Json
-eventToJson(const Event &e)
-{
-    Json row = Json::array();
-    row.push(static_cast<int>(e.kind));
-    row.push(e.name);
-    row.push(e.qualifier);
-    row.push(e.line);
-    row.push(e.discarded ? 1 : 0);
-    return row;
-}
-
-bool
-eventFromJson(const Json &row, Event *out)
-{
-    if (!row.isArray() || row.size() != 5)
-        return false;
-    if (!row.at(0).isNumber() || !row.at(1).isString() ||
-        !row.at(2).isString() || !row.at(3).isNumber() ||
-        !row.at(4).isNumber())
-        return false;
-    const int kind = static_cast<int>(row.at(0).asNumber());
-    if (kind < 0 ||
-        kind > static_cast<int>(Event::Kind::kUnlock))
-        return false;
-    out->kind = static_cast<Event::Kind>(kind);
-    out->name = row.at(1).asString();
-    out->qualifier = row.at(2).asString();
-    out->line = static_cast<int>(row.at(3).asNumber());
-    out->discarded = row.at(4).asNumber() != 0;
-    return true;
-}
-
-Json
-stringsToJson(const std::set<std::string> &strings)
-{
-    Json arr = Json::array();
-    for (const std::string &s : strings)
-        arr.push(s);
-    return arr;
-}
-
-bool
-stringsFromJson(const Json &arr, std::set<std::string> *out)
-{
-    if (!arr.isArray())
-        return false;
-    for (std::size_t i = 0; i < arr.size(); ++i) {
-        if (!arr.at(i).isString())
-            return false;
-        out->insert(arr.at(i).asString());
-    }
-    return true;
-}
-
-} // namespace
-
-std::string
-summaryToJson(const FileSummary &summary)
-{
-    Json doc = Json::object();
-    doc.set("schema", kIndexSchemaVersion);
-    doc.set("path", summary.path);
-    doc.set("hash", hashToHex(summary.contentHash));
-
-    Json qinc = Json::array();
-    Json qlines = Json::array();
-    for (std::size_t i = 0; i < summary.quotedIncludes.size(); ++i) {
-        qinc.push(summary.quotedIncludes[i]);
-        qlines.push(i < summary.quotedIncludeLines.size()
-                        ? summary.quotedIncludeLines[i]
-                        : 0);
-    }
-    doc.set("quoted_includes", std::move(qinc));
-    doc.set("quoted_include_lines", std::move(qlines));
-    Json ainc = Json::array();
-    for (const std::string &s : summary.angledIncludes)
-        ainc.push(s);
-    doc.set("angled_includes", std::move(ainc));
-
-    doc.set("defined_types", stringsToJson(summary.definedTypes));
-    doc.set("declared", stringsToJson(summary.declaredSymbols));
-
-    Json used = Json::array();
-    for (const auto &[name, line] : summary.usedIdentifiers) {
-        Json row = Json::array();
-        row.push(name);
-        row.push(line);
-        used.push(std::move(row));
-    }
-    doc.set("used", std::move(used));
-
-    Json fns = Json::array();
-    for (const FunctionInfo &fn : summary.functions) {
-        Json f = Json::object();
-        f.set("name", fn.name);
-        f.set("class", fn.className);
-        f.set("name_line", fn.nameLine);
-        f.set("body_line", fn.bodyOpenLine);
-        f.set("end_line", fn.endLine);
-        f.set("returns_void", fn.returnsVoid);
-        f.set("return_type", fn.returnType);
-        f.set("mutable_span", fn.hasMutableSpanParam);
-        Json ev = Json::array();
-        for (const Event &e : fn.events)
-            ev.push(eventToJson(e));
-        f.set("events", std::move(ev));
-        fns.push(std::move(f));
-    }
-    doc.set("functions", std::move(fns));
-
-    Json allows = Json::array();
-    for (const auto &[rule, lines] : summary.allowLines) {
-        Json row = Json::array();
-        row.push(rule);
-        Json ls = Json::array();
-        for (int line : lines)
-            ls.push(line);
-        row.push(std::move(ls));
-        allows.push(std::move(row));
-    }
-    doc.set("allows", std::move(allows));
-    return doc.dump();
-}
-
-bool
-summaryFromJson(const std::string &text, FileSummary *out)
-{
-    Json doc;
-    if (!Json::parse(text, &doc) || !doc.isObject())
-        return false;
-    const Json *schema = doc.find("schema");
-    if (schema == nullptr || !schema->isNumber() ||
-        static_cast<int>(schema->asNumber()) != kIndexSchemaVersion)
-        return false;
-
-    FileSummary s;
-    const Json *path = doc.find("path");
-    const Json *hash = doc.find("hash");
-    if (path == nullptr || !path->isString() || hash == nullptr ||
-        !hash->isString())
-        return false;
-    s.path = path->asString();
-    if (!hexToHash(hash->asString(), &s.contentHash))
-        return false;
-
-    const Json *qinc = doc.find("quoted_includes");
-    const Json *qlines = doc.find("quoted_include_lines");
-    const Json *ainc = doc.find("angled_includes");
-    if (qinc == nullptr || !qinc->isArray() || qlines == nullptr ||
-        !qlines->isArray() || qlines->size() != qinc->size() ||
-        ainc == nullptr || !ainc->isArray())
-        return false;
-    for (std::size_t i = 0; i < qinc->size(); ++i) {
-        if (!qinc->at(i).isString() || !qlines->at(i).isNumber())
-            return false;
-        s.quotedIncludes.push_back(qinc->at(i).asString());
-        s.quotedIncludeLines.push_back(
-            static_cast<int>(qlines->at(i).asNumber()));
-    }
-    for (std::size_t i = 0; i < ainc->size(); ++i) {
-        if (!ainc->at(i).isString())
-            return false;
-        s.angledIncludes.push_back(ainc->at(i).asString());
-    }
-
-    const Json *types = doc.find("defined_types");
-    const Json *decls = doc.find("declared");
-    if (types == nullptr || !stringsFromJson(*types, &s.definedTypes))
-        return false;
-    if (decls == nullptr ||
-        !stringsFromJson(*decls, &s.declaredSymbols))
-        return false;
-
-    const Json *used = doc.find("used");
-    if (used == nullptr || !used->isArray())
-        return false;
-    for (std::size_t i = 0; i < used->size(); ++i) {
-        const Json &row = used->at(i);
-        if (!row.isArray() || row.size() != 2 ||
-            !row.at(0).isString() || !row.at(1).isNumber())
-            return false;
-        s.usedIdentifiers.emplace(
-            row.at(0).asString(),
-            static_cast<int>(row.at(1).asNumber()));
-    }
-
-    const Json *fns = doc.find("functions");
-    if (fns == nullptr || !fns->isArray())
-        return false;
-    for (std::size_t i = 0; i < fns->size(); ++i) {
-        const Json &f = fns->at(i);
-        if (!f.isObject())
-            return false;
-        FunctionInfo fn;
-        const Json *name = f.find("name");
-        const Json *cls = f.find("class");
-        const Json *nameLine = f.find("name_line");
-        const Json *bodyLine = f.find("body_line");
-        const Json *endLine = f.find("end_line");
-        const Json *rvoid = f.find("returns_void");
-        const Json *rtype = f.find("return_type");
-        const Json *span = f.find("mutable_span");
-        const Json *ev = f.find("events");
-        if (name == nullptr || !name->isString() || cls == nullptr ||
-            !cls->isString() || nameLine == nullptr ||
-            !nameLine->isNumber() || bodyLine == nullptr ||
-            !bodyLine->isNumber() || endLine == nullptr ||
-            !endLine->isNumber() || rvoid == nullptr ||
-            !rvoid->isBool() || rtype == nullptr ||
-            !rtype->isString() || span == nullptr ||
-            !span->isBool() || ev == nullptr || !ev->isArray())
-            return false;
-        fn.name = name->asString();
-        fn.className = cls->asString();
-        fn.nameLine = static_cast<int>(nameLine->asNumber());
-        fn.bodyOpenLine = static_cast<int>(bodyLine->asNumber());
-        fn.endLine = static_cast<int>(endLine->asNumber());
-        fn.returnsVoid = rvoid->asBool();
-        fn.returnType = rtype->asString();
-        fn.hasMutableSpanParam = span->asBool();
-        for (std::size_t j = 0; j < ev->size(); ++j) {
-            Event e;
-            if (!eventFromJson(ev->at(j), &e))
-                return false;
-            fn.events.push_back(std::move(e));
-        }
-        s.functions.push_back(std::move(fn));
-    }
-
-    const Json *allows = doc.find("allows");
-    if (allows == nullptr || !allows->isArray())
-        return false;
-    for (std::size_t i = 0; i < allows->size(); ++i) {
-        const Json &row = allows->at(i);
-        if (!row.isArray() || row.size() != 2 ||
-            !row.at(0).isString() || !row.at(1).isArray())
-            return false;
-        std::set<int> lines;
-        for (std::size_t j = 0; j < row.at(1).size(); ++j) {
-            if (!row.at(1).at(j).isNumber())
-                return false;
-            lines.insert(
-                static_cast<int>(row.at(1).at(j).asNumber()));
-        }
-        s.allowLines.emplace(row.at(0).asString(),
-                             std::move(lines));
-    }
-
-    *out = std::move(s);
-    return true;
 }
 
 } // namespace cmt::analyze

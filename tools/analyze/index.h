@@ -2,9 +2,9 @@
  * @file
  * Cross-translation-unit symbol index for cmt_analyze.
  *
- * Each source file parses — independently, so results cache — into a
- * FileSummary: its includes, the symbols it declares, the identifiers
- * it uses, and one FunctionInfo per function *definition*. A function
+ * Each source file parses independently into a FileSummary: its
+ * includes, the symbols it declares, the identifiers it uses, and
+ * one FunctionInfo per function *definition*. A function
  * carries a flattened event tree (reads of untrusted memory, verify
  * calls, ordinary calls, lock acquisitions, returns/throws, and
  * branch/loop brackets) that the rule passes interpret without ever
@@ -20,19 +20,21 @@
  * the right trade for CI linting of our own codebase — the fixtures
  * under tests/tools/fixtures/analyze/ pin exactly what it recognizes.
  *
- * FileSummary serializes to JSON (schema-versioned, keyed on a
- * content hash) so `cmt_analyze --cache-dir` skips re-parsing
- * unchanged files (summaryToJson / summaryFromJson).
+ * The summary also carries the file's `// cmt-analyze: allow(...)`
+ * directives: the one suppression scanner for every rule, per-file
+ * and whole-program alike.
  */
 
 #ifndef CMT_TOOLS_ANALYZE_INDEX_H
 #define CMT_TOOLS_ANALYZE_INDEX_H
 
-#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "analyze/tokenizer.h"
 
 namespace cmt::analyze
 {
@@ -87,7 +89,6 @@ struct FunctionInfo
 struct FileSummary
 {
     std::string path; ///< repo-relative, '/'-separated
-    std::uint64_t contentHash = 0;
 
     /** Include targets in order: quoted keep their spelling, angled
      *  keep theirs; resolution to indexed files happens later. */
@@ -105,31 +106,25 @@ struct FileSummary
 
     std::vector<FunctionInfo> functions;
 
-    /** rule -> lines carrying `// cmt-analyze: allow(rule)`. A
-     *  directive on its own line also covers the next line, same as
-     *  cmt_lint. */
+    /** rule -> lines carrying `// cmt-analyze: allow(<rule>)`. A
+     *  directive with no code before it on its line also covers the
+     *  next line. */
     std::map<std::string, std::set<int>> allowLines;
+    /** (line, rule) for every name spelled in an allow directive,
+     *  known or not: the engine reports unknown names. */
+    std::vector<std::pair<int, std::string>> directives;
 };
 
-/** Parse one file's contents into a summary. Never throws on weird
- *  input; unmodeled constructs just yield fewer events. */
+/** Parse one file's token stream (tokenize() of its contents) into
+ *  a summary. Never throws on weird input; unmodeled constructs just
+ *  yield fewer events. */
 FileSummary summarizeSource(const std::string &path,
-                            const std::string &contents);
-
-/** FNV-1a over the raw bytes; keys the index cache. */
-std::uint64_t contentHash(const std::string &contents);
+                            const std::vector<Token> &tokens);
 
 /** True when @p rule is allowed at @p line in @p file (directive on
  *  the same line, or on a directive-only line immediately above). */
 bool allowedAt(const FileSummary &file, const std::string &rule,
                int line);
-
-/** JSON round-trip for the --cache-dir index cache. Schema changes
- *  must bump kIndexSchemaVersion so stale entries miss cleanly. */
-inline constexpr int kIndexSchemaVersion = 1;
-std::string summaryToJson(const FileSummary &summary);
-/** @return false (summary untouched) on malformed/mismatched JSON. */
-bool summaryFromJson(const std::string &text, FileSummary *out);
 
 } // namespace cmt::analyze
 

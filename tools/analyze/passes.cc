@@ -769,11 +769,29 @@ includeHygienePass(const std::vector<FileSummary> &files)
 
 // ----------------------------------------------------- entry point
 
-std::vector<std::string>
+const std::vector<std::string> &
 ruleNames()
 {
-    return {"trust-boundary", "lock-order", "error-discipline",
-            "include-hygiene"};
+    static const std::vector<std::string> names = {
+        "nondeterminism",      "stdout-discipline", "naked-new",
+        "header-guard",        "catch-all",         "root-registers",
+        "seed-nondeterminism", "hot-path-alloc",    "trust-boundary",
+        "lock-order",          "error-discipline",  "include-hygiene",
+    };
+    return names;
+}
+
+void
+sortDiagnostics(std::vector<Diagnostic> &diags)
+{
+    std::sort(diags.begin(), diags.end(),
+              [](const Diagnostic &a, const Diagnostic &b) {
+                  if (a.file != b.file)
+                      return a.file < b.file;
+                  if (a.line != b.line)
+                      return a.line < b.line;
+                  return a.rule < b.rule;
+              });
 }
 
 std::vector<Diagnostic>
@@ -799,14 +817,7 @@ runPasses(const std::vector<FileSummary> &files,
         append(errorDisciplinePass(files));
     if (enabled("include-hygiene"))
         append(includeHygienePass(files));
-    std::sort(out.begin(), out.end(),
-              [](const Diagnostic &a, const Diagnostic &b) {
-                  if (a.file != b.file)
-                      return a.file < b.file;
-                  if (a.line != b.line)
-                      return a.line < b.line;
-                  return a.rule < b.rule;
-              });
+    sortDiagnostics(out);
     return out;
 }
 

@@ -373,10 +373,10 @@ tokenize(const std::string &source)
 }
 
 std::string
-scrubSource(const std::string &source, bool keepComments)
+scrubSource(const std::string &source,
+            const std::vector<Token> &tokens)
 {
     std::string out = source;
-    const std::vector<Token> tokens = tokenize(source);
     const auto blank = [&out](std::size_t from, std::size_t to) {
         for (std::size_t i = from; i < to && i < out.size(); ++i) {
             if (out[i] != '\n')
@@ -386,8 +386,7 @@ scrubSource(const std::string &source, bool keepComments)
     for (const Token &t : tokens) {
         switch (t.kind) {
         case TokKind::kComment:
-            if (!keepComments)
-                blank(t.begin, t.end);
+            blank(t.begin, t.end);
             break;
         case TokKind::kString:
         case TokKind::kCharLiteral: {

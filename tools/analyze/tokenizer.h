@@ -1,13 +1,12 @@
 /**
  * @file
- * Shared C++ token stream for the repo's static-analysis tools.
+ * C++ token stream for cmt_analyze.
  *
- * cmt_lint started with a char-level scrubber; cmt_analyze needs real
- * tokens (identifiers, literals, punctuation, preprocessor structure)
- * to build a symbol index and run whole-program rules. Both tools now
- * lex through this one tokenizer so literal handling can never
- * diverge again — the motivating bug was the old scanner mis-lexing
- * C++14 digit separators (1'000'000) as char-literal starts, which
+ * Each file is lexed once: the symbol index and the directive scan
+ * read the tokens, and the per-file line rules read scrubSource() of
+ * the same tokens, so literal handling is one piece of code. The
+ * motivating bug was an older char-level scrubber mis-lexing C++14
+ * digit separators (1'000'000) as char-literal starts, which
  * silenced every rule on the rest of the line.
  *
  * The lexer is standard-shaped where it matters for analysis:
@@ -65,18 +64,13 @@ struct Token
 std::vector<Token> tokenize(const std::string &source);
 
 /**
- * Replace comment and string/char-literal contents with spaces,
- * preserving line structure and (for non-raw strings) the quote
- * characters. With @p keepComments, comment text survives — that
- * variant feeds suppression-directive scans, where a directive only
- * counts inside a comment, never inside a string literal.
- *
- * This is the tokenizer-backed replacement for cmt_lint's original
- * char-level scrubber; digit separators and prefixed char literals
- * lex correctly here.
+ * Replace comment and string/char-literal contents of @p source with
+ * spaces, preserving line structure and (for non-raw strings) the
+ * quote characters, so line rules never fire on prose. @p tokens is
+ * tokenize(source).
  */
 std::string scrubSource(const std::string &source,
-                        bool keepComments = false);
+                        const std::vector<Token> &tokens);
 
 /** True for C++ keywords (flow/decl words the passes must not treat
  *  as function names: if, while, return, sizeof, ...). */

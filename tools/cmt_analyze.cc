@@ -1,16 +1,20 @@
 /**
  * @file
- * cmt_analyze - whole-program static analysis for CMT.
+ * cmt_analyze - the repo's static analysis.
  *
- * Where cmt_lint checks one line at a time, cmt_analyze builds a
- * cross-translation-unit symbol index (tools/analyze/) and runs four
- * whole-program passes: trust-boundary (the paper's
- * verify-before-use invariant as a taint rule), lock-order (deadlock
- * freedom over MutexLock acquisition chains), error-discipline
- * (discarded verify/persistence verdicts), and include-hygiene.
+ * One walk over the tree reads and lexes each file once and runs two
+ * kinds of rule (tools/analyze/passes.h): eight per-file line rules
+ * (nondeterminism, stdout-discipline, naked-new, header-guard,
+ * catch-all, root-registers, seed-nondeterminism, hot-path-alloc)
+ * on src/ bench/ tools/ tests/ examples/, and four whole-program
+ * passes on a cross-translation-unit symbol index of src/ tools/
+ * bench/: trust-boundary (the paper's verify-before-use invariant as
+ * a taint rule), lock-order (deadlock freedom over MutexLock
+ * acquisition chains), error-discipline (discarded
+ * verify/persistence verdicts), and include-hygiene.
  * Suppress one finding with `// cmt-analyze: allow(<rule>)`.
  *
- * Exit codes (contract covered by tests/tools/test_analyze.cc):
+ * Exit codes (contract covered by the analyze_* ctests):
  *   0  clean
  *   1  at least one diagnostic
  *   2  usage or I/O error (unreadable explicit path)
@@ -22,6 +26,7 @@
 #include <vector>
 
 #include "analyze/analysis.h"
+#include "analyze/passes.h"
 
 namespace
 {
@@ -30,13 +35,12 @@ void
 usage()
 {
     std::printf(
-        "usage: cmt_analyze [--root DIR] [--cache-dir DIR]\n"
-        "                   [--rule NAME]... [--stats] [PATH...]\n"
-        "  Indexes PATHs (files or directories). With no PATH,\n"
-        "  indexes src/ tools/ bench/ under --root (default: the\n"
-        "  current directory) and runs every pass.\n"
-        "  --cache-dir persists per-file summaries so unchanged\n"
-        "  files skip re-parsing; --rule restricts the passes run.\n"
+        "usage: cmt_analyze [--root DIR] [--rule NAME]... [PATH...]\n"
+        "  Checks PATHs (files or directories). With no PATH,\n"
+        "  checks src/ bench/ tools/ tests/ examples/ under --root\n"
+        "  (default: the current directory); the whole-program\n"
+        "  rules index src/ tools/ bench/ of them. --rule restricts\n"
+        "  the rules run.\n"
         "  Suppress one finding with "
         "'// cmt-analyze: allow(<rule>)'.\n"
         "rules:\n");
@@ -50,7 +54,6 @@ int
 main(int argc, char **argv)
 {
     cmt::analyze::AnalyzeOptions options;
-    bool stats = false;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         const auto value = [&](const char *flag) -> const char * {
@@ -67,16 +70,11 @@ main(int argc, char **argv)
             if (v == nullptr)
                 return 2;
             options.root = v;
-        } else if (arg == "--cache-dir") {
-            const char *v = value("--cache-dir");
-            if (v == nullptr)
-                return 2;
-            options.cacheDir = v;
         } else if (arg == "--rule") {
             const char *v = value("--rule");
             if (v == nullptr)
                 return 2;
-            const std::vector<std::string> known =
+            const std::vector<std::string> &known =
                 cmt::analyze::ruleNames();
             if (std::find(known.begin(), known.end(), v) ==
                 known.end()) {
@@ -87,8 +85,6 @@ main(int argc, char **argv)
                 return 2;
             }
             options.rules.push_back(v);
-        } else if (arg == "--stats") {
-            stats = true;
         } else if (arg == "--help" || arg == "-h") {
             usage();
             return 0;
@@ -119,12 +115,7 @@ main(int argc, char **argv)
                      d.line, d.rule.c_str(), d.message.c_str());
         ++findings;
     }
-    if (stats)
-        std::fprintf(stderr,
-                     "cmt_analyze: indexed %zu files (%zu from "
-                     "cache)\n",
-                     report.filesIndexed, report.cacheHits);
-    if (report.filesIndexed == 0) {
+    if (report.filesChecked == 0) {
         std::fprintf(stderr,
                      "cmt_analyze: nothing to analyze under '%s'\n",
                      options.root.c_str());

@@ -17,7 +17,7 @@
  * oracle's verdict.
  *
  * Output is bit-reproducible: everything derives from --seed, nothing
- * from the clock or the pid (cmt_lint enforces this for all fuzz and
+ * from the clock or the pid (cmt_analyze enforces this for all fuzz and
  * test code).
  *
  * Exit status: 0 clean, 1 divergence or replay failure, 2 usage or
@@ -34,6 +34,7 @@
 
 #include "fuzz/differ.h"
 #include "fuzz/trace_gen.h"
+#include "support/parse.h"
 
 namespace fs = std::filesystem;
 using namespace cmt;
@@ -125,25 +126,23 @@ main(int argc, char **argv)
                 usage();
             return argv[++i];
         };
-        try {
-            if (arg == "--seed") {
-                seed = std::stoull(value());
-                haveSeed = true;
-            } else if (arg == "--iters") {
-                iters = std::stoull(value());
-                haveIters = true;
-            } else if (arg == "--out-dir") {
-                outDir = value();
-            } else if (arg == "--no-minimize") {
-                noMinimize = true;
-            } else if (arg == "--replay") {
-                replayFiles.push_back(value());
-            } else if (arg == "--replay-dir") {
-                replayDir = value();
-            } else {
-                usage();
-            }
-        } catch (const std::exception &) {
+        if (arg == "--seed") {
+            seed =
+                parseFlag<std::uint64_t>("cmt_fuzz", arg, value());
+            haveSeed = true;
+        } else if (arg == "--iters") {
+            iters =
+                parseFlag<std::uint64_t>("cmt_fuzz", arg, value());
+            haveIters = true;
+        } else if (arg == "--out-dir") {
+            outDir = value();
+        } else if (arg == "--no-minimize") {
+            noMinimize = true;
+        } else if (arg == "--replay") {
+            replayFiles.push_back(value());
+        } else if (arg == "--replay-dir") {
+            replayDir = value();
+        } else {
             usage();
         }
     }

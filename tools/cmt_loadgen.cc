@@ -43,7 +43,6 @@
  */
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -59,6 +58,7 @@
 #include "sim/system.h"
 #include "support/json.h"
 #include "support/logging.h"
+#include "support/parse.h"
 
 using namespace cmt;
 
@@ -120,26 +120,6 @@ void
 fold64(std::uint64_t &sum, std::uint64_t v)
 {
     fold(sum, &v, sizeof v);
-}
-
-/** Strict positive byte-count parse (sizes exceed the worker-count
- *  range, so parseWorkerCount does not apply). */
-std::uint64_t
-parseBytes(const char *flag, const std::string &text)
-{
-    if (text.empty() || text[0] == '-')
-        cmt_fatal("cmt_loadgen: %s expects a positive byte count, "
-                  "got '%s'",
-                  flag, text.c_str());
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long n =
-        std::strtoull(text.c_str(), &end, 10);
-    if (errno != 0 || end != text.c_str() + text.size() || n == 0)
-        cmt_fatal("cmt_loadgen: %s expects a positive byte count, "
-                  "got '%s'",
-                  flag, text.c_str());
-    return n;
 }
 
 /** Run one client's whole trace over its own connection. */
@@ -267,35 +247,25 @@ parseArgs(int argc, char **argv)
                           arg.c_str());
             return argv[++i];
         };
-        auto count = [&](const char *flag, const std::string &v) {
-            unsigned out = 0;
-            if (!parseWorkerCount(v, &out) || out == 0)
-                cmt_fatal("cmt_loadgen: %s expects a positive count, "
-                          "got '%s'",
-                          flag, v.c_str());
-            return out;
+        const auto count = [&](unsigned min) {
+            return parseFlag<unsigned>("cmt_loadgen", arg, value(), min,
+                                       kMaxCount);
         };
         if (arg == "--socket") {
             opt.socketPath = value();
         } else if (arg == "--store") {
-            unsigned sid = 0;
-            const std::string v = value();
-            if (!parseWorkerCount(v, &sid))
-                cmt_fatal("cmt_loadgen: --store expects a store id, "
-                          "got '%s'",
-                          v.c_str());
-            opt.store = sid;
+            opt.store = count(0);
         } else if (arg == "--clients") {
-            opt.clients = count("--clients", value());
+            opt.clients = count(1);
         } else if (arg == "--ops") {
-            opt.opsPerClient = count("--ops", value());
+            opt.opsPerClient = count(1);
         } else if (arg == "--block") {
-            opt.block = count("--block", value());
+            opt.block = count(1);
         } else if (arg == "--protected-size") {
-            opt.protectedSize =
-                parseBytes("--protected-size", value());
+            opt.protectedSize = parseFlag<std::uint64_t>(
+                "cmt_loadgen", arg, value(), 1);
         } else if (arg == "--seed") {
-            opt.seed = count("--seed", value());
+            opt.seed = count(1);
         } else if (arg == "--serial") {
             opt.serial = true;
         } else if (arg == "--json") {

@@ -25,7 +25,6 @@
  */
 
 #include <atomic>
-#include <cerrno>
 #include <csignal>
 #include <cstdlib>
 #include <memory>
@@ -34,8 +33,8 @@
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "serve/store.h"
-#include "sim/runner.h"
 #include "support/logging.h"
+#include "support/parse.h"
 #include "verify/merkle_memory.h"
 
 using namespace cmt;
@@ -52,36 +51,6 @@ handleStopSignal(int)
     serve::Server *server = g_server.load();
     if (server != nullptr)
         server->requestStop();
-}
-
-/** Strict positive byte-count parse (no suffixes, no wrapping). */
-std::uint64_t
-parseBytes(const char *flag, const std::string &text)
-{
-    if (text.empty() || text[0] == '-')
-        cmt_fatal("cmt_served: %s expects a positive byte count, got "
-                  "'%s'",
-                  flag, text.c_str());
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long n =
-        std::strtoull(text.c_str(), &end, 10);
-    if (errno != 0 || end != text.c_str() + text.size() || n == 0)
-        cmt_fatal("cmt_served: %s expects a positive byte count, got "
-                  "'%s'",
-                  flag, text.c_str());
-    return n;
-}
-
-unsigned
-parseCount(const char *flag, const std::string &text)
-{
-    unsigned out = 0;
-    if (!parseWorkerCount(text, &out))
-        cmt_fatal("cmt_served: %s expects a small non-negative count, "
-                  "got '%s'",
-                  flag, text.c_str());
-    return out;
 }
 
 struct DaemonOptions
@@ -109,20 +78,25 @@ parseArgs(int argc, char **argv)
                           arg.c_str());
             return argv[++i];
         };
+        const auto count = [&] {
+            return parseFlag<unsigned>("cmt_served", arg, value(), 0,
+                                       kMaxCount);
+        };
         if (arg == "--socket") {
             opt.socketPath = value();
         } else if (arg == "--stores") {
-            opt.stores = parseCount("--stores", value());
+            opt.stores = count();
         } else if (arg == "--shards") {
-            opt.shards = parseCount("--shards", value());
+            opt.shards = count();
         } else if (arg == "--protected-size") {
-            opt.protectedSize = parseBytes("--protected-size", value());
+            opt.protectedSize = parseFlag<std::uint64_t>(
+                "cmt_served", arg, value(), 1);
         } else if (arg == "--cache-chunks") {
-            opt.cacheChunks = parseCount("--cache-chunks", value());
+            opt.cacheChunks = count();
         } else if (arg == "--workers") {
-            opt.workers = parseCount("--workers", value());
+            opt.workers = count();
         } else if (arg == "--queue-depth") {
-            opt.queueDepth = parseCount("--queue-depth", value());
+            opt.queueDepth = count();
         } else if (arg == "--state-dir") {
             opt.stateDir = value();
         } else if (arg == "--load") {

@@ -35,6 +35,7 @@
 #include "sim/config.h"
 #include "sim/runner.h"
 #include "sim/system.h"
+#include "support/parse.h"
 #include "support/json.h"
 #include "trace/trace_file.h"
 #include "tree/scheme.h"
@@ -88,6 +89,12 @@ main(int argc, char **argv)
                 usage();
             return argv[++i];
         };
+        const auto u64 = [&] {
+            return parseFlag<std::uint64_t>("cmt_sim", arg, value());
+        };
+        const auto uint = [&] {
+            return parseFlag<unsigned>("cmt_sim", arg, value());
+        };
         if (arg == "--bench") {
             cfg.benchmark = value();
         } else if (arg == "--trace") {
@@ -95,30 +102,30 @@ main(int argc, char **argv)
         } else if (arg == "--scheme") {
             cfg.l2.scheme = parseScheme(value());
         } else if (arg == "--l2-size") {
-            cfg.l2.sizeBytes = std::stoull(value());
+            cfg.l2.sizeBytes = u64();
         } else if (arg == "--l2-block") {
-            cfg.l2.blockSize = static_cast<unsigned>(std::stoul(value()));
+            cfg.l2.blockSize = uint();
         } else if (arg == "--chunk") {
-            cfg.l2.chunkSize = std::stoull(value());
+            cfg.l2.chunkSize = u64();
             chunk_set = true;
         } else if (arg == "--shards") {
-            cfg.l2.shards = static_cast<unsigned>(std::stoul(value()));
+            cfg.l2.shards = uint();
         } else if (arg == "--buffers") {
-            cfg.l2.readBufferEntries =
-                static_cast<unsigned>(std::stoul(value()));
+            cfg.l2.readBufferEntries = uint();
             cfg.l2.writeBufferEntries = cfg.l2.readBufferEntries;
         } else if (arg == "--hash-gbps") {
-            cfg.hash.throughputBytesPerCycle = std::stod(value());
+            cfg.hash.throughputBytesPerCycle =
+                parseFlag<double>("cmt_sim", arg, value());
         } else if (arg == "--no-spec") {
             cfg.l2.speculativeChecks = false;
         } else if (arg == "--encrypt") {
             cfg.l2.encryptData = true;
         } else if (arg == "--warmup") {
-            cfg.warmupInstructions = std::stoull(value());
+            cfg.warmupInstructions = u64();
         } else if (arg == "--instr") {
-            cfg.measureInstructions = std::stoull(value());
+            cfg.measureInstructions = u64();
         } else if (arg == "--seed") {
-            cfg.seed = std::stoull(value());
+            cfg.seed = u64();
         } else if (arg == "--stats") {
             dump_stats = true;
         } else if (arg == "--json") {

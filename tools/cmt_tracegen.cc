@@ -12,6 +12,7 @@
 
 #include "cpu/trace.h"
 #include "support/logging.h"
+#include "support/parse.h"
 #include "trace/specgen.h"
 #include "trace/trace_file.h"
 
@@ -33,9 +34,11 @@ main(int argc, char **argv)
         if (arg == "--bench")
             bench = value();
         else if (arg == "--instr")
-            instructions = std::stoull(value());
+            instructions =
+                parseFlag<std::uint64_t>("cmt_tracegen", arg, value());
         else if (arg == "--seed")
-            seed = std::stoull(value());
+            seed =
+                parseFlag<std::uint64_t>("cmt_tracegen", arg, value());
         else if (arg == "--out")
             out = value();
         else
