@@ -2,12 +2,13 @@
 # Regenerate the committed regression baselines in results/baselines/.
 # Usage: scripts/update_baselines.sh [OUTDIR]
 #
-# Baselines are small fixed-scale sweeps (REPRO_SCALE=0.02, a subset
-# of benchmarks) so they run in seconds yet still exercise every
-# scheme, the bandwidth path, and the SMP extension. The simulator is
-# deterministic, so these JSON files are byte-stable across machines;
-# cmt_regress compares fresh runs against them and fails the build on
-# any drift.
+# Baselines are simulator sweeps only: small fixed-scale runs
+# (REPRO_SCALE=0.02, a subset of benchmarks) of fig3 (gcc), fig5 and
+# fig8 (swim), ext_smp and ext_shards, so they run in seconds yet
+# still exercise every scheme, the bandwidth path, the SMP extension
+# and sharded trees. The simulator is deterministic, so these JSON
+# files are byte-stable across machines; cmt_regress compares fresh
+# runs against them and fails the build on any drift.
 #
 # After an intentional behaviour change: re-run this script with no
 # arguments, inspect `git diff results/baselines/`, and commit the
@@ -36,23 +37,5 @@ run fig5_bandwidth --filter swim
 run fig8_chunk_schemes --filter swim
 run ext_smp
 run ext_shards
-
-# cmt_loadgen needs a live daemon: bring one up on a scratch socket,
-# drive the deterministic multi-client workload, and snapshot the
-# per-client result rows. Checksums are interleaving-independent, so
-# the rows are stable across machines; cmt_regress ignores the timing
-# fields.
-echo "== cmt_loadgen =="
-sock="$(mktemp -u /tmp/cmt_baseline_XXXXXX).sock"
-"$builddir"/tools/cmt_served --socket "$sock" 2> /dev/null &
-served_pid=$!
-# A failing cmt_loadgen exits the script under set -e; never leave the
-# daemon running behind it.
-trap 'kill -TERM "$served_pid" 2> /dev/null || true' EXIT
-REPRO_SCALE="$scale" "$builddir"/tools/cmt_loadgen --socket "$sock" \
-    --json "$outdir/cmt_loadgen.json" 2> /dev/null
-kill -TERM "$served_pid"
-wait "$served_pid"
-trap - EXIT
 
 echo "baselines written to $outdir (REPRO_SCALE=$scale)"

@@ -179,25 +179,30 @@ System::runUntilCommitted(std::uint64_t target)
             last_progress = cycle_;
             continue;
         }
-        if (cycle_ - last_progress > kDeadlockCycles) {
+        // A long wait for a pending event (one digest of a very slow
+        // hash unit) is not a deadlock: retries are event-driven, so
+        // only an empty queue means nothing can unblock the run.
+        if (cycle_ - last_progress > kDeadlockCycles && events_.empty()) {
             cmt_panic("no commit progress for 5M cycles at cycle "
                       "%llu (deadlock?)",
                       static_cast<unsigned long long>(cycle_));
         }
         // Cycle skip: while every core is provably stalled, each tick
         // until the earliest wake-up (the next event, a fetch stall
-        // window closing, or the deadlock bound) is a no-op - advance
-        // the clock there directly. A core that must tick reports 0,
-        // which blocks the skip: one active core can reach shared
-        // state (the L2, its back-invalidations) on any tick. Timing
-        // is unchanged; only empty loop iterations are elided.
-        Cycle next = last_progress + kDeadlockCycles;
+        // window closing, or - with no event pending - the deadlock
+        // bound) is a no-op - advance the clock there directly. A
+        // core that must tick reports 0, which blocks the skip: one
+        // active core can reach shared state (the L2, its
+        // back-invalidations) on any tick. Timing is unchanged; only
+        // empty loop iterations are elided.
+        Cycle next = Core::kNoWake;
         for (const auto &core : cores_)
             next = std::min(next, core->stalledUntil());
         if (next == 0)
             continue;
-        if (!events_.empty())
-            next = std::min(next, events_.nextEventTime());
+        next = std::min(next, events_.empty()
+                                  ? last_progress + kDeadlockCycles
+                                  : events_.nextEventTime());
         if (next > cycle_)
             cycle_ = next;
     }

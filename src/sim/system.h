@@ -117,7 +117,9 @@ class System
      * Advance the clock until every core has committed @p target
      * instructions or run out of trace. Cycles in which every core
      * is provably stalled are skipped without changing timing.
-     * Panics after 5M cycles in which no core commits (deadlock).
+     * Panics after 5M cycles in which no core commits while no event
+     * is pending (deadlock); a longer wait for a pending event (a
+     * slow hash unit's digest) is not one.
      */
     void runUntilCommitted(std::uint64_t target);
 

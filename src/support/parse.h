@@ -8,6 +8,9 @@
  * value. parseNumber() rejects only text that is not a number of the
  * flag's type; what a value means (a zero block size, a hash unit
  * below the throughput floor) stays with the code that uses it.
+ *
+ * Every tool gives a command line it cannot run exit status 2 through
+ * usageError(), and keeps exit status 1 for failures at run time.
  */
 
 #ifndef CMT_SUPPORT_PARSE_H
@@ -15,6 +18,7 @@
 
 #include <cerrno>
 #include <charconv>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -64,9 +68,24 @@ parseNumber(const std::string &text, T min, T max)
 }
 
 /**
+ * Report the usage error @p fmt of program @p prog on stderr and
+ * exit(2).
+ */
+[[noreturn, gnu::format(printf, 2, 3)]] inline void
+usageError(const char *prog, const char *fmt, ...)
+{
+    std::fprintf(stderr, "%s: ", prog);
+    va_list args;
+    va_start(args, fmt);
+    std::vfprintf(stderr, fmt, args);
+    va_end(args);
+    std::fputc('\n', stderr);
+    std::exit(2);
+}
+
+/**
  * parseNumber() for the value @p text of flag @p flag of program
- * @p prog. A value that is not a number in range is a usage error:
- * report it on stderr and exit(2).
+ * @p prog. A value that is not a number in range is a usage error.
  */
 template <typename T>
 T
@@ -79,15 +98,12 @@ parseFlag(const char *prog, const std::string &flag,
     if (value)
         return *value;
     if constexpr (std::is_floating_point_v<T>)
-        std::fprintf(stderr, "%s: %s expects a number, got '%s'\n",
-                     prog, flag.c_str(), text.c_str());
+        usageError(prog, "%s expects a number, got '%s'", flag.c_str(),
+                   text.c_str());
     else
-        std::fprintf(stderr,
-                     "%s: %s expects an integer in [%s, %s], got "
-                     "'%s'\n",
-                     prog, flag.c_str(), std::to_string(min).c_str(),
-                     std::to_string(max).c_str(), text.c_str());
-    std::exit(2);
+        usageError(prog, "%s expects an integer in [%s, %s], got '%s'",
+                   flag.c_str(), std::to_string(min).c_str(),
+                   std::to_string(max).c_str(), text.c_str());
 }
 
 } // namespace cmt

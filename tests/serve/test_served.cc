@@ -369,8 +369,9 @@ TEST(ServedConcurrency, ParallelClientsMatchSerialReplayByteForByte)
     // Four clients hammer store 0 concurrently over disjoint slices
     // while one client later replays the identical traces serially
     // into store 1. Slice disjointness makes the interleaving
-    // immaterial, so both stores must end byte-identical - the same
-    // oracle cmt_loadgen's regress gate relies on.
+    // immaterial, so both stores must end byte-identical. This is
+    // the daemon's parallel-equals-serial proof; cmt_loadgen only
+    // checks each client's reads against its own writes.
     Daemon d("parclients", 2, smallConfig(), 3);
     ASSERT_TRUE(d.started) << d.startErr;
 

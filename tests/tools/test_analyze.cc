@@ -240,6 +240,16 @@ TEST(Index, DeclaredSymbolsCoverTypesEnumsAliasesAndMacros)
     EXPECT_TRUE(s.definedTypes.contains("Mode"));
 }
 
+TEST(Index, TrailingGnuAttributeKeepsTheFunctionDeclared)
+{
+    const FileSummary s = summarize(
+        "src/x.h",
+        "void warn(const char *fmt, ...)\n"
+        "    __attribute__((format(printf, 1, 2)));\n");
+    EXPECT_TRUE(s.declaredSymbols.contains("warn"));
+    EXPECT_FALSE(s.declaredSymbols.contains("__attribute__"));
+}
+
 TEST(Index, AllowDirectivesCoverTheirLineAndTheNext)
 {
     const FileSummary s = summarize(

@@ -436,9 +436,16 @@ class Parser
             if (s == "(" && j > i && isIdent(j - 1) && !sawEquals) {
                 const std::size_t close = matchBracket(j, end);
                 std::size_t k = close + 1;
-                while (k < end && isFnQualifierToken(tok(k)) &&
-                       !is(k, "{"))
-                    ++k;
+                while (k < end && !is(k, "{")) {
+                    // A GNU attribute's arguments may be any tokens
+                    // (format(printf, 1, 2)): skip the whole group.
+                    if (is(k, "__attribute__") && is(k + 1, "("))
+                        k = matchBracket(k + 1, end) + 1;
+                    else if (isFnQualifierToken(tok(k)))
+                        ++k;
+                    else
+                        break;
+                }
                 if (is(k, "{") || is(k, ":")) {
                     if (is(k, ":"))
                         k = skipCtorInitList(k, end);

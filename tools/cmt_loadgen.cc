@@ -7,36 +7,25 @@
  * and drives a deterministic mixed workload (55% writes, 45% verified
  * reads of blocks it wrote earlier in the run, a periodic sync) from
  * its own connection, keeping a local shadow model of every byte it
- * wrote. A read that disagrees with the
- * shadow is a divergence: the daemon returned bytes that no
- * serialization of the client's own writes could produce. Because
- * slices are disjoint and the daemon guarantees per-connection
- * ordering, the per-client FNV checksum stream is independent of how
- * clients interleave - an 8-client run must produce byte-identical
- * results to --serial replaying the same traces one connection at a
- * time, and `cmt_regress A.json B.json` proves it (host timing is the
- * one field regress ignores).
- *
- * Output follows the canonical Sweep JSON schema (one regress-
- * comparable row per client plus a "total" row, deterministic
- * result/config blocks); p50/p99 request latency and throughput go to
- * stderr and to a doc-level "timing" object that regress does not
- * compare.
+ * wrote. A read that disagrees with the shadow is a divergence: the
+ * daemon returned bytes that no serialization of the client's own
+ * writes could produce. After the load, a verifyStore pass checks
+ * the daemon's whole tree. Throughput and p50/p99 request latency go
+ * to stderr.
  *
  *   cmt_loadgen --socket PATH [options]
  *
  *     --socket PATH        daemon socket (required)
  *     --store ID           target store id (default 0)
- *     --clients N          concurrent client connections (default 8)
- *     --ops N              operations per client
- *                          (default 2000, scaled by REPRO_SCALE)
- *     --block B            bytes per operation (default 64)
+ *     --clients N          concurrent client connections, at most
+ *                          1024 (default 8)
+ *     --ops N              operations per client (default 2000)
+ *     --block B            bytes per operation, a multiple of 8
+ *                          (default 64)
  *     --protected-size B   store capacity, must match the daemon
- *                          (default 1 MiB)
+ *                          (default 1 MiB); every client's slice must
+ *                          hold at least one block
  *     --seed S             trace seed (default 1)
- *     --serial             run the same traces on one connection at a
- *                          time (the determinism oracle)
- *     --json PATH          write the sweep document here
  *
  * Exit status: 0 clean, 1 divergence/verify/transport failure,
  * 2 usage errors.
@@ -47,16 +36,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "serve/client.h"
-#include "sim/runner.h"
-#include "sim/system.h"
-#include "support/json.h"
 #include "support/logging.h"
 #include "support/parse.h"
 
@@ -65,20 +50,18 @@ using namespace cmt;
 namespace
 {
 
-constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+/** One thread and one connection per client: bound them. */
+constexpr unsigned kMaxClients = 1024;
 
 struct LoadOptions
 {
     std::string socketPath;
-    std::string jsonPath;
     std::uint32_t store = 0;
     unsigned clients = 8;
     std::uint64_t opsPerClient = 2000;
     std::uint32_t block = 64;
     std::uint64_t protectedSize = 1u << 20;
     std::uint64_t seed = 1;
-    bool serial = false;
 };
 
 /** Deterministic per-client trace state (splitmix64). */
@@ -95,32 +78,13 @@ nextRand(std::uint64_t &state)
 struct ClientReport
 {
     std::uint64_t ops = 0;
-    std::uint64_t bytes = 0;
-    std::uint64_t checksum = kFnvBasis;
     std::uint64_t divergences = 0;
     std::string firstDivergence;
     /** Transport-level failure; empty when the trace completed. */
     std::string transportError;
     /** Per-request latency in microseconds. */
     std::vector<double> latencyUs;
-    double wallSeconds = 0;
 };
-
-void
-fold(std::uint64_t &sum, const void *data, std::size_t n)
-{
-    const auto *b = static_cast<const std::uint8_t *>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-        sum ^= b[i];
-        sum *= kFnvPrime;
-    }
-}
-
-void
-fold64(std::uint64_t &sum, std::uint64_t v)
-{
-    fold(sum, &v, sizeof v);
-}
 
 /** Run one client's whole trace over its own connection. */
 ClientReport
@@ -150,11 +114,6 @@ runClient(const LoadOptions &opt, unsigned index)
     const std::uint64_t sliceStart =
         static_cast<std::uint64_t>(index) * sliceBytes;
     const std::uint64_t blocksInSlice = sliceBytes / opt.block;
-    if (blocksInSlice == 0) {
-        rep.transportError = "protected region too small for this "
-                             "many clients";
-        return rep;
-    }
 
     std::uint64_t rng = opt.seed * 0x2545f4914f6cdd1dull + index;
     std::unordered_map<std::uint64_t, std::vector<std::uint8_t>>
@@ -166,7 +125,6 @@ runClient(const LoadOptions &opt, unsigned index)
     std::vector<std::uint8_t> data(opt.block);
     std::vector<std::uint8_t> got;
 
-    const auto wallStart = clock::now();
     for (std::uint64_t op = 0; op < opt.opsPerClient; ++op) {
         const std::uint64_t pick = nextRand(rng);
         const bool write =
@@ -190,8 +148,6 @@ runClient(const LoadOptions &opt, unsigned index)
             }
             shadow[addr] = data;
             written.push_back(addr);
-            fold64(rep.checksum, addr * 2 + 1);
-            fold(rep.checksum, data.data(), data.size());
         } else {
             const serve::CallResult r = client.readBlock(
                 opt.store, addr, opt.block, &got, &err);
@@ -209,14 +165,11 @@ runClient(const LoadOptions &opt, unsigned index)
                         "read @" + std::to_string(addr) +
                         " disagrees with this client's own writes";
             }
-            fold64(rep.checksum, addr * 2);
-            fold(rep.checksum, got.data(), got.size());
         }
         const auto t1 = clock::now();
         rep.latencyUs.push_back(
             std::chrono::duration<double, std::micro>(t1 - t0)
                 .count());
-        rep.bytes += opt.block;
         ++rep.ops;
         // Periodic sync keeps the flush path under concurrent fire.
         if (op % 400 == 399 &&
@@ -225,9 +178,6 @@ runClient(const LoadOptions &opt, unsigned index)
             return rep;
         }
     }
-    rep.wallSeconds =
-        std::chrono::duration<double>(clock::now() - wallStart)
-            .count();
     return rep;
 }
 
@@ -235,16 +185,12 @@ LoadOptions
 parseArgs(int argc, char **argv)
 {
     LoadOptions opt;
-    const double scale = reproScale();
-    opt.opsPerClient = static_cast<std::uint64_t>(2000 * scale);
-    if (opt.opsPerClient == 0)
-        opt.opsPerClient = 1;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto value = [&]() -> std::string {
             if (i + 1 >= argc)
-                cmt_fatal("cmt_loadgen: missing value for %s",
-                          arg.c_str());
+                usageError("cmt_loadgen", "missing value for %s",
+                           arg.c_str());
             return argv[++i];
         };
         const auto count = [&](unsigned min) {
@@ -256,7 +202,8 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--store") {
             opt.store = count(0);
         } else if (arg == "--clients") {
-            opt.clients = count(1);
+            opt.clients = parseFlag<unsigned>("cmt_loadgen", arg,
+                                              value(), 1, kMaxClients);
         } else if (arg == "--ops") {
             opt.opsPerClient = count(1);
         } else if (arg == "--block") {
@@ -266,27 +213,26 @@ parseArgs(int argc, char **argv)
                 "cmt_loadgen", arg, value(), 1);
         } else if (arg == "--seed") {
             opt.seed = count(1);
-        } else if (arg == "--serial") {
-            opt.serial = true;
-        } else if (arg == "--json") {
-            opt.jsonPath = value();
         } else if (arg == "--help" || arg == "-h") {
             inform("usage: cmt_loadgen --socket PATH [--store ID] "
                    "[--clients N] [--ops N] [--block B] "
-                   "[--protected-size B] [--seed S] [--serial] "
-                   "[--json PATH]");
+                   "[--protected-size B] [--seed S]");
             std::exit(0);
         } else {
-            cmt_fatal("cmt_loadgen: unknown argument '%s' (try "
-                      "--help)",
-                      arg.c_str());
+            usageError("cmt_loadgen", "unknown argument '%s' (try --help)",
+                       arg.c_str());
         }
     }
     if (opt.socketPath.empty())
-        cmt_fatal("cmt_loadgen: --socket PATH is required");
-    if (opt.block == 0 || opt.block % 8 != 0)
-        cmt_fatal("cmt_loadgen: --block must be a positive multiple "
-                  "of 8");
+        usageError("cmt_loadgen", "--socket PATH is required");
+    if (opt.block % 8 != 0)
+        usageError("cmt_loadgen", "--block must be a multiple of 8");
+    if (opt.protectedSize / opt.clients < opt.block)
+        usageError("cmt_loadgen",
+                   "--protected-size %llu leaves %u clients no %u-byte "
+                   "block each",
+                   static_cast<unsigned long long>(opt.protectedSize),
+                   opt.clients, opt.block);
     return opt;
 }
 
@@ -301,41 +247,6 @@ percentile(const std::vector<double> &sorted, double p)
     return sorted[idx];
 }
 
-/** One regress-comparable row in the micro packing convention. */
-Json
-rowJson(const std::string &label, const ClientReport &rep,
-        std::uint64_t plannedOps)
-{
-    SweepJob job;
-    job.label = label;
-    job.config.benchmark = label;
-    job.config.warmupInstructions = 0;
-    job.config.measureInstructions = plannedOps;
-
-    SweepEntry entry;
-    entry.label = label;
-    entry.hostSeconds = rep.wallSeconds;
-    if (!rep.transportError.empty()) {
-        entry.ok = false;
-        entry.error = rep.transportError;
-    } else if (rep.divergences != 0) {
-        entry.ok = false;
-        entry.error = std::to_string(rep.divergences) +
-                      " divergences; first: " + rep.firstDivergence;
-    } else {
-        entry.result.benchmark = label;
-        entry.result.instructions = rep.ops;
-        entry.result.cycles = rep.checksum;
-        entry.result.bandwidthBytesPerCycle =
-            static_cast<double>(rep.bytes);
-        entry.result.ipc =
-            rep.ops != 0 ? static_cast<double>(rep.bytes) /
-                               static_cast<double>(rep.ops)
-                         : 0.0;
-    }
-    return toJson(job, entry);
-}
-
 } // namespace
 
 int
@@ -345,19 +256,12 @@ main(int argc, char **argv)
 
     std::vector<ClientReport> reports(opt.clients);
     const auto wallStart = std::chrono::steady_clock::now();
-    if (opt.serial) {
-        for (unsigned i = 0; i < opt.clients; ++i)
-            reports[i] = runClient(opt, i);
-    } else {
-        std::vector<std::thread> threads;
-        threads.reserve(opt.clients);
-        for (unsigned i = 0; i < opt.clients; ++i)
-            threads.emplace_back([&, i] {
-                reports[i] = runClient(opt, i);
-            });
-        for (std::thread &t : threads)
-            t.join();
-    }
+    std::vector<std::thread> threads;
+    threads.reserve(opt.clients);
+    for (unsigned i = 0; i < opt.clients; ++i)
+        threads.emplace_back([&, i] { reports[i] = runClient(opt, i); });
+    for (std::thread &t : threads)
+        t.join();
     const double wallSeconds =
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - wallStart)
@@ -381,68 +285,32 @@ main(int argc, char **argv)
     }
 
     // Aggregate + report.
-    ClientReport total;
+    std::uint64_t ops = 0;
+    std::uint64_t divergences = 0;
     std::vector<double> allLat;
     bool failed = !verifyErr.empty();
-    for (unsigned i = 0; i < opt.clients; ++i) {
-        const ClientReport &r = reports[i];
-        total.ops += r.ops;
-        total.bytes += r.bytes;
-        fold64(total.checksum, r.checksum);
-        total.divergences += r.divergences;
+    for (const ClientReport &r : reports) {
+        ops += r.ops;
+        divergences += r.divergences;
         allLat.insert(allLat.end(), r.latencyUs.begin(),
                       r.latencyUs.end());
         if (!r.transportError.empty() || r.divergences != 0)
             failed = true;
     }
-    total.wallSeconds = wallSeconds;
-    if (!verifyErr.empty())
-        total.transportError = verifyErr;
 
     std::sort(allLat.begin(), allLat.end());
     const double p50 = percentile(allLat, 0.50);
     const double p99 = percentile(allLat, 0.99);
     const double throughput =
-        wallSeconds > 0 ? static_cast<double>(total.ops) / wallSeconds
-                        : 0;
+        wallSeconds > 0 ? static_cast<double>(ops) / wallSeconds : 0;
     std::fprintf(stderr,
-                 "  [loadgen] %u client(s)%s %llu ops in %.3fs: "
+                 "  [loadgen] %u client(s) %llu ops in %.3fs: "
                  "%.0f ops/s, p50 %.1f us, p99 %.1f us, "
                  "%llu divergences, tree %s\n",
-                 opt.clients, opt.serial ? " (serial)" : "",
-                 static_cast<unsigned long long>(total.ops),
+                 opt.clients, static_cast<unsigned long long>(ops),
                  wallSeconds, throughput, p50, p99,
-                 static_cast<unsigned long long>(total.divergences),
+                 static_cast<unsigned long long>(divergences),
                  treeClean ? "clean" : "INCONSISTENT");
-
-    if (!opt.jsonPath.empty()) {
-        Json doc = Json::object();
-        doc.set("figure", std::string("cmt_loadgen"));
-        doc.set("repro_scale", reproScale());
-        doc.set("jobs", opt.clients);
-        Json runs = Json::array();
-        for (unsigned i = 0; i < opt.clients; ++i)
-            runs.push(rowJson("client" + std::to_string(i),
-                              reports[i], opt.opsPerClient));
-        runs.push(rowJson("total", total,
-                          opt.opsPerClient * opt.clients));
-        doc.set("runs", std::move(runs));
-        // Timing sidecar: regress compares result/config blocks only,
-        // so the latency numbers ride along without gating anything.
-        Json timing = Json::object();
-        timing.set("wall_seconds", wallSeconds);
-        timing.set("ops_per_second", throughput);
-        timing.set("p50_latency_us", p50);
-        timing.set("p99_latency_us", p99);
-        doc.set("timing", std::move(timing));
-        std::ofstream os(opt.jsonPath);
-        if (!os)
-            cmt_fatal("cmt_loadgen: cannot write %s",
-                      opt.jsonPath.c_str());
-        doc.write(os, 2);
-        std::fprintf(stderr, "  [loadgen] wrote %s\n",
-                     opt.jsonPath.c_str());
-    }
 
     for (unsigned i = 0; i < opt.clients; ++i) {
         const ClientReport &r = reports[i];

@@ -74,8 +74,8 @@ parseArgs(int argc, char **argv)
         const std::string arg = argv[i];
         auto value = [&]() -> std::string {
             if (i + 1 >= argc)
-                cmt_fatal("cmt_served: missing value for %s",
-                          arg.c_str());
+                usageError("cmt_served", "missing value for %s",
+                           arg.c_str());
             return argv[++i];
         };
         const auto count = [&] {
@@ -108,16 +108,16 @@ parseArgs(int argc, char **argv)
                    "[--state-dir DIR] [--load]");
             std::exit(0);
         } else {
-            cmt_fatal("cmt_served: unknown argument '%s' (try --help)",
-                      arg.c_str());
+            usageError("cmt_served", "unknown argument '%s' (try --help)",
+                       arg.c_str());
         }
     }
     if (opt.socketPath.empty())
-        cmt_fatal("cmt_served: --socket PATH is required");
+        usageError("cmt_served", "--socket PATH is required");
     if (opt.stores == 0)
-        cmt_fatal("cmt_served: --stores must be at least 1");
+        usageError("cmt_served", "--stores must be at least 1");
     if (opt.load && opt.stateDir.empty())
-        cmt_fatal("cmt_served: --load requires --state-dir");
+        usageError("cmt_served", "--load requires --state-dir");
     return opt;
 }
 

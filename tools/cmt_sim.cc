@@ -68,7 +68,7 @@ parseScheme(const std::string &s)
         return Scheme::kCached;
     if (s == "incremental" || s == "i")
         return Scheme::kIncremental;
-    cmt_fatal("unknown scheme '%s'", s.c_str());
+    usageError("cmt_sim", "unknown scheme '%s'", s.c_str());
 }
 
 } // namespace

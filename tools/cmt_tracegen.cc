@@ -11,7 +11,6 @@
 #include <string>
 
 #include "cpu/trace.h"
-#include "support/logging.h"
 #include "support/parse.h"
 #include "trace/specgen.h"
 #include "trace/trace_file.h"
@@ -28,7 +27,8 @@ main(int argc, char **argv)
         const std::string arg = argv[i];
         auto value = [&]() -> std::string {
             if (i + 1 >= argc)
-                cmt_fatal("missing value for %s", arg.c_str());
+                usageError("cmt_tracegen", "missing value for %s",
+                           arg.c_str());
             return argv[++i];
         };
         if (arg == "--bench")
@@ -42,10 +42,10 @@ main(int argc, char **argv)
         else if (arg == "--out")
             out = value();
         else
-            cmt_fatal("unknown option '%s'", arg.c_str());
+            usageError("cmt_tracegen", "unknown option '%s'", arg.c_str());
     }
     if (out.empty())
-        cmt_fatal("--out FILE is required");
+        usageError("cmt_tracegen", "--out FILE is required");
 
     SpecGen gen(profileFor(bench), seed);
     TraceWriter writer(out);
