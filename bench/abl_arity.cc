@@ -14,59 +14,53 @@
 #include "tree/layout.h"
 #include "tree/scheme.h"
 
-using namespace cmt;
-using namespace cmt::bench;
-
-int
-main(int argc, char **argv)
+namespace cmt::bench
 {
-    const Options opt = parseArgs(argc, argv, "abl_arity");
+
+Renderer
+ablArity(Sweep &sweep, const Options &opt)
+{
+    static constexpr std::uint64_t kChunks[] = {64, 128, 256};
+
     const auto benches = benchmarks(opt);
-
-    SystemConfig show = baseConfig("swim", Scheme::kCached);
-    header("Ablation", "chunk size / tree arity sweep (m scheme)",
-           show);
-
-    const std::uint64_t chunks[] = {64, 128, 256};
-
-    Table g("Tree geometry per chunk size (4GB protected)");
-    g.header({"chunk", "arity", "depth", "RAM overhead"});
-    for (const std::uint64_t chunk : chunks) {
-        const TreeLayout layout(chunk, 4ULL << 30);
-        g.row({std::to_string(chunk) + "B",
-               std::to_string(layout.arity()),
-               std::to_string(layout.ancestorDepth()),
-               Table::pct(static_cast<double>(layout.hashBytes()) /
-                          layout.dataBytes())});
-    }
-    g.print(std::cout);
-    std::cout << "\n";
-
-    Sweep sweep(opt);
     for (const auto &bench : benches) {
-        for (const std::uint64_t chunk : chunks) {
+        for (const std::uint64_t chunk : kChunks) {
             SystemConfig cfg = baseConfig(bench, Scheme::kCached);
             cfg.l2.chunkSize = chunk;
             sweep.add(bench + "/chunk" + std::to_string(chunk), cfg);
         }
     }
-    sweep.run();
 
-    Table t("IPC by chunk size (64B blocks, cached scheme)");
-    t.header({"bench", "64B", "128B", "256B"});
-    for (const auto &bench : benches) {
-        std::vector<std::string> row{bench};
-        for (const std::uint64_t chunk : chunks) {
-            (void)chunk;
-            row.push_back(Table::num(sweep.take().ipc));
+    return [benches](std::ostream &os, Rows &rows) {
+        header(os, "Ablation", "chunk size / tree arity sweep (m scheme)",
+               baseConfig("swim", Scheme::kCached));
+
+        Table g("Tree geometry per chunk size (4GB protected)");
+        g.header({"chunk", "arity", "depth", "RAM overhead"});
+        for (const std::uint64_t chunk : kChunks) {
+            const TreeLayout layout(chunk, 4ULL << 30);
+            g.row({std::to_string(chunk) + "B",
+                   std::to_string(layout.arity()),
+                   std::to_string(layout.ancestorDepth()),
+                   Table::pct(static_cast<double>(layout.hashBytes()) /
+                              layout.dataBytes())});
         }
-        t.row(std::move(row));
-    }
-    t.print(std::cout);
-    std::cout
-        << "\nLarger chunks: fewer tree levels and less RAM overhead,\n"
-        << "but every miss moves and hashes more data and write-backs\n"
-        << "involve whole chunks - the Section 6.7 tension.\n";
-    sweep.writeJson();
-    return 0;
+        g.print(os);
+        os << "\n";
+
+        Table t("IPC by chunk size (64B blocks, cached scheme)");
+        t.header({"bench", "64B", "128B", "256B"});
+        for (const auto &bench : benches) {
+            std::vector<std::string> row{bench};
+            for (std::size_t i = 0; i < std::size(kChunks); ++i)
+                row.push_back(Table::num(rows.take().ipc));
+            t.row(std::move(row));
+        }
+        t.print(os);
+        os << "\nLarger chunks: fewer tree levels and less RAM overhead,\n"
+           << "but every miss moves and hashes more data and write-backs\n"
+           << "involve whole chunks - the Section 6.7 tension.\n";
+    };
 }
+
+} // namespace cmt::bench

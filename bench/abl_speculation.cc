@@ -14,20 +14,13 @@
 #include "support/table.h"
 #include "tree/scheme.h"
 
-using namespace cmt;
-using namespace cmt::bench;
-
-int
-main(int argc, char **argv)
+namespace cmt::bench
 {
-    const Options opt = parseArgs(argc, argv, "abl_speculation");
+
+Renderer
+ablSpeculation(Sweep &sweep, const Options &opt)
+{
     const auto benches = benchmarks(opt);
-
-    SystemConfig show = baseConfig("twolf", Scheme::kCached);
-    header("Ablation", "speculative vs blocking integrity checks",
-           show);
-
-    Sweep sweep(opt);
     for (const auto &bench : benches) {
         SystemConfig spec = baseConfig(bench, Scheme::kCached);
         SystemConfig block = spec;
@@ -35,22 +28,25 @@ main(int argc, char **argv)
         sweep.add(bench + "/speculative", spec);
         sweep.add(bench + "/blocking", block);
     }
-    sweep.run();
 
-    Table t("c scheme IPC: speculative vs blocking checks");
-    t.header({"bench", "speculative", "blocking", "loss"});
-    for (const auto &bench : benches) {
-        const double a = sweep.take().ipc;
-        const double b = sweep.take().ipc;
-        t.row({bench, Table::num(a), Table::num(b),
-               Table::pct(1.0 - b / a)});
-    }
-    t.print(std::cout);
-    std::cout
-        << "\nBlocking adds the hash latency (and any parent-fetch\n"
-        << "latency) to every L2 miss: memory-bound benchmarks lose\n"
-        << "substantially, confirming why Section 5.8 allows\n"
-        << "imprecise integrity exceptions.\n";
-    sweep.writeJson();
-    return 0;
+    return [benches](std::ostream &os, Rows &rows) {
+        header(os, "Ablation", "speculative vs blocking integrity checks",
+               baseConfig("twolf", Scheme::kCached));
+
+        Table t("c scheme IPC: speculative vs blocking checks");
+        t.header({"bench", "speculative", "blocking", "loss"});
+        for (const auto &bench : benches) {
+            const double a = rows.take().ipc;
+            const double b = rows.take().ipc;
+            t.row({bench, Table::num(a), Table::num(b),
+                   Table::pct(1.0 - b / a)});
+        }
+        t.print(os);
+        os << "\nBlocking adds the hash latency (and any parent-fetch\n"
+           << "latency) to every L2 miss: memory-bound benchmarks lose\n"
+           << "substantially, confirming why Section 5.8 allows\n"
+           << "imprecise integrity exceptions.\n";
+    };
 }
+
+} // namespace cmt::bench

@@ -1,9 +1,9 @@
 /**
  * @file
- * Extension bench: integrity + privacy (toward AEGIS).
+ * Extension figure: integrity + privacy (toward AEGIS).
  *
  * The paper protects integrity only; its successors add off-chip
- * encryption. This harness layers a counter-mode decrypt latency on
+ * encryption. This figure layers a counter-mode decrypt latency on
  * the c scheme's miss path and reports the incremental cost of
  * privacy on top of verification.
  */
@@ -13,20 +13,13 @@
 #include "support/table.h"
 #include "tree/scheme.h"
 
-using namespace cmt;
-using namespace cmt::bench;
-
-int
-main(int argc, char **argv)
+namespace cmt::bench
 {
-    const Options opt = parseArgs(argc, argv, "ext_privacy");
+
+Renderer
+extPrivacy(Sweep &sweep, const Options &opt)
+{
     const auto benches = benchmarks(opt);
-
-    SystemConfig show = baseConfig("swim", Scheme::kCached);
-    header("Extension", "privacy (off-chip encryption) on top of c",
-           show);
-
-    Sweep sweep(opt);
     for (const auto &bench : benches) {
         SystemConfig b = baseConfig(bench, Scheme::kBase);
         SystemConfig c = baseConfig(bench, Scheme::kCached);
@@ -36,24 +29,28 @@ main(int argc, char **argv)
         sweep.add(bench + "/c", c);
         sweep.add(bench + "/c+enc", e);
     }
-    sweep.run();
 
-    Table t("IPC: base vs c vs c+encryption (40-cycle decrypt)");
-    t.header({"bench", "base", "c", "c+enc", "integrity cost",
-              "privacy adds"});
-    for (const auto &bench : benches) {
-        const double ipc_b = sweep.take().ipc;
-        const double ipc_c = sweep.take().ipc;
-        const double ipc_e = sweep.take().ipc;
-        t.row({bench, Table::num(ipc_b), Table::num(ipc_c),
-               Table::num(ipc_e), Table::pct(1 - ipc_c / ipc_b),
-               Table::pct(1 - ipc_e / ipc_c)});
-    }
-    t.print(std::cout);
-    std::cout
-        << "\nCounter-mode pads overlap decryption with the DRAM\n"
-        << "access, so privacy costs a latency adder, not bandwidth -\n"
-        << "cheap next to verification for bandwidth-bound workloads.\n";
-    sweep.writeJson();
-    return 0;
+    return [benches](std::ostream &os, Rows &rows) {
+        header(os, "Extension", "privacy (off-chip encryption) on top of c",
+               baseConfig("swim", Scheme::kCached));
+
+        Table t("IPC: base vs c vs c+encryption (40-cycle decrypt)");
+        t.header({"bench", "base", "c", "c+enc", "integrity cost",
+                  "privacy adds"});
+        for (const auto &bench : benches) {
+            const double ipc_b = rows.take().ipc;
+            const double ipc_c = rows.take().ipc;
+            const double ipc_e = rows.take().ipc;
+            t.row({bench, Table::num(ipc_b), Table::num(ipc_c),
+                   Table::num(ipc_e), Table::pct(1 - ipc_c / ipc_b),
+                   Table::pct(1 - ipc_e / ipc_c)});
+        }
+        t.print(os);
+        os << "\nCounter-mode pads overlap decryption with the DRAM\n"
+           << "access, so privacy costs a latency adder, not bandwidth -\n"
+           << "cheap next to verification for bandwidth-bound "
+              "workloads.\n";
+    };
 }
+
+} // namespace cmt::bench

@@ -1,6 +1,6 @@
 /**
  * @file
- * Extension bench: sharded integrity trees.
+ * Extension figure: sharded integrity trees.
  *
  * The paper hangs the whole protected region under one tree with one
  * set of root registers, so every check serialises behind a single
@@ -20,8 +20,9 @@
  *
  * K = 1 is the paper's machine and anchors both scaling columns.
  *
- * Unlike ext_smp, this harness reports verify_bytes_per_cycle even
- * for the K = 1 anchor rows.
+ * Unlike ext_smp, this figure reports verify_bytes_per_cycle even
+ * for the K = 1 anchor rows. Every row runs the same mix, so --filter
+ * does not narrow it.
  */
 
 #include "bench/common.h"
@@ -31,8 +32,8 @@
 #include "tree/hash_engine.h"
 #include "tree/scheme.h"
 
-using namespace cmt;
-using namespace cmt::bench;
+namespace cmt::bench
+{
 
 namespace
 {
@@ -57,24 +58,16 @@ shardConfig(Scheme scheme, unsigned shards,
     return cfg;
 }
 
+constexpr unsigned kShardCounts[] = {1, 2, 4, 8};
+// Both region sizes hold the four staggered 4 GB slices; the larger
+// one adds a tree level, deepening every ancestor walk.
+constexpr std::uint64_t kRegions[] = {32ULL << 30, 64ULL << 30};
+
 } // namespace
 
-int
-main(int argc, char **argv)
+Renderer
+extShards(Sweep &sweep, const Options &)
 {
-    const Options opt = parseArgs(argc, argv, "ext_shards");
-
-    SystemConfig show = baseConfig("twolf", Scheme::kCached);
-    header("Extension",
-           "sharded trees: parallel verification across subtrees",
-           show);
-
-    const unsigned shard_counts[] = {1, 2, 4, 8};
-    // Both region sizes hold the four staggered 4 GB slices; the
-    // larger one adds a tree level, deepening every ancestor walk.
-    const std::uint64_t regions[] = {32ULL << 30, 64ULL << 30};
-
-    Sweep sweep(opt);
     // Sweep 1: verify-bandwidth scaling. The paper's 3.2 B/cycle
     // hash unit already outruns the 1.6 B/cycle data bus, so a single
     // pipeline can never look like the bottleneck; a 0.4 B/cycle unit
@@ -82,14 +75,14 @@ main(int argc, char **argv)
     // lets the sweep show lanes scaling until the bus takes over.
     constexpr double kSlowHash = 0.4;
     // Every row, the K = 1 anchor included, reports verify bandwidth.
-    for (const unsigned shards : shard_counts)
+    for (const unsigned shards : kShardCounts)
         addSmpRow(sweep, "naive:s" + std::to_string(shards),
-                  shardConfig(Scheme::kNaive, shards, regions[0],
+                  shardConfig(Scheme::kNaive, shards, kRegions[0],
                               kSlowHash),
                   kMix, true);
     // Sweep 2: end-to-end IPC with the paper's hash unit.
-    for (const std::uint64_t region : regions)
-        for (const unsigned shards : shard_counts)
+    for (const std::uint64_t region : kRegions)
+        for (const unsigned shards : kShardCounts)
             addSmpRow(sweep,
                       "c:" + std::to_string(region >> 30) + "GB:s" +
                           std::to_string(shards),
@@ -97,56 +90,61 @@ main(int argc, char **argv)
                                   HashEngineParams{}
                                       .throughputBytesPerCycle),
                       kMix, true);
-    sweep.run();
 
-    Table bw("verify bandwidth vs shard count "
-             "(naive scheme, 0.4 B/cyc hash unit, 32GB)");
-    bw.header({"shards", "verify B/cyc", "scaling vs s1", "agg ipc",
-               "ipc vs s1"});
-    double naive_verify = 0;
-    double naive_ipc = 0;
-    for (const unsigned shards : shard_counts) {
-        const SimResult &r = sweep.take();
-        if (shards == 1) {
-            naive_verify = r.verifyBytesPerCycle;
-            naive_ipc = r.ipc;
-        }
-        bw.row({std::to_string(shards),
-                Table::num(r.verifyBytesPerCycle),
-                naive_verify != 0
-                    ? Table::num(r.verifyBytesPerCycle / naive_verify) +
-                          "x"
-                    : "-",
-                Table::num(r.ipc),
-                naive_ipc != 0 ? Table::num(r.ipc / naive_ipc) + "x"
-                               : "-"});
-    }
-    bw.print(std::cout);
+    return [](std::ostream &os, Rows &rows) {
+        header(os, "Extension",
+               "sharded trees: parallel verification across subtrees",
+               baseConfig("twolf", Scheme::kCached));
 
-    Table t("aggregate IPC vs shard count and region size (c scheme)");
-    t.header({"region", "shards", "agg ipc", "ipc vs s1",
-              "verify B/cyc"});
-    for (const std::uint64_t region : regions) {
-        double base_ipc = 0;
-        for (const unsigned shards : shard_counts) {
-            const SimResult &r = sweep.take();
-            if (shards == 1)
-                base_ipc = r.ipc;
-            t.row({std::to_string(region >> 30) + "GB",
-                   std::to_string(shards), Table::num(r.ipc),
-                   base_ipc != 0 ? Table::num(r.ipc / base_ipc) + "x"
-                                 : "-",
-                   Table::num(r.verifyBytesPerCycle)});
+        Table bw("verify bandwidth vs shard count "
+                 "(naive scheme, 0.4 B/cyc hash unit, 32GB)");
+        bw.header({"shards", "verify B/cyc", "scaling vs s1", "agg ipc",
+                   "ipc vs s1"});
+        double naive_verify = 0;
+        double naive_ipc = 0;
+        for (const unsigned shards : kShardCounts) {
+            const SimResult &r = rows.take();
+            if (shards == 1) {
+                naive_verify = r.verifyBytesPerCycle;
+                naive_ipc = r.ipc;
+            }
+            bw.row({std::to_string(shards),
+                    Table::num(r.verifyBytesPerCycle),
+                    naive_verify != 0
+                        ? Table::num(r.verifyBytesPerCycle /
+                                     naive_verify) +
+                              "x"
+                        : "-",
+                    Table::num(r.ipc),
+                    naive_ipc != 0 ? Table::num(r.ipc / naive_ipc) + "x"
+                                   : "-"});
         }
-    }
-    t.print(std::cout);
-    std::cout
-        << "\nEach shard owns private root registers, check buffers\n"
-        << "and a hash lane; programs whose slices land in different\n"
-        << "shards verify concurrently instead of serialising behind\n"
-        << "the paper's single root. Scaling stops at the shared\n"
-        << "1.6 B/cycle data bus: once lanes outrun it, verification\n"
-        << "is no longer the machine's bottleneck.\n";
-    sweep.writeJson();
-    return 0;
+        bw.print(os);
+
+        Table t("aggregate IPC vs shard count and region size (c scheme)");
+        t.header({"region", "shards", "agg ipc", "ipc vs s1",
+                  "verify B/cyc"});
+        for (const std::uint64_t region : kRegions) {
+            double base_ipc = 0;
+            for (const unsigned shards : kShardCounts) {
+                const SimResult &r = rows.take();
+                if (shards == 1)
+                    base_ipc = r.ipc;
+                t.row({std::to_string(region >> 30) + "GB",
+                       std::to_string(shards), Table::num(r.ipc),
+                       base_ipc != 0 ? Table::num(r.ipc / base_ipc) + "x"
+                                     : "-",
+                       Table::num(r.verifyBytesPerCycle)});
+            }
+        }
+        t.print(os);
+        os << "\nEach shard owns private root registers, check buffers\n"
+           << "and a hash lane; programs whose slices land in different\n"
+           << "shards verify concurrently instead of serialising behind\n"
+           << "the paper's single root. Scaling stops at the shared\n"
+           << "1.6 B/cycle data bus: once lanes outrun it, verification\n"
+           << "is no longer the machine's bottleneck.\n";
+    };
 }
+
+} // namespace cmt::bench

@@ -1,10 +1,10 @@
 /**
  * @file
- * Extension bench: verification cost under multiprogramming.
+ * Extension figure: verification cost under multiprogramming.
  *
  * Section 4 motivates the secure processor with Bob renting compute
  * while using his machine; the authors' follow-up work extends the
- * tree to SMP systems. This harness runs 1, 2 and 4 programs over one
+ * tree to SMP systems. This figure runs 1, 2 and 4 programs over one
  * shared verified L2 and reports how the c scheme's cost composes
  * with inter-program contention for the bus and the hash engine.
  *
@@ -19,8 +19,8 @@
 #include "support/table.h"
 #include "tree/scheme.h"
 
-using namespace cmt;
-using namespace cmt::bench;
+namespace cmt::bench
+{
 
 namespace
 {
@@ -46,17 +46,13 @@ mixMachine(Scheme scheme)
     return cfg;
 }
 
+constexpr Scheme kSchemes[] = {Scheme::kBase, Scheme::kCached};
+
 } // namespace
 
-int
-main(int argc, char **argv)
+Renderer
+extSmp(Sweep &sweep, const Options &opt)
 {
-    const Options opt = parseArgs(argc, argv, "ext_smp");
-
-    SystemConfig show = baseConfig("twolf", Scheme::kCached);
-    header("Extension", "multiprogrammed SMP over one verified L2",
-           show);
-
     const std::vector<std::vector<std::string>> all_mixes = {
         {"twolf"},
         {"twolf", "gzip"},
@@ -72,43 +68,45 @@ main(int argc, char **argv)
             mixes.push_back(mix);
     }
     if (mixes.empty())
-        cmt_fatal("--filter '%s' matches no mix", opt.filter.c_str());
+        usageError("cmt_figures", "ext_smp: --filter '%s' matches no mix",
+                   opt.filter.c_str());
 
-    const Scheme schemes[2] = {Scheme::kBase, Scheme::kCached};
-
-    Sweep sweep(opt);
     for (const auto &mix : mixes) {
-        for (const Scheme scheme : schemes) {
+        for (const Scheme scheme : kSchemes) {
             std::string label = schemeName(scheme);
             for (const auto &b : mix)
                 label += ":" + b;
             addSmpRow(sweep, label, mixMachine(scheme), mix, false);
         }
     }
-    sweep.run();
 
-    Table t("aggregate and per-program IPC, base vs c (shared 4MB L2)");
-    t.header({"mix", "base agg", "c agg", "agg cost", "twolf base",
-              "twolf c", "twolf cost"});
-    for (const auto &mix : mixes) {
-        const SimResult &base = sweep.take();
-        const SimResult &c = sweep.take();
-        std::string name;
-        for (const auto &b : mix)
-            name += (name.empty() ? "" : "+") + b;
-        // Error rows leave perCoreIpc empty; keep the table alive.
-        const double base0 =
-            base.perCoreIpc.empty() ? 0.0 : base.perCoreIpc[0];
-        const double c0 = c.perCoreIpc.empty() ? 0.0 : c.perCoreIpc[0];
-        t.row({name, Table::num(base.ipc), Table::num(c.ipc),
-               Table::pct(1 - c.ipc / base.ipc), Table::num(base0),
-               Table::num(c0), Table::pct(base0 ? 1 - c0 / base0 : 0.0)});
-    }
-    t.print(std::cout);
-    std::cout
-        << "\nOne tree and one hash engine verify every program's\n"
-        << "traffic; contention compounds with verification, hitting\n"
-        << "hardest when a bandwidth hog (swim) shares the machine.\n";
-    sweep.writeJson();
-    return 0;
+    return [mixes](std::ostream &os, Rows &rows) {
+        header(os, "Extension", "multiprogrammed SMP over one verified L2",
+               baseConfig("twolf", Scheme::kCached));
+
+        Table t("aggregate and per-program IPC, base vs c (shared 4MB L2)");
+        t.header({"mix", "base agg", "c agg", "agg cost", "twolf base",
+                  "twolf c", "twolf cost"});
+        for (const auto &mix : mixes) {
+            const SimResult &base = rows.take();
+            const SimResult &c = rows.take();
+            std::string name;
+            for (const auto &b : mix)
+                name += (name.empty() ? "" : "+") + b;
+            // Error rows leave perCoreIpc empty; keep the table alive.
+            const double base0 =
+                base.perCoreIpc.empty() ? 0.0 : base.perCoreIpc[0];
+            const double c0 = c.perCoreIpc.empty() ? 0.0 : c.perCoreIpc[0];
+            t.row({name, Table::num(base.ipc), Table::num(c.ipc),
+                   Table::pct(1 - c.ipc / base.ipc), Table::num(base0),
+                   Table::num(c0),
+                   Table::pct(base0 ? 1 - c0 / base0 : 0.0)});
+        }
+        t.print(os);
+        os << "\nOne tree and one hash engine verify every program's\n"
+           << "traffic; contention compounds with verification, hitting\n"
+           << "hardest when a bandwidth hog (swim) shares the machine.\n";
+    };
 }
+
+} // namespace cmt::bench

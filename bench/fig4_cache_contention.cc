@@ -13,55 +13,51 @@
 #include "support/table.h"
 #include "tree/scheme.h"
 
-using namespace cmt;
-using namespace cmt::bench;
-
-int
-main(int argc, char **argv)
+namespace cmt::bench
 {
-    const Options opt = parseArgs(argc, argv, "fig4_cache_contention");
+
+Renderer
+fig4CacheContention(Sweep &sweep, const Options &opt)
+{
+    static constexpr std::uint64_t kSizes[] = {256 << 10, 4 << 20};
+    static constexpr Scheme kSchemes[] = {Scheme::kBase, Scheme::kCached};
+
     const auto benches = benchmarks(opt);
-
-    SystemConfig show = baseConfig("twolf", Scheme::kCached);
-    show.l2.sizeBytes = 256 << 10;
-    header("Figure 4", "L2 data miss-rate: base vs c (hash caching)",
-           show);
-
-    const std::uint64_t sizes[] = {256 << 10, 4 << 20};
-    const Scheme schemes[2] = {Scheme::kBase, Scheme::kCached};
-
-    Sweep sweep(opt);
-    for (const std::uint64_t size : sizes) {
+    for (const std::uint64_t size : kSizes) {
         for (const auto &bench : benches) {
-            for (int s = 0; s < 2; ++s) {
-                SystemConfig cfg = baseConfig(bench, schemes[s]);
+            for (const Scheme scheme : kSchemes) {
+                SystemConfig cfg = baseConfig(bench, scheme);
                 cfg.l2.sizeBytes = size;
-                sweep.add(bench + "/" + schemeName(schemes[s]) + "/" +
+                sweep.add(bench + "/" + schemeName(scheme) + "/" +
                               std::to_string(size >> 10) + "K",
                           cfg);
             }
         }
     }
-    sweep.run();
 
-    for (const std::uint64_t size : sizes) {
-        Table t("Figure 4 (" + std::to_string(size >> 10) +
-                "KB L2, 64B blocks) - program-data miss-rate");
-        t.header({"bench", "base", "c", "delta"});
-        for (const auto &bench : benches) {
-            double rate[2] = {};
-            for (int s = 0; s < 2; ++s)
-                rate[s] = sweep.take().l2DataMissRate;
-            t.row({bench, Table::pct(rate[0]), Table::pct(rate[1]),
-                   Table::pct(rate[1] - rate[0])});
+    return [benches](std::ostream &os, Rows &rows) {
+        SystemConfig show = baseConfig("twolf", Scheme::kCached);
+        show.l2.sizeBytes = 256 << 10;
+        header(os, "Figure 4",
+               "L2 data miss-rate: base vs c (hash caching)", show);
+
+        for (const std::uint64_t size : kSizes) {
+            Table t("Figure 4 (" + std::to_string(size >> 10) +
+                    "KB L2, 64B blocks) - program-data miss-rate");
+            t.header({"bench", "base", "c", "delta"});
+            for (const auto &bench : benches) {
+                const double base = rows.take().l2DataMissRate;
+                const double c = rows.take().l2DataMissRate;
+                t.row({bench, Table::pct(base), Table::pct(c),
+                       Table::pct(c - base)});
+            }
+            t.print(os);
+            os << "\n";
         }
-        t.print(std::cout);
-        std::cout << "\n";
-    }
 
-    std::cout
-        << "Expected shape (paper): noticeable miss-rate increase at\n"
-        << "256KB (worst for twolf/vortex/vpr); negligible at 4MB.\n";
-    sweep.writeJson();
-    return 0;
+        os << "Expected shape (paper): noticeable miss-rate increase at\n"
+           << "256KB (worst for twolf/vortex/vpr); negligible at 4MB.\n";
+    };
 }
+
+} // namespace cmt::bench

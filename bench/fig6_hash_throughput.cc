@@ -10,52 +10,48 @@
 #include "support/table.h"
 #include "tree/scheme.h"
 
-using namespace cmt;
-using namespace cmt::bench;
-
-int
-main(int argc, char **argv)
+namespace cmt::bench
 {
-    const Options opt = parseArgs(argc, argv, "fig6_hash_throughput");
+
+Renderer
+fig6HashThroughput(Sweep &sweep, const Options &opt)
+{
+    static constexpr double kThroughputs[] = {6.4, 3.2, 1.6, 0.8};
+
     const auto benches = benchmarks(opt);
-
-    SystemConfig show = baseConfig("swim", Scheme::kCached);
-    header("Figure 6", "IPC vs hash throughput (c scheme, 1MB, 64B)",
-           show);
-
-    const double throughputs[] = {6.4, 3.2, 1.6, 0.8};
-
-    Sweep sweep(opt);
     for (const auto &bench : benches) {
-        for (const double gbps : throughputs) {
+        for (const double gbps : kThroughputs) {
             SystemConfig cfg = baseConfig(bench, Scheme::kCached);
             cfg.hash.throughputBytesPerCycle = gbps;
             sweep.add(bench + "/" + std::to_string(gbps), cfg);
         }
     }
-    sweep.run();
 
-    Table t("Figure 6 - IPC by hash throughput (GB/s)");
-    t.header({"bench", "6.4", "3.2", "1.6", "0.8", "0.8/6.4"});
-    for (const auto &bench : benches) {
-        std::vector<std::string> row{bench};
-        double first = 0, last = 0;
-        for (const double gbps : throughputs) {
-            const double ipc = sweep.take().ipc;
-            row.push_back(Table::num(ipc));
-            if (gbps == throughputs[0])
-                first = ipc;
-            last = ipc;
+    return [benches](std::ostream &os, Rows &rows) {
+        header(os, "Figure 6", "IPC vs hash throughput (c scheme, 1MB, 64B)",
+               baseConfig("swim", Scheme::kCached));
+
+        Table t("Figure 6 - IPC by hash throughput (GB/s)");
+        t.header({"bench", "6.4", "3.2", "1.6", "0.8", "0.8/6.4"});
+        for (const auto &bench : benches) {
+            std::vector<std::string> row{bench};
+            double first = 0, last = 0;
+            for (const double gbps : kThroughputs) {
+                const double ipc = rows.take().ipc;
+                row.push_back(Table::num(ipc));
+                if (gbps == kThroughputs[0])
+                    first = ipc;
+                last = ipc;
+            }
+            row.push_back(Table::num(last / first, 2));
+            t.row(std::move(row));
         }
-        row.push_back(Table::num(last / first, 2));
-        t.row(std::move(row));
-    }
-    t.print(std::cout);
-    std::cout
-        << "\nExpected shape (paper): flat from 3.2 GB/s up; minor loss\n"
-        << "at 1.6 GB/s; large degradation at 0.8 GB/s for the high-\n"
-        << "bandwidth benchmarks (mcf, applu, art, swim) because the\n"
-        << "hash unit then throttles effective memory bandwidth.\n";
-    sweep.writeJson();
-    return 0;
+        t.print(os);
+        os << "\nExpected shape (paper): flat from 3.2 GB/s up; minor loss\n"
+           << "at 1.6 GB/s; large degradation at 0.8 GB/s for the high-\n"
+           << "bandwidth benchmarks (mcf, applu, art, swim) because the\n"
+           << "hash unit then throttles effective memory bandwidth.\n";
+    };
 }
+
+} // namespace cmt::bench

@@ -9,51 +9,44 @@
 #include "support/table.h"
 #include "tree/scheme.h"
 
-using namespace cmt;
-using namespace cmt::bench;
-
-int
-main(int argc, char **argv)
+namespace cmt::bench
 {
-    const Options opt = parseArgs(argc, argv, "fig7_buffer_size");
+
+Renderer
+fig7BufferSize(Sweep &sweep, const Options &opt)
+{
+    static constexpr unsigned kSizes[] = {1, 2, 4, 8, 16, 32, 64};
+
     const auto benches = benchmarks(opt);
-
-    SystemConfig show = baseConfig("swim", Scheme::kCached);
-    header("Figure 7", "IPC vs hash buffer entries (c scheme)", show);
-
-    const unsigned sizes[] = {1, 2, 4, 8, 16, 32, 64};
-
-    Sweep sweep(opt);
     for (const auto &bench : benches) {
-        for (const unsigned n : sizes) {
+        for (const unsigned n : kSizes) {
             SystemConfig cfg = baseConfig(bench, Scheme::kCached);
             cfg.l2.readBufferEntries = n;
             cfg.l2.writeBufferEntries = n;
             sweep.add(bench + "/buf" + std::to_string(n), cfg);
         }
     }
-    sweep.run();
 
-    Table t("Figure 7 - IPC by read/write buffer entries");
-    {
+    return [benches](std::ostream &os, Rows &rows) {
+        header(os, "Figure 7", "IPC vs hash buffer entries (c scheme)",
+               baseConfig("swim", Scheme::kCached));
+
+        Table t("Figure 7 - IPC by read/write buffer entries");
         std::vector<std::string> cols{"bench"};
-        for (const unsigned n : sizes)
+        for (const unsigned n : kSizes)
             cols.push_back(std::to_string(n));
         t.header(std::move(cols));
-    }
-    for (const auto &bench : benches) {
-        std::vector<std::string> row{bench};
-        for (const unsigned n : sizes) {
-            (void)n;
-            row.push_back(Table::num(sweep.take().ipc));
+        for (const auto &bench : benches) {
+            std::vector<std::string> row{bench};
+            for (std::size_t i = 0; i < std::size(kSizes); ++i)
+                row.push_back(Table::num(rows.take().ipc));
+            t.row(std::move(row));
         }
-        t.row(std::move(row));
-    }
-    t.print(std::cout);
-    std::cout
-        << "\nExpected shape (paper): because hash throughput exceeds\n"
-        << "memory bandwidth, the buffer size barely matters beyond a\n"
-        << "few entries; only very small buffers serialise misses.\n";
-    sweep.writeJson();
-    return 0;
+        t.print(os);
+        os << "\nExpected shape (paper): because hash throughput exceeds\n"
+           << "memory bandwidth, the buffer size barely matters beyond a\n"
+           << "few entries; only very small buffers serialise misses.\n";
+    };
 }
+
+} // namespace cmt::bench

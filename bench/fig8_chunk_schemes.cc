@@ -14,8 +14,8 @@
 #include "tree/layout.h"
 #include "tree/scheme.h"
 
-using namespace cmt;
-using namespace cmt::bench;
+namespace cmt::bench
+{
 
 namespace
 {
@@ -28,68 +28,64 @@ struct Variant
     std::uint64_t chunkSize;
 };
 
+constexpr Variant kVariants[] = {
+    {"c-64B", Scheme::kCached, 64, 64},
+    {"c-128B", Scheme::kCached, 128, 128},
+    {"m-64B", Scheme::kCached, 64, 128},
+    {"i-64B", Scheme::kIncremental, 64, 128},
+};
+
 } // namespace
 
-int
-main(int argc, char **argv)
+Renderer
+fig8ChunkSchemes(Sweep &sweep, const Options &opt)
 {
-    const Options opt = parseArgs(argc, argv, "fig8_chunk_schemes");
     const auto benches = benchmarks(opt);
-
-    SystemConfig show = baseConfig("swim", Scheme::kCached);
-    header("Figure 8", "m and i schemes with two blocks per chunk",
-           show);
-
-    const Variant variants[] = {
-        {"c-64B", Scheme::kCached, 64, 64},
-        {"c-128B", Scheme::kCached, 128, 128},
-        {"m-64B", Scheme::kCached, 64, 128},
-        {"i-64B", Scheme::kIncremental, 64, 128},
-    };
-
-    Sweep sweep(opt);
     for (const auto &bench : benches) {
-        for (const Variant &v : variants) {
+        for (const Variant &v : kVariants) {
             SystemConfig cfg = baseConfig(bench, v.scheme);
             cfg.l2.blockSize = v.blockSize;
             cfg.l2.chunkSize = v.chunkSize;
             sweep.add(bench + "/" + v.name, cfg);
         }
     }
-    sweep.run();
 
-    Table t("Figure 8 - IPC (1MB L2)");
-    t.header({"bench", "c-64B", "c-128B", "m-64B", "i-64B"});
-    Table o("RAM overhead of each scheme");
-    o.header({"scheme", "hash bytes / data byte"});
-    bool overhead_done = false;
+    return [benches](std::ostream &os, Rows &rows) {
+        header(os, "Figure 8", "m and i schemes with two blocks per chunk",
+               baseConfig("swim", Scheme::kCached));
 
-    for (const auto &bench : benches) {
-        std::vector<std::string> row{bench};
-        for (const Variant &v : variants) {
-            row.push_back(Table::num(sweep.take().ipc));
-            if (!overhead_done) {
-                const TreeLayout layout(
-                    v.chunkSize, baseConfig(bench, v.scheme)
-                                     .l2.protectedSize);
-                o.row({v.name,
-                       Table::num(static_cast<double>(
-                                      layout.hashBytes()) /
-                                      layout.dataBytes(),
-                                  3)});
+        Table t("Figure 8 - IPC (1MB L2)");
+        t.header({"bench", "c-64B", "c-128B", "m-64B", "i-64B"});
+        Table o("RAM overhead of each scheme");
+        o.header({"scheme", "hash bytes / data byte"});
+        bool overhead_done = false;
+
+        for (const auto &bench : benches) {
+            std::vector<std::string> row{bench};
+            for (const Variant &v : kVariants) {
+                row.push_back(Table::num(rows.take().ipc));
+                if (!overhead_done) {
+                    const TreeLayout layout(
+                        v.chunkSize,
+                        baseConfig(bench, v.scheme).l2.protectedSize);
+                    o.row({v.name,
+                           Table::num(static_cast<double>(
+                                          layout.hashBytes()) /
+                                          layout.dataBytes(),
+                                      3)});
+                }
             }
+            overhead_done = true;
+            t.row(std::move(row));
         }
-        overhead_done = true;
-        t.row(std::move(row));
-    }
-    t.print(std::cout);
-    std::cout << "\n";
-    o.print(std::cout);
-    std::cout
-        << "\nExpected shape (paper): of the reduced-overhead schemes,\n"
-        << "c-128B performs best (but costs baseline performance via\n"
-        << "larger lines), i-64B beats m-64B and tracks c-64B except\n"
-        << "on the highest-bandwidth benchmarks.\n";
-    sweep.writeJson();
-    return 0;
+        t.print(os);
+        os << "\n";
+        o.print(os);
+        os << "\nExpected shape (paper): of the reduced-overhead schemes,\n"
+           << "c-128B performs best (but costs baseline performance via\n"
+           << "larger lines), i-64B beats m-64B and tracks c-64B except\n"
+           << "on the highest-bandwidth benchmarks.\n";
+    };
 }
+
+} // namespace cmt::bench

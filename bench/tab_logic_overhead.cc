@@ -7,19 +7,15 @@
  * the fully-unrolled datapath is on the order of 50,000 one-bit
  * gates - then divides the area by 2-3 by choosing a throughput of
  * one hash per 20 cycles. This table recomputes those counts from the
- * round structure of each algorithm (no simulation involved - the
- * shared flags are accepted for sweep-script uniformity, and --json
- * writes the recomputed counts).
+ * round structure of each algorithm: a figure with no simulation
+ * runs, so its table is its only output.
  */
 
-#include <fstream>
-#include <iostream>
-
 #include "bench/common.h"
-#include "support/json.h"
 #include "support/table.h"
 
-using namespace cmt;
+namespace cmt::bench
+{
 
 namespace
 {
@@ -33,83 +29,56 @@ struct LogicCount
     int gatesPerBit;
 };
 
+// MD5: 64 rounds. Per round: 4 additions (F+a, +M[g], +K[i], and the
+// post-rotate +b), one F function (a 2:1 mux for rounds 0-31, 2 XORs
+// for 32-47, XOR+OR+INV for 48-63), rotation is wiring.
+// SHA-1: 80 rounds. Per round: 4 additions (rotl5(a)+f, +e, +k,
+// +w[i]) plus the message schedule (3 XORs per round from 16 on),
+// f = mux (0-19), 2 XORs (20-39, 60-79), majority (40-59).
+constexpr LogicCount kCounts[] = {
+    // unit           md5  sha1  gates/bit
+    {"32-bit adders", 256, 320, 28},
+    {"multiplexers", 32, 20, 3},
+    {"inverters", 16, 0, 1},
+    {"and gates", 0, 40, 1},
+    {"or gates", 16, 20, 1},
+    {"xor gates", 48, 232, 3},
+};
+
 } // namespace
 
-int
-main(int argc, char **argv)
+Renderer
+tabLogicOverhead(Sweep &, const Options &)
 {
-    const bench::Options opt =
-        bench::parseArgs(argc, argv, "tab_logic_overhead");
+    return [](std::ostream &os, Rows &) {
+        os << "Section 6.2: hash logic overhead (recomputed from the\n"
+           << "round structure; compare with the paper's estimate of\n"
+           << "~50k 1-bit gates before round sharing)\n\n";
 
-    std::cout
-        << "Section 6.2: hash logic overhead (recomputed from the\n"
-        << "round structure; compare with the paper's estimate of\n"
-        << "~50k 1-bit gates before round sharing)\n\n";
-
-    // MD5: 64 rounds. Per round: 4 additions (F+a, +M[g], +K[i], and
-    // the post-rotate +b), one F function (a 2:1 mux for rounds 0-31,
-    // 2 XORs for 32-47, XOR+OR+INV for 48-63), rotation is wiring.
-    // SHA-1: 80 rounds. Per round: 4 additions (rotl5(a)+f, +e, +k,
-    // +w[i]) plus the message schedule (3 XORs per round from 16 on),
-    // f = mux (0-19), 2 XORs (20-39, 60-79), majority (40-59).
-    const LogicCount counts[] = {
-        // unit           md5  sha1  gates/bit
-        {"32-bit adders", 256, 320, 28},
-        {"multiplexers", 32, 20, 3},
-        {"inverters", 16, 0, 1},
-        {"and gates", 0, 40, 1},
-        {"or gates", 16, 20, 1},
-        {"xor gates", 48, 232, 3},
-    };
-
-    Table t("32-bit logic blocks across all rounds");
-    t.header({"unit", "MD5 (64 rounds)", "SHA-1 (80 rounds)"});
-    long md5_gates = 0, sha1_gates = 0;
-    for (const auto &c : counts) {
-        t.row({c.unit, std::to_string(c.md5), std::to_string(c.sha1)});
-        md5_gates += static_cast<long>(c.md5) * 32 * c.gatesPerBit;
-        sha1_gates += static_cast<long>(c.sha1) * 32 * c.gatesPerBit;
-    }
-    t.print(std::cout);
-
-    Table g("Estimated 1-bit gate counts");
-    g.header({"configuration", "MD5", "SHA-1"});
-    g.row({"fully unrolled", std::to_string(md5_gates),
-           std::to_string(sha1_gates)});
-    g.row({"shared rounds (1 hash / 20 cyc)",
-           std::to_string(md5_gates / 3), std::to_string(sha1_gates / 3)});
-    std::cout << "\n";
-    g.print(std::cout);
-
-    std::cout
-        << "\nPaper: 'on the order of 50,000 1-bit gates altogether',\n"
-        << "divided by 2-3 via round sharing at one hash per 20\n"
-        << "cycles (3.2 GB/s at 1 GHz).\n";
-
-    if (!opt.jsonPath.empty()) {
-        Json doc = Json::object();
-        doc.set("figure", opt.figure);
-        Json units = Json::array();
-        for (const auto &c : counts) {
-            Json u = Json::object();
-            u.set("unit", c.unit);
-            u.set("md5", c.md5);
-            u.set("sha1", c.sha1);
-            u.set("gates_per_bit", c.gatesPerBit);
-            units.push(std::move(u));
+        Table t("32-bit logic blocks across all rounds");
+        t.header({"unit", "MD5 (64 rounds)", "SHA-1 (80 rounds)"});
+        long md5_gates = 0, sha1_gates = 0;
+        for (const auto &c : kCounts) {
+            t.row({c.unit, std::to_string(c.md5), std::to_string(c.sha1)});
+            md5_gates += static_cast<long>(c.md5) * 32 * c.gatesPerBit;
+            sha1_gates += static_cast<long>(c.sha1) * 32 * c.gatesPerBit;
         }
-        doc.set("units", std::move(units));
-        Json gates = Json::object();
-        gates.set("md5_unrolled", md5_gates);
-        gates.set("sha1_unrolled", sha1_gates);
-        gates.set("md5_shared", md5_gates / 3);
-        gates.set("sha1_shared", sha1_gates / 3);
-        doc.set("gate_counts", std::move(gates));
+        t.print(os);
 
-        std::ofstream os(opt.jsonPath);
-        if (!os)
-            cmt_fatal("cannot write %s", opt.jsonPath.c_str());
-        doc.write(os, 2);
-    }
-    return 0;
+        Table g("Estimated 1-bit gate counts");
+        g.header({"configuration", "MD5", "SHA-1"});
+        g.row({"fully unrolled", std::to_string(md5_gates),
+               std::to_string(sha1_gates)});
+        g.row({"shared rounds (1 hash / 20 cyc)",
+               std::to_string(md5_gates / 3),
+               std::to_string(sha1_gates / 3)});
+        os << "\n";
+        g.print(os);
+
+        os << "\nPaper: 'on the order of 50,000 1-bit gates altogether',\n"
+           << "divided by 2-3 via round sharing at one hash per 20\n"
+           << "cycles (3.2 GB/s at 1 GHz).\n";
+    };
 }
+
+} // namespace cmt::bench

@@ -1,7 +1,7 @@
 /**
  * @file
  * Sweep regression checking: compare a freshly produced sweep JSON
- * document (the --json output of any figure harness) against a
+ * document (a <figure>.json written by cmt_figures) against a
  * committed baseline of the same figure.
  *
  * The comparison is row-oriented. Rows pair up by label (and
@@ -90,7 +90,7 @@ struct RegressReport
 
 /**
  * Compare @p current against @p baseline (both full sweep documents
- * as written by Sweep::writeJson()). Never exits or throws on bad
+ * as cmt_figures writes them). Never exits or throws on bad
  * input - malformed documents surface as docError.
  */
 RegressReport compareSweeps(const Json &baseline, const Json &current);

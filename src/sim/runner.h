@@ -1,7 +1,7 @@
 /**
  * @file
- * SweepRunner: the shared experiment engine behind every figure
- * harness.
+ * SweepRunner: the shared experiment engine behind cmt_figures and
+ * cmt_sim.
  *
  * A sweep is a list of labelled SystemConfigs. The runner executes
  * them on a worker pool, memoizes duplicate configurations by a

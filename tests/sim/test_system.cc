@@ -1,8 +1,8 @@
 /**
  * @file
  * Whole-system integration tests: the trace-driven core, caches,
- * integrity machinery, bus and DRAM assembled exactly as the bench
- * harnesses use them.
+ * integrity machinery, bus and DRAM assembled exactly as the figures
+ * use them.
  */
 
 #include <gtest/gtest.h>

@@ -25,6 +25,7 @@
  * instead of aborting mid-simulation.
  */
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -37,6 +38,7 @@
 #include "sim/system.h"
 #include "support/parse.h"
 #include "support/json.h"
+#include "trace/specgen.h"
 #include "trace/trace_file.h"
 #include "tree/scheme.h"
 
@@ -97,6 +99,11 @@ main(int argc, char **argv)
         };
         if (arg == "--bench") {
             cfg.benchmark = value();
+            const auto &names = specBenchmarks();
+            if (std::find(names.begin(), names.end(), cfg.benchmark) ==
+                names.end())
+                usageError("cmt_sim", "unknown benchmark '%s'",
+                           cfg.benchmark.c_str());
         } else if (arg == "--trace") {
             trace_path = value();
         } else if (arg == "--scheme") {

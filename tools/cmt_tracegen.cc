@@ -7,6 +7,7 @@
  *   cmt_tracegen --bench mcf --instr 1000000 --seed 1 --out mcf.cmtt
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -31,9 +32,13 @@ main(int argc, char **argv)
                            arg.c_str());
             return argv[++i];
         };
-        if (arg == "--bench")
+        if (arg == "--bench") {
             bench = value();
-        else if (arg == "--instr")
+            const auto &names = specBenchmarks();
+            if (std::find(names.begin(), names.end(), bench) == names.end())
+                usageError("cmt_tracegen", "unknown benchmark '%s'",
+                           bench.c_str());
+        } else if (arg == "--instr")
             instructions =
                 parseFlag<std::uint64_t>("cmt_tracegen", arg, value());
         else if (arg == "--seed")
