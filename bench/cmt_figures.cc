@@ -9,8 +9,11 @@
  * runs on one SweepRunner, so a configuration that several figures
  * simulate runs once. Each figure then reads its own rows back and
  * writes DIR/<figure>.txt, its tables, and DIR/<figure>.json, its rows
- * as a sweep document for cmt_regress. A figure that runs no
- * simulation (tab_logic_overhead) writes only its table.
+ * (label, status, config and result; nothing about how the sweep ran).
+ * A figure that runs no simulation (tab_logic_overhead) writes only
+ * its table. Both files are a pure function of the figure, the filter
+ * and REPRO_SCALE, so `diff -r` against a committed copy is the whole
+ * regression check (scripts/update_baselines.sh).
  */
 
 #include <algorithm>
@@ -73,7 +76,7 @@ help()
     std::exit(0);
 }
 
-/** One figure's rows of the sweep, written as a cmt_regress document. */
+/** One figure's rows of the sweep as a JSON document. */
 void
 writeJson(const std::string &path, const char *figure,
           const SweepRunner &runner, std::size_t first, std::size_t last)
@@ -81,7 +84,6 @@ writeJson(const std::string &path, const char *figure,
     Json doc = Json::object();
     doc.set("figure", figure);
     doc.set("repro_scale", reproScale());
-    doc.set("jobs", runner.effectiveJobs());
     Json runs = Json::array();
     for (std::size_t i = first; i < last; ++i)
         runs.push(toJson(runner.job(i), runner.entry(i)));

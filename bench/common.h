@@ -70,6 +70,31 @@ benchmarks(const Options &opt)
     return out;
 }
 
+/** The programs of one multiprogrammed-SMP run, one per core. */
+using Mix = std::vector<std::string>;
+
+/**
+ * The SMP mixes of @p figure that --filter keeps: a mix stays when any
+ * of its programs matches. A filter that leaves none is a usage error.
+ */
+inline std::vector<Mix>
+filterMixes(const Options &opt, const char *figure,
+            const std::vector<Mix> &all)
+{
+    std::vector<Mix> out;
+    for (const Mix &mix : all) {
+        bool match = opt.filter.empty();
+        for (const std::string &b : mix)
+            match = match || b.find(opt.filter) != std::string::npos;
+        if (match)
+            out.push_back(mix);
+    }
+    if (out.empty())
+        usageError("cmt_figures", "%s: --filter '%s' matches no mix",
+                   figure, opt.filter.c_str());
+    return out;
+}
+
 /** A config with the harness-standard windows applied. */
 inline SystemConfig
 baseConfig(const std::string &benchmark, Scheme scheme)

@@ -22,7 +22,8 @@
  *
  * Unlike ext_smp, this figure reports verify_bytes_per_cycle even
  * for the K = 1 anchor rows. Every row runs the same mix, so --filter
- * does not narrow it.
+ * either keeps the whole figure or, matching none of the mix's
+ * programs, is a usage error (filterMixes()).
  */
 
 #include "bench/common.h"
@@ -39,7 +40,7 @@ namespace
 {
 
 /** The four-program mix every row runs. */
-const std::vector<std::string> kMix = {"twolf", "gzip", "vpr", "swim"};
+const Mix kMix = {"twolf", "gzip", "vpr", "swim"};
 
 SystemConfig
 shardConfig(Scheme scheme, unsigned shards,
@@ -66,8 +67,11 @@ constexpr std::uint64_t kRegions[] = {32ULL << 30, 64ULL << 30};
 } // namespace
 
 Renderer
-extShards(Sweep &sweep, const Options &)
+extShards(Sweep &sweep, const Options &opt)
 {
+    // Keeps kMix or exits with a usage error.
+    filterMixes(opt, "ext_shards", {kMix});
+
     // Sweep 1: verify-bandwidth scaling. The paper's 3.2 B/cycle
     // hash unit already outruns the 1.6 B/cycle data bus, so a single
     // pipeline can never look like the bottleneck; a 0.4 B/cycle unit

@@ -48,28 +48,20 @@ mixMachine(Scheme scheme)
 
 constexpr Scheme kSchemes[] = {Scheme::kBase, Scheme::kCached};
 
+/** Every mix, before --filter. */
+const std::vector<Mix> kMixes = {
+    {"twolf"},
+    {"twolf", "gzip"},
+    {"twolf", "swim"},
+    {"twolf", "gzip", "vpr", "swim"},
+};
+
 } // namespace
 
 Renderer
 extSmp(Sweep &sweep, const Options &opt)
 {
-    const std::vector<std::vector<std::string>> all_mixes = {
-        {"twolf"},
-        {"twolf", "gzip"},
-        {"twolf", "swim"},
-        {"twolf", "gzip", "vpr", "swim"},
-    };
-    std::vector<std::vector<std::string>> mixes;
-    for (const auto &mix : all_mixes) {
-        bool match = opt.filter.empty();
-        for (const auto &b : mix)
-            match = match || b.find(opt.filter) != std::string::npos;
-        if (match)
-            mixes.push_back(mix);
-    }
-    if (mixes.empty())
-        usageError("cmt_figures", "ext_smp: --filter '%s' matches no mix",
-                   opt.filter.c_str());
+    const std::vector<Mix> mixes = filterMixes(opt, "ext_smp", kMixes);
 
     for (const auto &mix : mixes) {
         for (const Scheme scheme : kSchemes) {

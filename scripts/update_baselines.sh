@@ -9,19 +9,19 @@
 # SMP extension and sharded trees. cmt_figures leaves each figure's
 # tables as <figure>.txt and its sweep as <figure>.json
 # (tab_logic_overhead runs no sweep, so its table is its only output).
-# The simulator is deterministic, so these files are byte-stable
-# across machines; cmt_regress compares fresh sweeps against the JSON,
-# and diff the tables against the text, failing the build on any
-# drift.
+# The simulator is deterministic and the files carry only simulated
+# results (no worker count, memo flag or host time), so they are
+# byte-stable across machines and `diff -r` against a fresh run is the
+# whole regression check: any changed byte is drift.
 #
 # After an intentional behaviour change: re-run this script with no
 # arguments, inspect `git diff results/baselines/`, and commit the
 # update alongside the change that caused it.
 #
-# CI and the regress_baselines ctest use the OUTDIR argument to
-# regenerate the same sweeps into a scratch directory and compare them
-# against the committed ones; the sanitizer jobs point CMT_BUILD_DIR at
-# their preset build tree.
+# The regress_baselines ctest uses the OUTDIR argument to regenerate
+# the same sweeps into the build tree and runs
+# `diff -r results/baselines OUTDIR`; the sanitizer jobs point
+# CMT_BUILD_DIR at their preset build tree.
 set -e
 cd "$(dirname "$0")/.."
 outdir="${1:-results/baselines}"

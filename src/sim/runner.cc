@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstring>
 #include <optional>
 #include <thread>
@@ -289,7 +288,6 @@ SweepRunner::run()
         SweepEntry entry;
         entry.label = job.label;
 
-        const auto start = std::chrono::steady_clock::now();
         try {
             // Panics/fatals inside the simulator surface as SimError
             // here instead of terminating the sweep.
@@ -304,9 +302,6 @@ SweepRunner::run()
             entry.result.benchmark = job.config.benchmark;
             entry.result.scheme = job.config.l2.scheme;
         }
-        entry.hostSeconds = std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - start)
-                                .count();
 
         entries_[group.leader] = entry;
         notifyProgress(entries_[group.leader], done, total);
@@ -314,7 +309,6 @@ SweepRunner::run()
             entries_[f] = entry;
             entries_[f].label = jobs_[f].label;
             entries_[f].memoized = true;
-            entries_[f].hostSeconds = 0;
             notifyProgress(entries_[f], done, total);
         }
     };
@@ -466,10 +460,8 @@ toJson(const SweepJob &job, const SweepEntry &entry)
     Json obj = Json::object();
     obj.set("label", entry.label);
     obj.set("ok", entry.ok);
-    obj.set("memoized", entry.memoized);
     if (!entry.ok)
         obj.set("error", entry.error);
-    obj.set("host_seconds", entry.hostSeconds);
     obj.set("config", toJson(job.config));
     obj.set("result", toJson(entry.result));
     return obj;

@@ -59,11 +59,10 @@ struct SweepEntry
     /** False when the run panicked/threw; see @ref error. */
     bool ok = true;
     /** True when the result was copied from an identical config
-     *  earlier in this sweep. */
+     *  earlier in this sweep (progress reporting only; toJson()
+     *  leaves it out). */
     bool memoized = false;
     std::string error;
-    /** Host wall-clock seconds for the run (0 when memoized). */
-    double hostSeconds = 0;
 };
 
 /** Parallel, memoizing, failure-isolating sweep executor. */
@@ -137,7 +136,11 @@ class SweepRunner
 Json toJson(const SimResult &result);
 /** Full configuration as a nested JSON object. */
 Json toJson(const SystemConfig &config);
-/** Entry = label + status + config + result. */
+/**
+ * Entry = label + status (+ error) + config + result: a pure function
+ * of the job, so a memoized row equals its leader's but for the label
+ * and a sweep's JSON is the same whatever the worker count.
+ */
 Json toJson(const SweepJob &job, const SweepEntry &entry);
 
 } // namespace cmt

@@ -48,7 +48,14 @@ expectSameResult(const SimResult &a, const SimResult &b)
     EXPECT_EQ(a.branchMispredictRate, b.branchMispredictRate);
 }
 
-std::vector<SweepEntry>
+/** A finished sweep's entries and each row's JSON (toJson). */
+struct Grid
+{
+    std::vector<SweepEntry> entries;
+    std::vector<std::string> rows;
+};
+
+Grid
 runGrid(unsigned jobs)
 {
     SweepRunner::Options opt;
@@ -61,20 +68,27 @@ runGrid(unsigned jobs)
                        tinyConfig(bench, scheme));
         }
     }
-    return runner.run();
+    Grid grid{runner.run(), {}};
+    for (std::size_t i = 0; i < grid.entries.size(); ++i)
+        grid.rows.push_back(toJson(runner.job(i), runner.entry(i)).dump());
+    return grid;
 }
 
 TEST(SweepRunner, ParallelMatchesSerial)
 {
-    const std::vector<SweepEntry> serial = runGrid(1);
-    const std::vector<SweepEntry> parallel = runGrid(4);
-    ASSERT_EQ(serial.size(), parallel.size());
-    ASSERT_EQ(serial.size(), 9u);
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_EQ(serial[i].label, parallel[i].label);
-        EXPECT_TRUE(serial[i].ok);
-        EXPECT_TRUE(parallel[i].ok);
-        expectSameResult(serial[i].result, parallel[i].result);
+    const Grid serial = runGrid(1);
+    const Grid parallel = runGrid(4);
+    ASSERT_EQ(serial.entries.size(), parallel.entries.size());
+    ASSERT_EQ(serial.entries.size(), 9u);
+    for (std::size_t i = 0; i < serial.entries.size(); ++i) {
+        EXPECT_EQ(serial.entries[i].label, parallel.entries[i].label);
+        EXPECT_TRUE(serial.entries[i].ok);
+        EXPECT_TRUE(parallel.entries[i].ok);
+        expectSameResult(serial.entries[i].result,
+                         parallel.entries[i].result);
+        // The row written to a figure's JSON carries nothing about
+        // how the sweep ran, so baselines compare with plain diff.
+        EXPECT_EQ(serial.rows[i], parallel.rows[i]);
     }
 }
 
@@ -175,6 +189,14 @@ TEST(SweepRunner, MemoizationRunsDuplicateConfigsOnce)
     EXPECT_EQ(entries[3].label, "third");
     expectSameResult(entries[0].result, entries[1].result);
     expectSameResult(entries[0].result, entries[3].result);
+    // A follower's row is its leader's but for the label.
+    const auto row = [&](std::size_t i, const std::string &label) {
+        SweepEntry e = runner.entry(i);
+        e.label = label;
+        return toJson(runner.job(i), e).dump();
+    };
+    EXPECT_EQ(row(1, "first"), row(0, "first"));
+    EXPECT_EQ(row(3, "first"), row(0, "first"));
 }
 
 TEST(SweepRunner, CustomThunkJobsAreNeverMemoized)
