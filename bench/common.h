@@ -73,6 +73,16 @@ benchmarks(const Options &opt)
 /** The programs of one multiprogrammed-SMP run, one per core. */
 using Mix = std::vector<std::string>;
 
+/** The benchmark that runs @p mix, one core per program: "twolf+gzip". */
+inline std::string
+mixName(const Mix &mix)
+{
+    std::string name;
+    for (const std::string &b : mix)
+        name += (name.empty() ? "" : "+") + b;
+    return name;
+}
+
 /**
  * The SMP mixes of @p figure that --filter keeps: a mix stays when any
  * of its programs matches. A filter that leaves none is a usage error.
@@ -122,19 +132,6 @@ class Sweep
     add(const std::string &label, const SystemConfig &cfg)
     {
         runner_.add(label, cfg);
-    }
-
-    /** Enqueue a run with a custom executor (SMP mixes); such runs
-     *  always execute, never memoize. */
-    void
-    add(const std::string &label, const SystemConfig &cfg,
-        std::function<SimResult(const SystemConfig &)> fn)
-    {
-        SweepJob job;
-        job.label = label;
-        job.config = cfg;
-        job.simulate = std::move(fn);
-        runner_.add(std::move(job));
     }
 
     /** Runs enqueued so far. */
@@ -221,50 +218,6 @@ header(std::ostream &os, const char *figure, const char *what,
           "==========================\n";
     printConfigTable(os, cfg);
     os << "\n";
-}
-
-/**
- * Enqueue one multiprogrammed-SMP mix: core i of @p machine runs
- * @p mix[i] (mixTraces()). The row's config is @p machine with
- * `benchmark` naming the mix ("twolf+gzip"); its result carries the
- * machine's aggregate IPC, cycles, integrity failures, DRAM bandwidth
- * and the per-core IPCs, with `benchmark` "mix" and `instructions` 0.
- * With @p verify_bandwidth it also reports hash-unit bytes per cycle
- * for single-tree runs, which SimResult otherwise leaves at zero.
- */
-inline void
-addSmpRow(Sweep &sweep, const std::string &label, SystemConfig machine,
-          const std::vector<std::string> &mix, bool verify_bandwidth)
-{
-    machine.benchmark.clear();
-    for (const std::string &b : mix)
-        machine.benchmark += (machine.benchmark.empty() ? "" : "+") + b;
-    sweep.add(label, machine,
-              [mix, verify_bandwidth](const SystemConfig &cfg) {
-                  System system(cfg, mixTraces(cfg, mix));
-                  const SimResult run = system.run();
-                  SimResult r;
-                  r.benchmark = "mix";
-                  r.scheme = run.scheme;
-                  r.ipc = run.ipc;
-                  r.cycles = run.cycles;
-                  r.integrityFailures = run.integrityFailures;
-                  r.bandwidthBytesPerCycle = run.bandwidthBytesPerCycle;
-                  r.verifyBytesPerCycle = run.verifyBytesPerCycle;
-                  if (verify_bandwidth)
-                      r.verifyBytesPerCycle =
-                          static_cast<double>(
-                              system.hasher().stat_bytes.value()) /
-                          static_cast<double>(run.cycles);
-                  // run() zeroed every counter at the measured
-                  // window's start, so a core's commit count is its
-                  // measured instructions.
-                  for (unsigned i = 0; i < mix.size(); ++i)
-                      r.perCoreIpc.push_back(
-                          static_cast<double>(system.core(i).committed()) /
-                          run.cycles);
-                  return r;
-              });
 }
 
 // The figures, one build function each (bench/<figure>.cc).

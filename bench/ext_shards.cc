@@ -18,12 +18,14 @@
  *  2. IPC under the c scheme, across shard count and region size: the
  *     practical speedup once the trusted cache absorbs most checks.
  *
- * K = 1 is the paper's machine and anchors both scaling columns.
+ * K = 1 is the paper's single tree and anchors both scaling columns.
  *
- * Unlike ext_smp, this figure reports verify_bytes_per_cycle even
- * for the K = 1 anchor rows. Every row runs the same mix, so --filter
- * either keeps the whole figure or, matching none of the mix's
- * programs, is a usage error (filterMixes()).
+ * Every row's benchmark names the four-program mix, so each row runs
+ * a four-core machine and, like every multi-core row, reports
+ * verify_bytes_per_cycle and per_core_ipc, the K = 1 anchors
+ * included. Every row runs the same mix, so --filter either keeps
+ * the whole figure or, matching none of the mix's programs, is a
+ * usage error (filterMixes()).
  */
 
 #include "bench/common.h"
@@ -47,6 +49,7 @@ shardConfig(Scheme scheme, unsigned shards,
             std::uint64_t protected_size, double hash_throughput)
 {
     SystemConfig cfg;
+    cfg.benchmark = mixName(kMix);
     cfg.warmupInstructions = 100'000;
     cfg.measureInstructions = 250'000;
     cfg.scale(reproScale());
@@ -78,22 +81,18 @@ extShards(Sweep &sweep, const Options &opt)
     // (cheap hash hardware) makes verification the K = 1 limiter and
     // lets the sweep show lanes scaling until the bus takes over.
     constexpr double kSlowHash = 0.4;
-    // Every row, the K = 1 anchor included, reports verify bandwidth.
     for (const unsigned shards : kShardCounts)
-        addSmpRow(sweep, "naive:s" + std::to_string(shards),
+        sweep.add("naive:s" + std::to_string(shards),
                   shardConfig(Scheme::kNaive, shards, kRegions[0],
-                              kSlowHash),
-                  kMix, true);
+                              kSlowHash));
     // Sweep 2: end-to-end IPC with the paper's hash unit.
     for (const std::uint64_t region : kRegions)
         for (const unsigned shards : kShardCounts)
-            addSmpRow(sweep,
-                      "c:" + std::to_string(region >> 30) + "GB:s" +
+            sweep.add("c:" + std::to_string(region >> 30) + "GB:s" +
                           std::to_string(shards),
                       shardConfig(Scheme::kCached, shards, region,
                                   HashEngineParams{}
-                                      .throughputBytesPerCycle),
-                      kMix, true);
+                                      .throughputBytesPerCycle));
 
     return [](std::ostream &os, Rows &rows) {
         header(os, "Extension",

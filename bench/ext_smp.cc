@@ -8,9 +8,10 @@
  * shared verified L2 and reports how the c scheme's cost composes
  * with inter-program contention for the bus and the hash engine.
  *
- * Each mix is one System with a core per program (mixTraces), run
- * through the shared Sweep engine as an addSmpRow row that packs the
- * per-core IPCs into SimResult::perCoreIpc.
+ * Each mix is one plain sweep row whose benchmark names the whole mix
+ * ("twolf+gzip"): System builds a core per program, and a multi-core
+ * row reports its per-core IPCs in SimResult::perCoreIpc. The
+ * one-program mix is the paper's single-core machine.
  */
 
 #include "bench/common.h"
@@ -27,9 +28,10 @@ namespace
 
 /** The shared machine every mix runs on. */
 SystemConfig
-mixMachine(Scheme scheme)
+mixMachine(const Mix &mix, Scheme scheme)
 {
     SystemConfig cfg;
+    cfg.benchmark = mixName(mix);
     cfg.warmupInstructions = 200'000;
     cfg.measureInstructions = 500'000;
     cfg.scale(reproScale());
@@ -68,7 +70,7 @@ extSmp(Sweep &sweep, const Options &opt)
             std::string label = schemeName(scheme);
             for (const auto &b : mix)
                 label += ":" + b;
-            addSmpRow(sweep, label, mixMachine(scheme), mix, false);
+            sweep.add(label, mixMachine(mix, scheme));
         }
     }
 
@@ -82,14 +84,14 @@ extSmp(Sweep &sweep, const Options &opt)
         for (const auto &mix : mixes) {
             const SimResult &base = rows.take();
             const SimResult &c = rows.take();
-            std::string name;
-            for (const auto &b : mix)
-                name += (name.empty() ? "" : "+") + b;
-            // Error rows leave perCoreIpc empty; keep the table alive.
-            const double base0 =
-                base.perCoreIpc.empty() ? 0.0 : base.perCoreIpc[0];
-            const double c0 = c.perCoreIpc.empty() ? 0.0 : c.perCoreIpc[0];
-            t.row({name, Table::num(base.ipc), Table::num(c.ipc),
+            // twolf runs on core 0. A single-core row reports no
+            // per-core split (nor does an error row, whose ipc is 0).
+            const auto twolf = [](const SimResult &r) {
+                return r.perCoreIpc.empty() ? r.ipc : r.perCoreIpc[0];
+            };
+            const double base0 = twolf(base);
+            const double c0 = twolf(c);
+            t.row({mixName(mix), Table::num(base.ipc), Table::num(c.ipc),
                    Table::pct(1 - c.ipc / base.ipc), Table::num(base0),
                    Table::num(c0),
                    Table::pct(base0 ? 1 - c0 / base0 : 0.0)});

@@ -3,8 +3,6 @@
 #include <bit>
 #include <cstring>
 
-#include "support/logging.h"
-
 namespace cmt
 {
 
@@ -140,19 +138,6 @@ Sha1::digest(std::span<const std::uint8_t> data)
     Sha1 ctx;
     ctx.update(data);
     return ctx.finish();
-}
-
-void
-Sha1::digestChain(std::span<const std::span<const std::uint8_t>> msgs,
-                  std::span<Hash160> out)
-{
-    cmt_assert(out.size() >= msgs.size());
-    Sha1 ctx;
-    for (std::size_t i = 0; i < msgs.size(); ++i) {
-        ctx.reset();
-        ctx.update(msgs[i]);
-        out[i] = ctx.finish();
-    }
 }
 
 } // namespace cmt

@@ -38,16 +38,6 @@ class Sha1
     /** One-shot convenience. */
     static Hash160 digest(std::span<const std::uint8_t> data);
 
-    /**
-     * Digest many independent messages: out[i] = digest(msgs[i]).
-     * One context is reused across messages; unlike Md5::digestChain
-     * there is no interleaved fast path - SHA-1 is only the fig8
-     * alternative digest, not the hot configuration.
-     */
-    static void
-    digestChain(std::span<const std::span<const std::uint8_t>> msgs,
-                std::span<Hash160> out);
-
   private:
     void processBlock(const std::uint8_t *block);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <optional>
 #include <thread>
 
 #include "cpu/core.h"
@@ -173,17 +172,8 @@ SweepRunner::SweepRunner(Options options) : options_(std::move(options))
 std::size_t
 SweepRunner::add(std::string label, const SystemConfig &config)
 {
-    SweepJob job;
-    job.label = std::move(label);
-    job.config = config;
-    return add(std::move(job));
-}
-
-std::size_t
-SweepRunner::add(SweepJob job)
-{
     cmt_assert(!ran_);
-    jobs_.push_back(std::move(job));
+    jobs_.push_back(SweepJob{std::move(label), config});
     return jobs_.size() - 1;
 }
 
@@ -209,19 +199,6 @@ struct MemoGroup
     std::vector<std::size_t> followers;
 };
 
-/**
- * The job's memoization key: the config fingerprint for plain jobs,
- * nothing for custom thunks (those never memoize - the config alone
- * does not describe their work).
- */
-std::optional<std::uint64_t>
-memoKey(const SweepJob &job)
-{
-    if (job.simulate)
-        return std::nullopt;
-    return configFingerprint(job.config);
-}
-
 } // namespace
 
 std::size_t
@@ -230,16 +207,12 @@ SweepRunner::uniqueJobs() const
     std::vector<std::uint64_t> seen;
     std::size_t unique = 0;
     for (const SweepJob &job : jobs_) {
-        const std::optional<std::uint64_t> fp = memoKey(job);
-        if (!fp) {
-            ++unique;
-            continue;
-        }
+        const std::uint64_t fp = configFingerprint(job.config);
         bool found = false;
         for (const std::uint64_t s : seen)
-            found = found || s == *fp;
+            found = found || s == fp;
         if (!found) {
-            seen.push_back(*fp);
+            seen.push_back(fp);
             ++unique;
         }
     }
@@ -260,20 +233,18 @@ SweepRunner::run()
     {
         std::vector<std::pair<std::uint64_t, std::size_t>> index;
         for (std::size_t i = 0; i < jobs_.size(); ++i) {
-            const std::optional<std::uint64_t> fp = memoKey(jobs_[i]);
-            if (fp) {
-                bool merged = false;
-                for (const auto &[seen_fp, group] : index) {
-                    if (seen_fp == *fp) {
-                        groups[group].followers.push_back(i);
-                        merged = true;
-                        break;
-                    }
+            const std::uint64_t fp = configFingerprint(jobs_[i].config);
+            bool merged = false;
+            for (const auto &[seen_fp, group] : index) {
+                if (seen_fp == fp) {
+                    groups[group].followers.push_back(i);
+                    merged = true;
+                    break;
                 }
-                if (merged)
-                    continue;
-                index.emplace_back(*fp, groups.size());
             }
+            if (merged)
+                continue;
+            index.emplace_back(fp, groups.size());
             groups.push_back(MemoGroup{i, {}});
         }
     }
@@ -292,8 +263,7 @@ SweepRunner::run()
             // Panics/fatals inside the simulator surface as SimError
             // here instead of terminating the sweep.
             ScopedThrowOnError guard;
-            entry.result = job.simulate ? job.simulate(job.config)
-                                        : options_.simulateFn(job.config);
+            entry.result = options_.simulateFn(job.config);
         } catch (const std::exception &e) {
             entry.ok = false;
             entry.error = e.what();
@@ -384,8 +354,8 @@ toJson(const SimResult &result)
     obj.set("integrity_failures", result.integrityFailures);
     obj.set("buffer_stalls", result.bufferStalls);
     obj.set("branch_mispredict_rate", result.branchMispredictRate);
-    // Sharded runs only (zero otherwise): committed single-tree
-    // baselines predate the key and must keep their exact shape.
+    // SMP and sharded machines only (zero and empty otherwise): the
+    // paper's one-core, one-tree rows keep the baselines' shape.
     if (result.verifyBytesPerCycle != 0)
         obj.set("verify_bytes_per_cycle", result.verifyBytesPerCycle);
     if (!result.perCoreIpc.empty()) {

@@ -37,18 +37,11 @@ namespace cmt
  */
 std::uint64_t configFingerprint(const SystemConfig &config);
 
-/** One unit of work in a sweep. */
+/** One unit of work in a sweep: the config is the whole workload. */
 struct SweepJob
 {
     std::string label;
     SystemConfig config;
-    /**
-     * Optional per-job simulation override (multiprogrammed mixes,
-     * test instrumentation). Jobs with an override are executed
-     * unconditionally - the config fingerprint only describes the
-     * config, so memoizing against it would alias distinct workloads.
-     */
-    std::function<SimResult(const SystemConfig &)> simulate;
 };
 
 /** Outcome of one job, in submission order. */
@@ -93,7 +86,6 @@ class SweepRunner
 
     /** Enqueue a job; @return its submission index. */
     std::size_t add(std::string label, const SystemConfig &config);
-    std::size_t add(SweepJob job);
 
     std::size_t jobCount() const { return jobs_.size(); }
 

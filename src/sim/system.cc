@@ -84,16 +84,88 @@ printConfigTable(std::ostream &os, const SystemConfig &config)
 namespace
 {
 
-/** The single-core machine's trace: @p trace, or the config's specgen
- *  benchmark when none is given. */
+/** Private 4 GB slice per core inside the shared protected space. */
+constexpr std::uint64_t kSliceBytes = 4ULL << 30;
+
+/**
+ * Per-core stagger within the slice. Slices are a power-of-two apart,
+ * so without it every program's regions would land on identical L2
+ * sets (the set index uses low address bits only) - a conflict
+ * pathology a real OS avoids through distinct physical mappings.
+ * 51 MB is 64 KB-aligned but not a multiple of the 2 MB set span.
+ */
+constexpr std::uint64_t kSliceStagger = 51ULL << 20;
+
+/** Data bytes of one shard: ShardRouter's per-shard layout, derived
+ *  before the router exists. */
+std::uint64_t
+shardDataBytes(const L2Params &l2)
+{
+    return TreeLayout(l2.chunkSize, l2.protectedSize / l2.shards)
+        .dataBytes();
+}
+
+} // namespace
+
+std::uint64_t
+coreSliceOffset(const L2Params &l2, unsigned i)
+{
+    if (l2.shards == 1)
+        return i * (kSliceBytes + kSliceStagger);
+    // Core i lives in shard i % K; cores sharing a shard stack their
+    // slices like the single-tree layout. The per-shard stagger keeps
+    // slices in different shards off identical L2 sets (shard spans
+    // are powers of two, so bare shard bases would alias).
+    cmt_assert(isPow2(l2.shards));
+    const unsigned shard = i % l2.shards;
+    const unsigned slot = i / l2.shards;
+    return shard * shardDataBytes(l2) +
+           slot * (kSliceBytes + kSliceStagger) + shard * kSliceStagger;
+}
+
+namespace
+{
+
+/**
+ * The machine's traces, one per core. An external @p trace drives the
+ * one core alone. Otherwise the config's benchmark names the
+ * workload: one program is the paper's machine, and a '+'-joined mix
+ * ("twolf+gzip") puts program i on core i with seed + i, displaced
+ * into core i's slice. Panics unless every slice fits in the
+ * protected region.
+ */
 std::vector<std::unique_ptr<TraceSource>>
-singleTrace(const SystemConfig &config, std::unique_ptr<TraceSource> trace)
+workloadTraces(const SystemConfig &config,
+               std::unique_ptr<TraceSource> trace)
 {
     std::vector<std::unique_ptr<TraceSource>> traces;
-    traces.push_back(trace ? std::move(trace)
-                           : std::make_unique<SpecGen>(
-                                 profileFor(config.benchmark),
-                                 config.seed));
+    if (trace) {
+        traces.push_back(std::move(trace));
+        return traces;
+    }
+    std::vector<std::string> programs(1);
+    for (const char c : config.benchmark) {
+        if (c == '+')
+            programs.emplace_back();
+        else
+            programs.back() += c;
+    }
+    if (programs.size() == 1) {
+        traces.push_back(std::make_unique<SpecGen>(
+            profileFor(programs[0]), config.seed));
+        return traces;
+    }
+    const std::uint64_t protected_bytes =
+        config.l2.shards * shardDataBytes(config.l2);
+    for (std::size_t i = 0; i < programs.size(); ++i) {
+        const std::uint64_t offset =
+            coreSliceOffset(config.l2, static_cast<unsigned>(i));
+        cmt_assert(offset + kSliceBytes <= protected_bytes);
+        traces.push_back(std::make_unique<OffsetTrace>(
+            std::make_unique<SpecGen>(profileFor(programs[i]),
+                                      config.seed + i),
+            offset));
+    }
     return traces;
 }
 
@@ -101,14 +173,8 @@ singleTrace(const SystemConfig &config, std::unique_ptr<TraceSource> trace)
 
 System::System(const SystemConfig &config,
                std::unique_ptr<TraceSource> trace)
-    : System(config, singleTrace(config, std::move(trace)))
-{}
-
-System::System(const SystemConfig &config,
-               std::vector<std::unique_ptr<TraceSource>> traces)
-    : config_(config), traces_(std::move(traces))
+    : config_(config), traces_(workloadTraces(config, std::move(trace)))
 {
-    cmt_assert(!traces_.empty());
     tree_ = std::make_unique<ShardRouter>(
         config_.l2.chunkSize, config_.l2.protectedSize,
         config_.l2.shards, config_.l2.readBufferEntries,
@@ -249,15 +315,21 @@ System::run()
             : 0.0;
     r.bandwidthBytesPerCycle =
         static_cast<double>(memory_->bytesTransferred()) / r.cycles;
-    // Only sharded runs report verify bandwidth: single-tree rows
-    // must keep the exact JSON shape of the committed baselines.
-    if (config_.l2.shards != 1)
-        r.verifyBytesPerCycle =
-            static_cast<double>(hasher_->stat_bytes.value()) / r.cycles;
     r.integrityFailures = l2_->integrityFailures();
     r.bufferStalls = l2_->stat_bufferStallEvents.value();
     r.branchMispredictRate =
         branches ? static_cast<double>(mispredicts) / branches : 0.0;
+    // Only an SMP or sharded machine reports the split: the paper's
+    // one-core, one-tree rows keep the JSON shape of the baselines.
+    if (cores_.size() > 1 || config_.l2.shards != 1) {
+        r.verifyBytesPerCycle =
+            static_cast<double>(hasher_->stat_bytes.value()) / r.cycles;
+        // run() zeroed every counter at the measured window's start,
+        // so a core's commit count is its measured instructions.
+        for (const auto &core : cores_)
+            r.perCoreIpc.push_back(
+                static_cast<double>(core->committed()) / r.cycles);
+    }
     return r;
 }
 
@@ -272,68 +344,6 @@ simulate(const SystemConfig &config)
 {
     System system(config);
     return system.run();
-}
-
-namespace
-{
-
-/** Private 4 GB slice per core inside the shared protected space. */
-constexpr std::uint64_t kSliceBytes = 4ULL << 30;
-
-/**
- * Per-core stagger within the slice. Slices are a power-of-two apart,
- * so without it every program's regions would land on identical L2
- * sets (the set index uses low address bits only) - a conflict
- * pathology a real OS avoids through distinct physical mappings.
- * 51 MB is 64 KB-aligned but not a multiple of the 2 MB set span.
- */
-constexpr std::uint64_t kSliceStagger = 51ULL << 20;
-
-/** Data bytes of one shard: ShardRouter's per-shard layout, derived
- *  before the router exists. */
-std::uint64_t
-shardDataBytes(const L2Params &l2)
-{
-    return TreeLayout(l2.chunkSize, l2.protectedSize / l2.shards)
-        .dataBytes();
-}
-
-} // namespace
-
-std::uint64_t
-coreSliceOffset(const L2Params &l2, unsigned i)
-{
-    if (l2.shards == 1)
-        return i * (kSliceBytes + kSliceStagger);
-    // Core i lives in shard i % K; cores sharing a shard stack their
-    // slices like the single-tree layout. The per-shard stagger keeps
-    // slices in different shards off identical L2 sets (shard spans
-    // are powers of two, so bare shard bases would alias).
-    cmt_assert(isPow2(l2.shards));
-    const unsigned shard = i % l2.shards;
-    const unsigned slot = i / l2.shards;
-    return shard * shardDataBytes(l2) +
-           slot * (kSliceBytes + kSliceStagger) + shard * kSliceStagger;
-}
-
-std::vector<std::unique_ptr<TraceSource>>
-mixTraces(const SystemConfig &machine,
-          const std::vector<std::string> &benchmarks)
-{
-    cmt_assert(!benchmarks.empty());
-    const std::uint64_t protected_bytes =
-        machine.l2.shards * shardDataBytes(machine.l2);
-    std::vector<std::unique_ptr<TraceSource>> traces;
-    for (std::size_t i = 0; i < benchmarks.size(); ++i) {
-        const std::uint64_t offset =
-            coreSliceOffset(machine.l2, static_cast<unsigned>(i));
-        cmt_assert(offset + kSliceBytes <= protected_bytes);
-        traces.push_back(std::make_unique<OffsetTrace>(
-            std::make_unique<SpecGen>(profileFor(benchmarks[i]),
-                                      machine.seed + i),
-            offset));
-    }
-    return traces;
 }
 
 } // namespace cmt

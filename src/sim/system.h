@@ -4,9 +4,9 @@
  * machinery, bus and DRAM from a SystemConfig, runs warmup + measured
  * windows, and reports the metrics every figure in the paper is
  * built from. One core is the paper's machine; several cores over
- * the same uncore are the multiprogrammed extension of Section 4:
- * System(machine, mixTraces(machine, benchmarks)) runs one program
- * per core, each in a private slice of the one protected region.
+ * the same uncore are the multiprogrammed extension of Section 4: a
+ * '+'-joined benchmark such as "twolf+gzip" runs one program per
+ * core, each in a private slice of the one protected region.
  *
  * Workloads are multiprogrammed, not data-sharing: each core's
  * addresses are displaced into its own slice, so coherence reduces
@@ -60,9 +60,9 @@ struct SimResult
 
     /**
      * Hash-unit throughput in bytes per cycle (the rate at which the
-     * machine verifies and maintains the tree). Reported only for
-     * sharded runs (shards > 1) so single-tree rows keep the exact
-     * JSON shape the committed baselines were generated with.
+     * machine verifies and maintains the tree). Reported only by a
+     * machine with more than one core or more than one shard; the
+     * paper's one-core, one-tree machine leaves it zero.
      */
     double verifyBytesPerCycle = 0;
 
@@ -73,9 +73,9 @@ struct SimResult
     double branchMispredictRate = 0;
 
     /**
-     * Per-core IPC for multiprogrammed (SMP) runs; empty for
-     * single-core runs. Lives in SimResult so SMP sweep rows are
-     * self-contained (memoizable/serializable) without a side table.
+     * Per-core IPC, core i running the mix's program i. Filled by
+     * the same rule as verifyBytesPerCycle: more than one core or
+     * more than one shard; empty on the paper's machine.
      */
     std::vector<double> perCoreIpc;
 };
@@ -88,21 +88,17 @@ class System
 {
   public:
     /**
-     * @param config  machine + workload parameters
+     * @param config  machine + workload parameters; the benchmark
+     *                names one specgen program, or a '+'-joined mix
+     *                with one core per program (core i runs program
+     *                i with seed + i). Panics unless every core's
+     *                slice fits in the protected region.
      * @param trace   optional external instruction source (e.g. a
-     *                FileTrace); when null the config's specgen
-     *                benchmark drives the core
+     *                FileTrace) for the one core; when null the
+     *                config's benchmark drives the machine
      */
     explicit System(const SystemConfig &config,
                     std::unique_ptr<TraceSource> trace = nullptr);
-
-    /**
-     * One core per trace, all over the same uncore; the config's
-     * benchmark and seed are unused. An L2 eviction drops every
-     * core's L1 copies (inclusion).
-     */
-    System(const SystemConfig &config,
-           std::vector<std::unique_ptr<TraceSource>> traces);
     ~System();
 
     /**
@@ -165,15 +161,6 @@ SimResult simulate(const SystemConfig &config);
  * parallelises across root registers, buffers and hash lanes.
  */
 std::uint64_t coreSliceOffset(const L2Params &l2, unsigned i);
-
-/**
- * The traces of a multiprogrammed run on @p machine: core i runs
- * benchmark i with seed machine.seed + i, displaced into its slice.
- * Panics unless every slice fits in the protected region.
- */
-std::vector<std::unique_ptr<TraceSource>>
-mixTraces(const SystemConfig &machine,
-          const std::vector<std::string> &benchmarks);
 
 /** REPRO_SCALE environment scaling (1.0 if unset). */
 double reproScale();

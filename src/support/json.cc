@@ -388,12 +388,6 @@ Json::at(const std::string &key) const
     return *v;
 }
 
-const std::vector<std::pair<std::string, Json>> &
-Json::members() const
-{
-    return object_;
-}
-
 void
 Json::writeIndented(std::ostream &os, int indent, int depth) const
 {

@@ -80,8 +80,6 @@ class Json
     bool contains(const std::string &key) const;
     /** Member access; fatal when the key is absent. */
     const Json &at(const std::string &key) const;
-    /** Ordered members (empty for non-objects). */
-    const std::vector<std::pair<std::string, Json>> &members() const;
 
     /**
      * Serialize. @p indent > 0 pretty-prints with that many spaces

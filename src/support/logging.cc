@@ -1,6 +1,5 @@
 #include "support/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
@@ -11,8 +10,6 @@ namespace cmt
 
 namespace
 {
-
-std::atomic<bool> quietFlag{false};
 
 /** Depth of ScopedThrowOnError guards held by this thread. */
 thread_local int throwOnErrorDepth = 0;
@@ -73,18 +70,6 @@ ScopedThrowOnError::~ScopedThrowOnError()
 }
 
 void
-setQuiet(bool q)
-{
-    quietFlag.store(q, std::memory_order_relaxed);
-}
-
-bool
-quiet()
-{
-    return quietFlag.load(std::memory_order_relaxed);
-}
-
-void
 panicImpl(const char *file, int line, const char *fmt, ...)
 {
     va_list args;
@@ -115,8 +100,6 @@ fatalImpl(const char *file, int line, const char *fmt, ...)
 void
 warn(const char *fmt, ...)
 {
-    if (quiet())
-        return;
     va_list args;
     va_start(args, fmt);
     const std::string out = formatLine("warn: ", fmt, args, nullptr, 0);
@@ -143,8 +126,6 @@ debugf(const char *fmt, ...)
 void
 inform(const char *fmt, ...)
 {
-    if (quiet())
-        return;
     va_list args;
     va_start(args, fmt);
     const std::string out = formatLine("info: ", fmt, args, nullptr, 0);

@@ -68,12 +68,6 @@ void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
  */
 void debugf(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
-/** Silence warn()/inform() output (used by tests and sweeps). */
-void setQuiet(bool quiet);
-
-/** @return true if warn()/inform() output is currently suppressed. */
-bool quiet();
-
 } // namespace cmt
 
 #define cmt_panic(...) ::cmt::panicImpl(__FILE__, __LINE__, __VA_ARGS__)

@@ -85,12 +85,6 @@ L2Controller::debugCheckInvariant(const char *tag)
     }
 }
 
-bool
-L2Controller::demandStalled() const
-{
-    return policy_->verifiesIntegrity() && !tree_.anyBufferAvailable();
-}
-
 // --------------------------------------------------------------------
 // Core-side interface
 // --------------------------------------------------------------------

@@ -159,12 +159,6 @@ class L2Controller
     // cmt-analyze: allow(hot-path-alloc)
     std::function<void(std::uint64_t, unsigned)> onBackInvalidate;
 
-    /**
-     * True while the miss path cannot accept a new demand miss
-     * (hash buffers full); the core should retry next cycle.
-     */
-    bool demandStalled() const;
-
     /** Write every dirty line back (end-of-run bookkeeping). */
     void flushAllDirty();
 
@@ -190,7 +184,6 @@ class L2Controller
 
     /** One shard's geometry (identical across shards). */
     const TreeLayout &layout() const { return tree_.shardLayout(); }
-    Scheme scheme() const { return params_.scheme; }
 
     // ----- statistics -------------------------------------------------
     Counter stat_reads;          ///< demand read accesses

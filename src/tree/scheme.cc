@@ -19,17 +19,4 @@ schemeName(Scheme scheme)
     return "?";
 }
 
-bool
-schemeFromName(const std::string &name, Scheme *out)
-{
-    for (const Scheme s : {Scheme::kBase, Scheme::kNaive,
-                           Scheme::kCached, Scheme::kIncremental}) {
-        if (name == schemeName(s)) {
-            *out = s;
-            return true;
-        }
-    }
-    return false;
-}
-
 } // namespace cmt

@@ -8,8 +8,6 @@
 #ifndef CMT_TREE_SCHEME_H
 #define CMT_TREE_SCHEME_H
 
-#include <string>
-
 namespace cmt
 {
 
@@ -24,12 +22,6 @@ enum class Scheme
 
 /** Human-readable scheme name for reports. */
 const char *schemeName(Scheme scheme);
-
-/**
- * Inverse of schemeName(): parse a report/JSON scheme name.
- * @return false (leaving @p out untouched) for unknown names.
- */
-bool schemeFromName(const std::string &name, Scheme *out);
 
 } // namespace cmt
 

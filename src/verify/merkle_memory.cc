@@ -9,7 +9,6 @@
 #include "support/bitops.h"
 #include "tree/authenticator.h"
 #include "tree/layout.h"
-#include "tree/scheme.h"
 #include "tree/shard_router.h"
 #include "tree/tree_debug.h"
 
@@ -84,15 +83,6 @@ MerkleMemory::MerkleMemory(Storage &untrusted, const MerkleConfig &config)
     tree_.resetRoots(chunks_.canonicalSlot(1));
 }
 
-Scheme
-MerkleMemory::scheme() const
-{
-    if (config_.cacheChunks == 0)
-        return Scheme::kNaive;
-    return config_.auth == Authenticator::Kind::kXorMac
-               ? Scheme::kIncremental
-               : Scheme::kCached;
-}
 
 std::uint64_t
 MerkleMemory::load64(std::uint64_t addr)

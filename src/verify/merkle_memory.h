@@ -39,7 +39,6 @@
 #include "tree/authenticator.h"
 #include "tree/chunk_store.h"
 #include "tree/layout.h"
-#include "tree/scheme.h"
 #include "tree/shard_router.h"
 
 namespace cmt
@@ -143,15 +142,6 @@ class MerkleMemory
 
     /** The shard router (global geometry + per-shard roots). */
     const ShardRouter &tree() const { return tree_; }
-
-    /**
-     * Which of the paper's schemes this configuration corresponds to,
-     * in the simulator's shared vocabulary (tree/scheme.h): naive when
-     * no chunks are cached, incremental for a cached XOR-MAC tree,
-     * cached otherwise. Lets reports and persistence headers label a
-     * functional tree with the same names the timing model uses.
-     */
-    Scheme scheme() const;
 
     /**
      * The untrusted RAM address space as the processor sees it,

@@ -199,27 +199,36 @@ TEST(SweepRunner, MemoizationRunsDuplicateConfigsOnce)
     EXPECT_EQ(row(3, "first"), row(0, "first"));
 }
 
-TEST(SweepRunner, CustomThunkJobsAreNeverMemoized)
+TEST(SweepRunner, MixRowsMemoizeLikeAnyRow)
 {
+    // A '+'-joined benchmark is the whole SMP workload, so two rows of
+    // the same mix share a key and run once, and each row is exactly
+    // the machine System(cfg) builds.
     auto calls = std::make_shared<std::atomic<int>>(0);
-    const auto thunk = [calls](const SystemConfig &) {
-        calls->fetch_add(1);
-        return SimResult{};
-    };
     SweepRunner::Options opt;
-    opt.jobs = 1;
+    opt.jobs = 2;
+    opt.simulateFn = [calls](const SystemConfig &cfg) {
+        calls->fetch_add(1);
+        return simulate(cfg);
+    };
     SweepRunner runner(std::move(opt));
-    SweepJob a;
-    a.label = "a";
-    a.config = tinyConfig("gcc", Scheme::kBase);
-    a.simulate = thunk;
-    SweepJob b = a;
-    b.label = "b";
-    runner.add(std::move(a));
-    runner.add(std::move(b));
-    EXPECT_EQ(runner.uniqueJobs(), 2u);
-    runner.run();
-    EXPECT_EQ(calls->load(), 2);
+    SystemConfig mix = tinyConfig("twolf+gzip", Scheme::kCached);
+    mix.l2.protectedSize = 16ULL << 30; // two 4 GB core slices
+    runner.add("first", mix);
+    runner.add("second", mix);
+    EXPECT_EQ(runner.uniqueJobs(), 1u);
+    const auto &entries = runner.run();
+
+    EXPECT_EQ(calls->load(), 1);
+    EXPECT_TRUE(entries[1].memoized);
+    System direct(mix);
+    const std::string expected = toJson(direct.run()).dump();
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+        EXPECT_TRUE(entries[i].ok) << entries[i].error;
+        EXPECT_EQ(toJson(runner.job(i), entries[i]).at("result").dump(),
+                  expected);
+    }
+    EXPECT_EQ(entries[0].result.perCoreIpc.size(), 2u);
 }
 
 // ---------------------------------------------------------------------
@@ -237,6 +246,9 @@ struct NamedMutator
 
 const NamedMutator kMutators[] = {
     {"benchmark", [](SystemConfig &c) { c.benchmark = "swim"; }},
+    // Core i runs program i, so the mix order is part of the key.
+    {"benchmark mix order",
+     [](SystemConfig &c) { c.benchmark = "gzip+twolf"; }},
     {"seed", [](SystemConfig &c) { c.seed += 1; }},
     {"warmupInstructions",
      [](SystemConfig &c) { c.warmupInstructions += 1; }},
@@ -320,9 +332,18 @@ TEST(ConfigFingerprint, StableForEqualConfigs)
     EXPECT_EQ(configFingerprint(a), configFingerprint(b));
 }
 
+/** The config every mutator flips one field of. */
+SystemConfig
+mutatorBase()
+{
+    SystemConfig c;
+    c.benchmark = "twolf+gzip";
+    return c;
+}
+
 TEST(ConfigFingerprint, EveryFieldChangesTheKey)
 {
-    const SystemConfig base;
+    const SystemConfig base = mutatorBase();
     const std::uint64_t ref = configFingerprint(base);
     for (const NamedMutator &m : kMutators) {
         SystemConfig mutated = base;
@@ -336,7 +357,7 @@ TEST(ConfigFingerprint, DistinctFieldFlipsGetDistinctKeys)
 {
     // Transposition resistance: each mutated config also differs
     // from every other mutated config (tag-per-field hashing).
-    const SystemConfig base;
+    const SystemConfig base = mutatorBase();
     std::vector<std::uint64_t> keys;
     for (const NamedMutator &m : kMutators) {
         SystemConfig mutated = base;

@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <tuple>
-#include <vector>
 
 #include "sim/config.h"
 #include "sim/system.h"
@@ -16,10 +14,12 @@ namespace cmt
 namespace
 {
 
+/** A small-window machine running @p benchmark, a '+'-joined mix. */
 SystemConfig
-quickMachine(Scheme scheme)
+quickMachine(Scheme scheme, const std::string &benchmark)
 {
     SystemConfig cfg;
+    cfg.benchmark = benchmark;
     cfg.warmupInstructions = 30'000;
     cfg.measureInstructions = 80'000;
     cfg.l2.scheme = scheme;
@@ -28,16 +28,9 @@ quickMachine(Scheme scheme)
     return cfg;
 }
 
-/** One core per benchmark over @p machine's uncore. */
-System
-mix(const SystemConfig &machine, const std::vector<std::string> &benchmarks)
-{
-    return System(machine, mixTraces(machine, benchmarks));
-}
-
 TEST(SmpTest, TwoCoresRunCleanly)
 {
-    System smp = mix(quickMachine(Scheme::kCached), {"gzip", "twolf"});
+    System smp(quickMachine(Scheme::kCached, "gzip+twolf"));
     const SimResult r = smp.run();
     EXPECT_GE(smp.core(0).committed(), 80'000u);
     EXPECT_GE(smp.core(1).committed(), 80'000u);
@@ -45,13 +38,35 @@ TEST(SmpTest, TwoCoresRunCleanly)
               smp.core(0).committed() + smp.core(1).committed());
     EXPECT_EQ(r.integrityFailures, 0u);
     EXPECT_GT(r.ipc, 0.0);
+    EXPECT_EQ(r.benchmark, "gzip+twolf");
+    ASSERT_EQ(r.perCoreIpc.size(), 2u);
+    for (unsigned i = 0; i < 2; ++i)
+        EXPECT_EQ(r.perCoreIpc[i],
+                  static_cast<double>(smp.core(i).committed()) / r.cycles);
+    EXPECT_GT(r.verifyBytesPerCycle, 0.0);
+}
+
+TEST(SmpTest, OnlySmpOrShardedMachinesReportTheSplit)
+{
+    // The paper's one-core, one-tree machine reports neither per-core
+    // IPC nor verify bandwidth; one more shard makes it report both.
+    SystemConfig machine = quickMachine(Scheme::kCached, "twolf");
+    const SimResult paper = simulate(machine);
+    EXPECT_TRUE(paper.perCoreIpc.empty());
+    EXPECT_EQ(paper.verifyBytesPerCycle, 0.0);
+
+    machine.l2.shards = 2;
+    const SimResult sharded = simulate(machine);
+    ASSERT_EQ(sharded.perCoreIpc.size(), 1u);
+    EXPECT_EQ(sharded.perCoreIpc[0], sharded.ipc);
+    EXPECT_GT(sharded.verifyBytesPerCycle, 0.0);
 }
 
 TEST(SmpTest, Deterministic)
 {
-    const SystemConfig machine = quickMachine(Scheme::kCached);
-    const SimResult a = mix(machine, {"gcc", "vpr"}).run();
-    const SimResult b = mix(machine, {"gcc", "vpr"}).run();
+    const SystemConfig machine = quickMachine(Scheme::kCached, "gcc+vpr");
+    const SimResult a = simulate(machine);
+    const SimResult b = simulate(machine);
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_DOUBLE_EQ(a.ipc, b.ipc);
 }
@@ -60,9 +75,8 @@ TEST(SmpTest, SharedMachineSlowsEachProgram)
 {
     // A program running alongside a bandwidth hog must be slower than
     // running alone on the same machine.
-    const SystemConfig machine = quickMachine(Scheme::kCached);
-    System alone = mix(machine, {"twolf"});
-    System shared = mix(machine, {"twolf", "swim"});
+    System alone(quickMachine(Scheme::kCached, "twolf"));
+    System shared(quickMachine(Scheme::kCached, "twolf+swim"));
     const SimResult a = alone.run();
     const SimResult s = shared.run();
     const double alone_ipc =
@@ -75,8 +89,7 @@ TEST(SmpTest, SharedMachineSlowsEachProgram)
 
 TEST(SmpTest, FourCoreTreeStaysConsistent)
 {
-    System sys = mix(quickMachine(Scheme::kCached),
-                     {"gzip", "twolf", "vpr", "gcc"});
+    System sys(quickMachine(Scheme::kCached, "gzip+twolf+vpr+gcc"));
     (void)sys.run();
     sys.l2().flushAllDirty();
     while (!sys.events().empty())
@@ -87,8 +100,8 @@ TEST(SmpTest, FourCoreTreeStaysConsistent)
 
 TEST(SmpTest, TamperInOneSliceDetected)
 {
-    const SystemConfig machine = quickMachine(Scheme::kCached);
-    System sys = mix(machine, {"twolf", "vpr"});
+    const SystemConfig machine = quickMachine(Scheme::kCached, "twolf+vpr");
+    System sys(machine);
     sys.runUntilCommitted(30'000);
     // Corrupt core 1's slice (second 4 GB) in its hot random region.
     const auto &layout = sys.l2().layout();
@@ -106,11 +119,12 @@ TEST(SmpTest, TamperInOneSliceDetected)
 TEST(SmpTest, SlicesMustFitTheProtectedRegion)
 {
     // Two 4 GB slices do not fit in L2Params' default 4 GB region.
-    SystemConfig machine = quickMachine(Scheme::kCached);
+    SystemConfig machine = quickMachine(Scheme::kCached, "twolf");
     machine.l2.protectedSize = 4ULL << 30;
-    (void)mixTraces(machine, {"twolf"});
+    (void)System(machine);
+    machine.benchmark = "twolf+gzip";
     ScopedThrowOnError guard;
-    EXPECT_THROW((void)mixTraces(machine, {"twolf", "gzip"}), SimError);
+    EXPECT_THROW((void)System(machine), SimError);
 }
 
 TEST(SmpTest, DeadlockPanicsPromptly)
@@ -118,12 +132,12 @@ TEST(SmpTest, DeadlockPanicsPromptly)
     // With no check-buffer entries no verification can ever issue, so
     // the cores stall for good. The run must stop with the no-progress
     // panic instead of spinning.
-    SystemConfig machine = quickMachine(Scheme::kCached);
+    SystemConfig machine = quickMachine(Scheme::kCached, "twolf+swim");
     machine.l2.readBufferEntries = 0;
     machine.l2.writeBufferEntries = 0;
     ScopedThrowOnError guard;
     try {
-        (void)mix(machine, {"twolf", "swim"}).run();
+        (void)simulate(machine);
         FAIL() << "a machine without check buffers completed its run";
     } catch (const SimError &e) {
         EXPECT_NE(std::string(e.what()).find("no commit progress"),
@@ -131,38 +145,6 @@ TEST(SmpTest, DeadlockPanicsPromptly)
             << e.what();
     }
 }
-
-/** A one-program mix is the single-core System on the same config. */
-class SmpOneCore
-    : public ::testing::TestWithParam<std::tuple<Scheme, unsigned>>
-{
-};
-
-TEST_P(SmpOneCore, OneCoreMatchesSystem)
-{
-    const auto [scheme, shards] = GetParam();
-    SystemConfig single = quickMachine(scheme);
-    single.l2.shards = shards;
-    single.benchmark = "twolf";
-
-    const SimResult a = mix(single, {"twolf"}).run();
-    const SimResult b = simulate(single);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.bandwidthBytesPerCycle, b.bandwidthBytesPerCycle);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    SchemesAndShards, SmpOneCore,
-    ::testing::Combine(::testing::Values(Scheme::kBase, Scheme::kNaive,
-                                         Scheme::kCached,
-                                         Scheme::kIncremental),
-                       ::testing::Values(1u, 2u)),
-    [](const ::testing::TestParamInfo<std::tuple<Scheme, unsigned>>
-           &info) {
-        return std::string(schemeName(std::get<0>(info.param))) + "_k" +
-               std::to_string(std::get<1>(info.param));
-    });
 
 } // namespace
 } // namespace cmt
