@@ -5,7 +5,7 @@
 
 #if defined(__x86_64__) || defined(_M_X64)
 #define CMT_MD5_SIMD 1
-#include <immintrin.h>
+#include <emmintrin.h>
 #endif
 
 #include "support/logging.h"
@@ -132,8 +132,11 @@ compressK(std::uint32_t (&states)[K][4],
  * one-to-one onto SIMD lanes of 32-bit words. MD5 rounds use only
  * add, rotate and bitwise ops, all exact in every lane, so the
  * digests are bit-identical to the scalar path - vector width is
- * purely a throughput choice. SSE2 (4 lanes) is x86-64 baseline;
- * the 8-lane AVX2 twin below is runtime-dispatched.
+ * purely a throughput choice. SSE2 (4 lanes) is x86-64 baseline, so
+ * no CPU dispatch is needed; elsewhere K = 4 stays on the portable
+ * interleave. A runtime-dispatched 8-lane twin was measured and
+ * removed: it cut the traced per-chunk MD5 cost but left the
+ * end-to-end simulator rows within run-to-run spread.
  */
 inline __m128i
 rotl4(__m128i x, int s)
@@ -220,121 +223,12 @@ compress4Sse2(std::uint32_t (&states)[4][4],
     }
 }
 
-__attribute__((target("avx2"))) inline __m256i
-rotl8(__m256i x, int s)
-{
-    return _mm256_or_si256(_mm256_slli_epi32(x, s),
-                           _mm256_srli_epi32(x, 32 - s));
-}
-
-__attribute__((target("avx2"))) inline __m256i
-gatherState8(const std::uint32_t (&states)[8][4], int j)
-{
-    return _mm256_set_epi32(
-        static_cast<int>(states[7][j]), static_cast<int>(states[6][j]),
-        static_cast<int>(states[5][j]), static_cast<int>(states[4][j]),
-        static_cast<int>(states[3][j]), static_cast<int>(states[2][j]),
-        static_cast<int>(states[1][j]),
-        static_cast<int>(states[0][j]));
-}
-
-__attribute__((target("avx2"))) void
-compress8Avx2(std::uint32_t (&states)[8][4],
-              const std::uint8_t *const (&blocks)[8])
-{
-    const auto word = [](const std::uint8_t *p) {
-        std::uint32_t w;
-        std::memcpy(&w, p, 4);
-        return static_cast<int>(w);
-    };
-    __m256i m[16];
-    for (int i = 0; i < 16; ++i)
-        m[i] = _mm256_set_epi32(
-            word(blocks[7] + 4 * i), word(blocks[6] + 4 * i),
-            word(blocks[5] + 4 * i), word(blocks[4] + 4 * i),
-            word(blocks[3] + 4 * i), word(blocks[2] + 4 * i),
-            word(blocks[1] + 4 * i), word(blocks[0] + 4 * i));
-
-    __m256i a = gatherState8(states, 0);
-    __m256i b = gatherState8(states, 1);
-    __m256i c = gatherState8(states, 2);
-    __m256i d = gatherState8(states, 3);
-
-    for (int i = 0; i < 64; ++i) {
-        __m256i f;
-        int g;
-        if (i < 16) {
-            f = _mm256_or_si256(_mm256_and_si256(b, c),
-                                _mm256_andnot_si256(b, d));
-            g = i;
-        } else if (i < 32) {
-            f = _mm256_or_si256(_mm256_and_si256(d, b),
-                                _mm256_andnot_si256(d, c));
-            g = (5 * i + 1) & 15;
-        } else if (i < 48) {
-            f = _mm256_xor_si256(_mm256_xor_si256(b, c), d);
-            g = (3 * i + 5) & 15;
-        } else {
-            f = _mm256_xor_si256(
-                c, _mm256_or_si256(
-                       b, _mm256_xor_si256(
-                              d, _mm256_set1_epi32(-1))));
-            g = (7 * i) & 15;
-        }
-        const __m256i sum = _mm256_add_epi32(
-            _mm256_add_epi32(a, f),
-            _mm256_add_epi32(_mm256_set1_epi32(
-                                 static_cast<int>(kSine[i])),
-                             m[g]));
-        const __m256i tmp = d;
-        d = c;
-        c = b;
-        b = _mm256_add_epi32(b, rotl8(sum, kShift[i]));
-        a = tmp;
-    }
-
-    alignas(32) std::uint32_t oa[8], ob[8], oc[8], od[8];
-    _mm256_store_si256(reinterpret_cast<__m256i *>(oa), a);
-    _mm256_store_si256(reinterpret_cast<__m256i *>(ob), b);
-    _mm256_store_si256(reinterpret_cast<__m256i *>(oc), c);
-    _mm256_store_si256(reinterpret_cast<__m256i *>(od), d);
-    for (int k = 0; k < 8; ++k) {
-        states[k][0] += oa[k];
-        states[k][1] += ob[k];
-        states[k][2] += oc[k];
-        states[k][3] += od[k];
-    }
-}
-
 template <>
 void
 compressK<4>(std::uint32_t (&states)[4][4],
              const std::uint8_t *const (&blocks)[4])
 {
     compress4Sse2(states, blocks);
-}
-
-template <>
-void
-compressK<8>(std::uint32_t (&states)[8][4],
-             const std::uint8_t *const (&blocks)[8])
-{
-    compress8Avx2(states, blocks);
-}
-
-bool
-haveAvx2()
-{
-    static const bool have = __builtin_cpu_supports("avx2");
-    return have;
-}
-
-#else // !CMT_MD5_SIMD
-
-constexpr bool
-haveAvx2()
-{
-    return false; // generic compressK<8> would just thrash registers
 }
 
 #endif
@@ -405,10 +299,6 @@ digestEqualRun(const std::uint32_t seed[4], std::uint64_t seed_bytes,
                Hash128 *out)
 {
     std::size_t i = 0;
-    if (haveAvx2()) {
-        for (; i + 8 <= n; i += 8)
-            digestStreams<8>(seed, seed_bytes, msgs + i, out + i);
-    }
     for (; i + 4 <= n; i += 4)
         digestStreams<4>(seed, seed_bytes, msgs + i, out + i);
     for (; i + 2 <= n; i += 2)
@@ -430,44 +320,11 @@ Md5::reset()
 void
 Md5::processBlock(const std::uint8_t *block)
 {
-    std::uint32_t m[16];
-    for (int i = 0; i < 16; ++i) {
-        m[i] = static_cast<std::uint32_t>(block[4 * i]) |
-               (static_cast<std::uint32_t>(block[4 * i + 1]) << 8) |
-               (static_cast<std::uint32_t>(block[4 * i + 2]) << 16) |
-               (static_cast<std::uint32_t>(block[4 * i + 3]) << 24);
-    }
-
-    std::uint32_t a = state_[0], b = state_[1];
-    std::uint32_t c = state_[2], d = state_[3];
-
-    for (int i = 0; i < 64; ++i) {
-        std::uint32_t f;
-        int g;
-        if (i < 16) {
-            f = (b & c) | (~b & d);
-            g = i;
-        } else if (i < 32) {
-            f = (d & b) | (~d & c);
-            g = (5 * i + 1) & 15;
-        } else if (i < 48) {
-            f = b ^ c ^ d;
-            g = (3 * i + 5) & 15;
-        } else {
-            f = c ^ (b | ~d);
-            g = (7 * i) & 15;
-        }
-        const std::uint32_t tmp = d;
-        d = c;
-        c = b;
-        b = b + rotl(a + f + kSine[i] + m[g], kShift[i]);
-        a = tmp;
-    }
-
-    state_[0] += a;
-    state_[1] += b;
-    state_[2] += c;
-    state_[3] += d;
+    std::uint32_t states[1][4];
+    std::memcpy(states[0], state_, sizeof(state_));
+    const std::uint8_t *const blocks[1] = {block};
+    compressK<1>(states, blocks);
+    std::memcpy(state_, states[0], sizeof(state_));
 }
 
 void
@@ -522,12 +379,7 @@ Md5::finish()
     update({len_bytes, 8});
 
     Hash128 out;
-    for (int i = 0; i < 4; ++i) {
-        out[4 * i] = static_cast<std::uint8_t>(state_[i]);
-        out[4 * i + 1] = static_cast<std::uint8_t>(state_[i] >> 8);
-        out[4 * i + 2] = static_cast<std::uint8_t>(state_[i] >> 16);
-        out[4 * i + 3] = static_cast<std::uint8_t>(state_[i] >> 24);
-    }
+    storeDigest(state_, &out);
     return out;
 }
 

@@ -199,24 +199,40 @@ struct MemoGroup
     std::vector<std::size_t> followers;
 };
 
+/**
+ * Group duplicate configs: each group's first submission is the
+ * leader and executes; followers copy its entry afterwards, so
+ * memoization can never reorder or change any result.
+ */
+std::vector<MemoGroup>
+memoGroups(const std::vector<SweepJob> &jobs)
+{
+    std::vector<MemoGroup> groups;
+    std::vector<std::pair<std::uint64_t, std::size_t>> index;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const std::uint64_t fp = configFingerprint(jobs[i].config);
+        bool merged = false;
+        for (const auto &[seen_fp, group] : index) {
+            if (seen_fp == fp) {
+                groups[group].followers.push_back(i);
+                merged = true;
+                break;
+            }
+        }
+        if (merged)
+            continue;
+        index.emplace_back(fp, groups.size());
+        groups.push_back(MemoGroup{i, {}});
+    }
+    return groups;
+}
+
 } // namespace
 
 std::size_t
 SweepRunner::uniqueJobs() const
 {
-    std::vector<std::uint64_t> seen;
-    std::size_t unique = 0;
-    for (const SweepJob &job : jobs_) {
-        const std::uint64_t fp = configFingerprint(job.config);
-        bool found = false;
-        for (const std::uint64_t s : seen)
-            found = found || s == fp;
-        if (!found) {
-            seen.push_back(fp);
-            ++unique;
-        }
-    }
-    return unique;
+    return memoGroups(jobs_).size();
 }
 
 const std::vector<SweepEntry> &
@@ -226,28 +242,7 @@ SweepRunner::run()
     ran_ = true;
     entries_.assign(jobs_.size(), SweepEntry{});
 
-    // Group duplicate configs: each group's first submission is the
-    // leader and executes; followers copy its entry afterwards, so
-    // memoization can never reorder or change any result.
-    std::vector<MemoGroup> groups;
-    {
-        std::vector<std::pair<std::uint64_t, std::size_t>> index;
-        for (std::size_t i = 0; i < jobs_.size(); ++i) {
-            const std::uint64_t fp = configFingerprint(jobs_[i].config);
-            bool merged = false;
-            for (const auto &[seen_fp, group] : index) {
-                if (seen_fp == fp) {
-                    groups[group].followers.push_back(i);
-                    merged = true;
-                    break;
-                }
-            }
-            if (merged)
-                continue;
-            index.emplace_back(fp, groups.size());
-            groups.push_back(MemoGroup{i, {}});
-        }
-    }
+    const std::vector<MemoGroup> groups = memoGroups(jobs_);
 
     const std::size_t total = jobs_.size();
     std::atomic<std::size_t> nextGroup{0};

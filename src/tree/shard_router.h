@@ -259,16 +259,6 @@ class ShardRouter
         return pending;
     }
 
-    /** True while at least one shard can accept a new demand miss. */
-    bool
-    anyBufferAvailable() const
-    {
-        for (const TreeContext &ctx : contexts_)
-            if (ctx.buffers.available())
-                return true;
-        return false;
-    }
-
   private:
     /** Shard-local chunk index of global chunk @p chunk. */
     std::uint64_t localChunk(std::uint64_t chunk) const

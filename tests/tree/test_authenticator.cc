@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "crypto/md5.h"
@@ -92,6 +93,59 @@ TEST(AuthenticatorTest, Md5SlotIsPlainDigest)
     const std::vector<std::uint8_t> chunk(64, 0xab);
     const Slot zero{};
     EXPECT_EQ(auth.compute(chunk, zero), Md5::digest(chunk));
+}
+
+TEST(AuthenticatorTest, VerifyChainReportsFirstTamperedChunk)
+{
+    const Authenticator::Kind kinds[] = {
+        Authenticator::Kind::kMd5,
+        Authenticator::Kind::kSha1Trunc,
+        Authenticator::Kind::kXorMac,
+    };
+    // Lengths straddle the 4/2/1 interleave groups and the 16-chunk
+    // stack batch inside verifyChainFirstFailure.
+    const std::size_t lengths[] = {1, 3, 4, 5, 13, 16, 17, 33};
+    for (const Authenticator::Kind kind : kinds) {
+        const Authenticator auth(kind, key(), 64);
+        for (const std::size_t n : lengths) {
+            SCOPED_TRACE(::testing::Message()
+                         << "kind " << static_cast<int>(kind)
+                         << " n " << n);
+            Rng rng(n);
+            std::vector<std::vector<std::uint8_t>> data;
+            std::vector<std::span<const std::uint8_t>> chunks;
+            std::vector<Slot> slots;
+            for (std::size_t i = 0; i < n; ++i)
+                data.push_back(randomChunk(rng, 128));
+            for (const auto &chunk : data) {
+                chunks.emplace_back(chunk);
+                slots.push_back(auth.compute(chunk, Slot{}));
+            }
+            EXPECT_EQ(auth.verifyChainFirstFailure(chunks, slots), -1);
+            EXPECT_TRUE(auth.verifyChain(chunks, slots));
+
+            for (const std::size_t pos : {std::size_t{0}, std::size_t{4},
+                                          std::size_t{15}, std::size_t{16},
+                                          n - 1}) {
+                if (pos >= n)
+                    continue;
+                data[pos][7] ^= 0x01;
+                EXPECT_EQ(auth.verifyChainFirstFailure(chunks, slots),
+                          static_cast<std::int64_t>(pos));
+                EXPECT_FALSE(auth.verifyChain(chunks, slots));
+                data[pos][7] ^= 0x01;
+            }
+
+            if (n >= 3) {
+                const std::size_t first = n / 2, second = n - 1;
+                data[first][0] ^= 0x80;
+                data[second][127] ^= 0x80;
+                EXPECT_EQ(auth.verifyChainFirstFailure(chunks, slots),
+                          static_cast<std::int64_t>(first));
+                EXPECT_FALSE(auth.verifyChain(chunks, slots));
+            }
+        }
+    }
 }
 
 TEST(AuthenticatorTest, XorMacUpdateMatchesRecompute)

@@ -159,14 +159,16 @@ TEST(ShardRouterTest, PowerOfTwoGeometriesAreSafe)
 TEST(ShardRouterTest, BuffersAndPendingChecksArePerShard)
 {
     ShardRouter router(64, 1 << 16, 2, /*read=*/1, /*write=*/1);
-    EXPECT_TRUE(router.anyBufferAvailable());
+    EXPECT_TRUE(router.context(0).buffers.available());
+    EXPECT_TRUE(router.context(1).buffers.available());
     router.context(0).buffers.acquireRead();
     EXPECT_FALSE(router.context(0).buffers.available());
-    EXPECT_TRUE(router.anyBufferAvailable())
+    EXPECT_TRUE(router.context(1).buffers.available())
         << "shard 1 must still accept work";
     EXPECT_EQ(router.pendingChecks(), 1u);
     router.context(1).buffers.acquireRead();
-    EXPECT_FALSE(router.anyBufferAvailable());
+    EXPECT_FALSE(router.context(0).buffers.available());
+    EXPECT_FALSE(router.context(1).buffers.available());
     EXPECT_EQ(router.pendingChecks(), 2u);
     router.context(0).buffers.releaseRead();
     router.context(1).buffers.releaseRead();
