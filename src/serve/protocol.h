@@ -55,8 +55,8 @@ constexpr std::uint32_t kMaxFrameBytes = 1u << 20;
 /** Bytes of length prefix ahead of every body. */
 constexpr std::size_t kHeaderBytes = 4;
 
-/** Request opcodes. 0 is reserved (the server uses it internally to
- *  mark a malformed frame that still needs an in-order error reply). */
+/** Request opcodes. 0 is reserved: no request uses it, and the
+ *  server answers it as an unknown opcode. */
 enum class Op : std::uint8_t
 {
     kPing = 1,

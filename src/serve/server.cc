@@ -7,7 +7,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -15,7 +14,6 @@
 #include "serve/protocol.h"
 #include "serve/store.h"
 #include "support/logging.h"
-#include "support/thread_annotations.h"
 
 namespace cmt::serve
 {
@@ -24,6 +22,36 @@ namespace
 {
 
 constexpr std::span<const std::uint8_t> kNoBytes{};
+
+/** Input buffer cap: one maximum frame. A connection reads while its
+ *  buffer is under the cap, so it never holds more than one maximum
+ *  frame plus one recv. */
+constexpr std::size_t kInputCapBytes = kHeaderBytes + kMaxFrameBytes;
+
+/** What the front of a byte range holds. */
+enum class FrameScan
+{
+    kIncomplete,
+    /** A zero-length or oversized length prefix. */
+    kMalformed,
+    kComplete,
+};
+
+/** Classify the frame at the front of @p in; a complete one's size,
+ *  length prefix included, goes to @p frame_bytes. */
+FrameScan
+scanFrame(std::span<const std::uint8_t> in, std::size_t *frame_bytes)
+{
+    if (in.size() < kHeaderBytes)
+        return FrameScan::kIncomplete;
+    const std::uint32_t len = readU32(in.data());
+    if (len == 0 || len > kMaxFrameBytes)
+        return FrameScan::kMalformed;
+    if (in.size() - kHeaderBytes < len)
+        return FrameScan::kIncomplete;
+    *frame_bytes = kHeaderBytes + len;
+    return FrameScan::kComplete;
+}
 
 /**
  * A path can only be bound once: probe an existing socket file and
@@ -146,10 +174,6 @@ Server::start(std::string *err)
     }
 
     running_.store(true);
-    const unsigned n = config_.workers ? config_.workers : 1;
-    workers_.reserve(n);
-    for (unsigned i = 0; i < n; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
     epollThread_ = std::thread([this] { epollLoop(); });
     return true;
 }
@@ -170,10 +194,6 @@ Server::waitUntilStopped()
 {
     if (epollThread_.joinable())
         epollThread_.join();
-    for (std::thread &t : workers_)
-        if (t.joinable())
-            t.join();
-    workers_.clear();
 }
 
 ServerStats
@@ -192,42 +212,27 @@ Server::statsSnapshot() const
     return s;
 }
 
-// ------------------------------------------------------- epoll thread
+// ---------------------------------------------------------- event loop
 
 void
 Server::epollLoop()
 {
     std::vector<epoll_event> events(64);
+    bool listening = true;
     while (true) {
-        const bool stopping = stopping_.load();
-        if (stopping) {
-            // Re-notify each pass: a worker that dozed off between
-            // the stop flag and the first notify still exits.
-            queueCv_.notifyAll();
-            // Workers exit the moment they see the stop flag with an
-            // empty queue, but this thread can still parse late bytes
-            // and schedule connections afterwards. Serve those here,
-            // or the drain below never finishes and the connection's
-            // level-triggered EPOLLHUP spins this loop forever.
-            while (true) {
-                ConnPtr conn;
-                {
-                    MutexLock lock(queueMu_);
-                    if (ready_.empty())
-                        break;
-                    conn = ready_.front();
-                    ready_.pop_front();
-                }
-                serveBatch(conn);
+        if (stopping_.load()) {
+            if (listening) {
+                // A pending connect would keep the level-triggered
+                // listen socket ready for the rest of the drain.
+                ::epoll_ctl(epollFd_, EPOLL_CTL_DEL, listenFd_, nullptr);
+                listening = false;
             }
-            processAttention();
-            if (drainFinished())
+            if (drained())
                 break;
         }
         const int n =
             ::epoll_wait(epollFd_, events.data(),
-                         static_cast<int>(events.size()),
-                         stopping ? 50 : -1);
+                         static_cast<int>(events.size()), -1);
         if (n < 0) {
             if (errno == EINTR)
                 continue;
@@ -250,33 +255,17 @@ Server::epollLoop()
             auto it = conns_.find(fd);
             if (it == conns_.end())
                 continue;
-            ConnPtr conn = it->second;
             if (events[i].events & (EPOLLHUP | EPOLLERR)) {
-                Connection &c = *conn;
-                c.stopRead = true;
-                MutexLock lock(c.mu);
-                c.closing = true;
-                c.outbuf.clear();
-            } else {
-                if (events[i].events & EPOLLIN)
-                    handleReadable(conn);
-                if (events[i].events & EPOLLOUT)
-                    handleWritable(conn);
+                // The peer is gone: nobody is left to read a reply.
+                destroyConnection(fd);
+                continue;
             }
-            // The EPOLLIN handler may have destroyed the connection
-            // via reconcile; only touch it if it is still registered.
-            auto again = conns_.find(fd);
-            if (again != conns_.end() && again->second == conn)
-                reconcile(conn);
+            Connection &c = *it->second;
+            if (events[i].events & EPOLLIN)
+                receive(c);
+            serve(c); // may destroy c
         }
-        processAttention();
     }
-    // Drain complete (or the loop died): tear everything down.
-    {
-        MutexLock lock(queueMu_);
-        stopping_.store(true);
-    }
-    queueCv_.notifyAll();
     for (auto &kv : conns_)
         ::epoll_ctl(epollFd_, EPOLL_CTL_DEL, kv.first, nullptr);
     conns_.clear();
@@ -296,7 +285,7 @@ Server::acceptAll()
                 warn("cmt_served: accept: %s", std::strerror(errno));
             return;
         }
-        ConnPtr conn = std::make_shared<Connection>(fd);
+        auto conn = std::make_unique<Connection>(fd);
         epoll_event ev{};
         ev.events = EPOLLIN;
         ev.data.fd = fd;
@@ -312,14 +301,12 @@ Server::acceptAll()
 }
 
 void
-Server::handleReadable(const ConnPtr &conn)
+Server::receive(Connection &c)
 {
-    Connection &c = *conn;
     if (c.stopRead)
         return;
     std::uint8_t buf[65536];
-    bool peerGone = false;
-    while (true) {
+    while (c.inbuf.size() < kInputCapBytes) {
         const ssize_t r = ::recv(c.fd, buf, sizeof buf, 0);
         if (r > 0) {
             bytesIn_.fetch_add(static_cast<std::uint64_t>(r));
@@ -329,275 +316,144 @@ Server::handleReadable(const ConnPtr &conn)
         if (r < 0 && errno == EINTR)
             continue;
         if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
-            break;
-        peerGone = true; // orderly EOF or hard error
-        break;
-    }
-    parseFrames(conn);
-    if (peerGone) {
-        c.stopRead = true;
-        MutexLock lock(c.mu);
-        c.closing = true;
-    }
-}
-
-void
-Server::handleWritable(const ConnPtr &conn)
-{
-    Connection &c = *conn;
-    MutexLock lock(c.mu);
-    sendPending(c);
-}
-
-void
-Server::parseFrames(const ConnPtr &conn)
-{
-    Connection &c = *conn;
-    std::vector<Request> parsed;
-    bool framingError = false;
-    std::size_t off = 0;
-    while (c.inbuf.size() - off >= kHeaderBytes) {
-        const std::uint32_t len = readU32(c.inbuf.data() + off);
-        if (len == 0 || len > kMaxFrameBytes) {
-            framingError = true;
-            break;
-        }
-        if (c.inbuf.size() - off - kHeaderBytes < len)
-            break; // incomplete frame: wait for more bytes
-        Request r;
-        r.op = c.inbuf[off + kHeaderBytes];
-        r.payload.assign(
-            c.inbuf.begin() +
-                static_cast<std::ptrdiff_t>(off + kHeaderBytes + 1),
-            c.inbuf.begin() +
-                static_cast<std::ptrdiff_t>(off + kHeaderBytes + len));
-        parsed.push_back(std::move(r));
-        off += kHeaderBytes + len;
-    }
-    c.inbuf.erase(c.inbuf.begin(),
-                  c.inbuf.begin() + static_cast<std::ptrdiff_t>(off));
-    if (framingError) {
-        // The stream cannot be resynchronized; queue the reserved
-        // op-0 request so the error reply goes out in order, and
-        // never read from this peer again.
-        c.inbuf.clear();
-        c.stopRead = true;
-        parsed.push_back(Request{});
-    }
-    if (parsed.empty())
-        return;
-    bool schedule = false;
-    {
-        MutexLock lock(c.mu);
-        if (c.closing)
             return;
-        for (Request &r : parsed)
-            c.pending.push_back(std::move(r));
-        if (!c.scheduled) {
-            c.scheduled = true;
-            schedule = true;
-        }
-    }
-    if (schedule) {
-        MutexLock lock(queueMu_);
-        ready_.push_back(conn);
-        queueCv_.notifyOne();
+        if (r == 0)
+            c.stopRead = true; // orderly EOF: answer what arrived
+        else
+            c.dead = true;
+        return;
     }
 }
 
 void
-Server::processAttention()
+Server::serve(Connection &c)
 {
-    std::vector<ConnPtr> list;
-    {
-        MutexLock lock(attnMu_);
-        list.swap(attn_);
-    }
-    for (const ConnPtr &conn : list) {
-        // fd numbers recycle; only reconcile connections still
-        // registered under this exact object.
-        auto it = conns_.find(conn->fd);
-        if (it != conns_.end() && it->second == conn)
-            reconcile(conn);
-    }
-}
-
-void
-Server::reconcile(const ConnPtr &conn)
-{
-    Connection &c = *conn;
-    bool destroy = false;
-    bool wantIn = false;
-    bool wantOut = false;
-    {
-        MutexLock lock(c.mu);
+    // Alternate executing and sending while the peer takes replies
+    // fast enough to lift the backlog bound again.
+    bool more = true;
+    while (more && !c.dead) {
+        more = executeFrames(c);
         sendPending(c);
-        const bool idle = !c.scheduled && c.pending.empty();
-        if (c.closing) {
-            destroy = idle && c.outbuf.empty();
-        } else {
-            wantOut = !c.outbuf.empty();
-            // Backpressure: park EPOLLIN at queueDepth, resume once a
-            // worker drains the FIFO below half.
-            const std::size_t depth = std::max<std::size_t>(
-                config_.queueDepth, 2);
-            wantIn = !c.stopRead &&
-                     c.pending.size() <
-                         (c.armed & EPOLLIN ? depth : depth / 2);
-        }
+        more = more && c.outbuf.size() < kReplyBacklogBytes;
     }
-    if (destroy) {
-        destroyConnection(conn);
+    if (c.dead || (c.stopRead && c.outbuf.empty())) {
+        destroyConnection(c.fd);
         return;
     }
-    updateInterest(conn, wantIn, wantOut);
-}
-
-void
-Server::updateInterest(const ConnPtr &conn, bool want_in,
-                       bool want_out)
-{
-    Connection &c = *conn;
-    std::uint32_t ev = 0;
-    if (want_in)
-        ev |= EPOLLIN;
-    if (want_out)
-        ev |= EPOLLOUT;
-    if (ev == c.armed)
-        return;
-    epoll_event e{};
-    e.events = ev;
-    e.data.fd = c.fd;
-    if (::epoll_ctl(epollFd_, EPOLL_CTL_MOD, c.fd, &e) == 0)
-        c.armed = ev;
-}
-
-void
-Server::destroyConnection(const ConnPtr &conn)
-{
-    ::epoll_ctl(epollFd_, EPOLL_CTL_DEL, conn->fd, nullptr);
-    conns_.erase(conn->fd);
-    // The fd closes when the last ConnPtr (queue/attention refs)
-    // drops; until then the stale entries are filtered by identity.
+    std::uint32_t events = 0;
+    if (!c.stopRead && c.outbuf.size() < kReplyBacklogBytes)
+        events |= EPOLLIN;
+    if (!c.outbuf.empty())
+        events |= EPOLLOUT;
+    updateInterest(c, events);
 }
 
 bool
-Server::drainFinished()
+Server::executeFrames(Connection &c)
 {
-    for (auto &kv : conns_) {
-        Connection &c = *kv.second;
-        MutexLock lock(c.mu);
-        if (c.scheduled || !c.pending.empty())
-            return false;
-        if (!c.closing && !c.outbuf.empty())
-            return false;
+    const std::span<const std::uint8_t> in(c.inbuf);
+    std::size_t off = 0;
+    bool backlogged = false;
+    while (true) {
+        if (c.outbuf.size() >= kReplyBacklogBytes) {
+            backlogged = true;
+            break;
+        }
+        std::size_t bytes = 0;
+        const FrameScan scan = scanFrame(in.subspan(off), &bytes);
+        if (scan == FrameScan::kIncomplete)
+            break;
+        if (scan == FrameScan::kMalformed) {
+            // The stream cannot be resynchronized: answer in order,
+            // drop the rest, and never read from this peer again.
+            appendReply(c.outbuf, Status::kError,
+                        std::string("malformed frame (zero-length or "
+                                    "over-limit)"));
+            requests_.fetch_add(1);
+            off = in.size();
+            c.stopRead = true;
+            break;
+        }
+        const std::uint8_t op = in[off + kHeaderBytes];
+        if (op == static_cast<std::uint8_t>(Op::kWrite)) {
+            off += executeWriteRun(in.subspan(off), c.outbuf);
+        } else {
+            executeRequest(op,
+                           in.subspan(off + kHeaderBytes + 1,
+                                      bytes - kHeaderBytes - 1),
+                           c.outbuf);
+            requests_.fetch_add(1);
+            off += bytes;
+        }
     }
+    c.inbuf.erase(c.inbuf.begin(),
+                  c.inbuf.begin() + static_cast<std::ptrdiff_t>(off));
+    return backlogged;
+}
+
+void
+Server::updateInterest(Connection &c, std::uint32_t events)
+{
+    if (events == c.armed)
+        return;
+    epoll_event e{};
+    e.events = events;
+    e.data.fd = c.fd;
+    if (::epoll_ctl(epollFd_, EPOLL_CTL_MOD, c.fd, &e) == 0)
+        c.armed = events;
+}
+
+void
+Server::destroyConnection(int fd)
+{
+    ::epoll_ctl(epollFd_, EPOLL_CTL_DEL, fd, nullptr);
+    conns_.erase(fd); // ~Connection closes the fd
+}
+
+bool
+Server::drained() const
+{
+    // A connection with no reply left to send has no complete frame
+    // left to execute either (serve() runs until one or the other).
+    for (const auto &kv : conns_)
+        if (!kv.second->outbuf.empty())
+            return false;
     return true;
 }
 
-// ------------------------------------------------------ worker threads
-
 void
-Server::workerLoop()
+Server::sendPending(Connection &c)
 {
-    while (true) {
-        ConnPtr conn;
-        {
-            MutexLock lock(queueMu_);
-            while (ready_.empty() && !stopping_.load())
-                queueCv_.wait(queueMu_);
-            if (ready_.empty())
-                return; // stopping and nothing left to serve
-            conn = ready_.front();
-            ready_.pop_front();
+    std::size_t sent = 0;
+    while (sent < c.outbuf.size()) {
+        const ssize_t r =
+            ::send(c.fd, c.outbuf.data() + sent, c.outbuf.size() - sent,
+                   MSG_NOSIGNAL);
+        if (r > 0) {
+            sent += static_cast<std::size_t>(r);
+            continue;
         }
-        serveBatch(conn);
+        if (r < 0 && errno == EINTR)
+            continue;
+        if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
+            break;
+        c.dead = true; // the peer is gone; nothing left to deliver
+        break;
     }
+    bytesOut_.fetch_add(sent);
+    c.outbuf.erase(c.outbuf.begin(),
+                   c.outbuf.begin() + static_cast<std::ptrdiff_t>(sent));
 }
 
-void
-Server::serveBatch(const ConnPtr &conn)
-{
-    Connection &c = *conn;
-    std::vector<Request> batch;
-    {
-        MutexLock lock(c.mu);
-        if (c.closing) {
-            c.pending.clear();
-            c.scheduled = false;
-        } else {
-            const std::size_t n =
-                std::min(c.pending.size(),
-                         std::max<std::size_t>(config_.batchMax, 1));
-            batch.reserve(n);
-            for (std::size_t i = 0; i < n; ++i) {
-                batch.push_back(std::move(c.pending.front()));
-                c.pending.pop_front();
-            }
-        }
-    }
-    if (batch.empty()) {
-        requestAttention(conn);
-        return;
-    }
-
-    std::vector<std::uint8_t> replies;
-    bool closeAfter = false;
-    std::size_t i = 0;
-    while (i < batch.size()) {
-        if (batch[i].op == 0) {
-            appendReply(replies, Status::kError,
-                        std::string("malformed frame (zero-length or "
-                                    "over-limit)"));
-            closeAfter = true;
-            ++i;
-        } else if (batch[i].op ==
-                   static_cast<std::uint8_t>(Op::kWrite)) {
-            i += executeWriteRun(batch, i, replies);
-        } else {
-            executeRequest(batch[i], replies);
-            ++i;
-        }
-    }
-    requests_.fetch_add(batch.size());
-
-    bool repush = false;
-    {
-        MutexLock lock(c.mu);
-        c.outbuf.insert(c.outbuf.end(), replies.begin(),
-                        replies.end());
-        sendPending(c);
-        if (closeAfter)
-            c.closing = true;
-        if (c.closing) {
-            // The peer hung up (or we poisoned the stream) while this
-            // batch was in flight; anything parsed meanwhile will
-            // never be answered. Drop it, or the drain logic waits on
-            // requests nobody serves.
-            c.pending.clear();
-            c.scheduled = false;
-        } else if (!c.pending.empty()) {
-            repush = true; // stays scheduled
-        } else {
-            c.scheduled = false;
-        }
-    }
-    if (repush) {
-        MutexLock lock(queueMu_);
-        ready_.push_back(conn);
-        queueCv_.notifyOne();
-    }
-    // Let the epoll thread flush leftovers, re-arm a parked EPOLLIN,
-    // or destroy a drained closing connection.
-    requestAttention(conn);
-}
+// ------------------------------------------------------------ requests
 
 void
-Server::executeRequest(const Request &request,
+Server::executeRequest(std::uint8_t op,
+                       std::span<const std::uint8_t> payload,
                        std::vector<std::uint8_t> &replies)
 {
-    WireReader r(request.payload);
-    switch (static_cast<Op>(request.op)) {
+    WireReader r(payload);
+    switch (static_cast<Op>(op)) {
     case Op::kPing:
         appendReply(replies, Status::kOk, kNoBytes);
         return;
@@ -648,7 +504,7 @@ Server::executeRequest(const Request &request,
                         std::string("no such store"));
             return;
         }
-        if (static_cast<Op>(request.op) == Op::kVerify) {
+        if (static_cast<Op>(op) == Op::kVerify) {
             if (s->verifyAll()) {
                 appendReply(replies, Status::kOk, kNoBytes);
             } else {
@@ -657,7 +513,7 @@ Server::executeRequest(const Request &request,
                             std::string("verification found "
                                         "inconsistent chunks"));
             }
-        } else if (static_cast<Op>(request.op) == Op::kSync) {
+        } else if (static_cast<Op>(op) == Op::kSync) {
             s->sync();
             appendReply(replies, Status::kOk, kNoBytes);
         } else {
@@ -679,10 +535,10 @@ Server::executeRequest(const Request &request,
     case Op::kShutdown:
         appendReply(replies, Status::kOk, kNoBytes);
         // The reply is already queued ahead of the drain: it flushes
-        // before the epoll thread closes the connection.
+        // before the loop closes the connection.
         stopping_.store(true);
         return;
-    case Op::kWrite: // unreachable: serveBatch routes writes
+    case Op::kWrite: // unreachable: executeFrames routes writes
     default:
         appendReply(replies, Status::kError,
                     std::string("unknown opcode"));
@@ -691,20 +547,21 @@ Server::executeRequest(const Request &request,
 }
 
 std::size_t
-Server::executeWriteRun(const std::vector<Request> &batch,
-                        std::size_t first,
+Server::executeWriteRun(std::span<const std::uint8_t> in,
                         std::vector<std::uint8_t> &replies)
 {
-    // Collect the longest run of well-formed writes aimed at one
-    // store; the store applies them under a single lock acquisition,
-    // grouped by shard.
+    // Collect the longest run of complete, well-formed writes aimed at
+    // one store; the store applies them under a single lock
+    // acquisition, grouped by shard.
     std::vector<WriteOp> ops;
     std::uint32_t sid = 0;
-    std::size_t n = 0;
-    while (first + n < batch.size() &&
-           batch[first + n].op == static_cast<std::uint8_t>(Op::kWrite)) {
-        const Request &req = batch[first + n];
-        WireReader r(req.payload);
+    std::size_t off = 0;
+    std::size_t bytes = 0;
+    while (scanFrame(in.subspan(off), &bytes) == FrameScan::kComplete &&
+           in[off + kHeaderBytes] ==
+               static_cast<std::uint8_t>(Op::kWrite)) {
+        WireReader r(in.subspan(off + kHeaderBytes + 1,
+                                bytes - kHeaderBytes - 1));
         std::uint32_t s = 0;
         std::uint64_t addr = 0;
         std::uint32_t len = 0;
@@ -712,26 +569,29 @@ Server::executeWriteRun(const std::vector<Request> &batch,
         if (!r.u32(&s) || !r.u64(&addr) || !r.u32(&len) ||
             !r.bytes(len, &data) || !r.done())
             break;
-        if (n > 0 && s != sid)
+        if (!ops.empty() && s != sid)
             break;
         sid = s;
         WriteOp op;
         op.addr = addr;
         op.data.assign(data.begin(), data.end());
         ops.push_back(std::move(op));
-        ++n;
+        off += bytes;
     }
+    const std::size_t n = ops.size();
     if (n == 0) {
         appendReply(replies, Status::kError,
                     std::string("malformed write request"));
-        return 1;
+        requests_.fetch_add(1);
+        return kHeaderBytes + readU32(in.data());
     }
+    requests_.fetch_add(n);
     ServeStore *s = store(sid);
     if (s == nullptr) {
         for (std::size_t i = 0; i < n; ++i)
             appendReply(replies, Status::kError,
                         std::string("no such store"));
-        return n;
+        return off;
     }
     std::vector<StoreOutcome> fates;
     std::string err;
@@ -756,50 +616,7 @@ Server::executeWriteRun(const std::vector<Request> &batch,
             break;
         }
     }
-    return n;
-}
-
-// ------------------------------------------------------------- shared
-
-void
-Server::requestAttention(const ConnPtr &conn)
-{
-    {
-        MutexLock lock(attnMu_);
-        attn_.push_back(conn);
-    }
-    wake();
-}
-
-void
-Server::wake()
-{
-    const std::uint64_t one = 1;
-    const ssize_t r = ::write(wakeFd_, &one, sizeof one);
-    (void)r;
-}
-
-void
-Server::sendPending(Connection &conn)
-{
-    while (!conn.outbuf.empty()) {
-        const ssize_t r = ::send(conn.fd, conn.outbuf.data(),
-                                 conn.outbuf.size(), MSG_NOSIGNAL);
-        if (r > 0) {
-            bytesOut_.fetch_add(static_cast<std::uint64_t>(r));
-            conn.outbuf.erase(conn.outbuf.begin(),
-                              conn.outbuf.begin() + r);
-            continue;
-        }
-        if (r < 0 && errno == EINTR)
-            continue;
-        if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
-            return;
-        // Peer is gone; nothing left to deliver.
-        conn.outbuf.clear();
-        conn.closing = true;
-        return;
-    }
+    return off;
 }
 
 } // namespace cmt::serve

@@ -1,35 +1,38 @@
 /**
  * @file
- * The cmt_served network core: epoll event loop + worker pool over
- * unix-domain stream sockets.
+ * The cmt_served network core: one epoll event loop over unix-domain
+ * stream sockets, running every request to completion on the thread
+ * that read it.
  *
- * Threading model (three roles, two lock levels):
+ * Threading model (one event loop, run to completion, reply-side
+ * backpressure):
  *
- *  - One epoll thread owns every socket: it accepts, reads bytes into
- *    per-connection input buffers, parses complete frames into the
- *    connection's pending FIFO, and flushes reply bytes. It is the
- *    only thread that calls epoll_ctl or destroys connections, so fd
- *    lifetime needs no cross-thread reasoning.
- *  - N worker threads pop *connections* (not requests) from a ready
- *    queue, drain a bounded batch from the connection's FIFO, execute
- *    it against the stores, and append framed replies to the
- *    connection's output buffer. Queueing connections - each
- *    scheduled at most once - preserves per-connection request order
- *    with any worker count.
- *  - Workers and the epoll thread hand each other connections through
- *    an eventfd-woken attention list.
+ *  - One epoll thread owns every socket and every connection. It
+ *    accepts, reads bytes into a per-connection input buffer, executes
+ *    each complete frame straight from that buffer against the
+ *    stores, appends the framed reply to the connection's output
+ *    buffer and sends it in the same pass. Requests on a connection
+ *    therefore execute and reply in arrival order, with no hand-off
+ *    and no lock of the server's own; each store's mutex still
+ *    serialises access to that store against callers outside the
+ *    loop.
+ *  - A long request (kVerify or kSave on a large store) delays every
+ *    connection, and requests to different stores do not overlap.
  *
- * Lock order is Connection::mu before queueMu_/attnMu_ (never the
- * reverse). Backpressure is bounded end to end: a connection whose
- * FIFO reaches queueDepth has EPOLLIN parked until a worker drains it
- * below half, so a flooding client stalls only itself while the
- * socket's own buffer absorbs the rest.
+ * Backpressure sits on the reply side. While a connection holds
+ * kReplyBacklogBytes or more of unsent reply bytes, the loop executes
+ * none of its frames and parks its EPOLLIN; EPOLLOUT drains the
+ * backlog and resumes both. The input buffer never holds more than
+ * one maximum frame plus one recv, so a client that pipelines
+ * requests and never reads its replies costs the daemon a bounded
+ * amount of memory and stalls only itself.
  *
  * Graceful shutdown (requestStop(), a kShutdown request, or a signal
  * handler - the signal path is async-signal-safe: one atomic store
- * and one eventfd write) stops accepting, lets workers finish every
- * queued request, flushes every reply, then joins. The daemon then
- * saves store state through ServeStore::saveState().
+ * and one eventfd write) stops accepting, executes every complete
+ * frame already read, flushes every reply, then closes every
+ * connection and exits the thread. The daemon then saves store state
+ * through ServeStore::saveState().
  */
 
 #ifndef CMT_SERVE_SERVER_H
@@ -37,8 +40,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -46,33 +49,21 @@
 
 #include "serve/protocol.h"
 #include "serve/store.h"
-#include "support/thread_annotations.h"
 
 namespace cmt::serve
 {
 
-/** Daemon tuning knobs. */
+/** Daemon settings. */
 struct ServeConfig
 {
     /** Filesystem path of the listening socket (<= ~100 chars: the
      *  kernel's sun_path limit). */
     std::string socketPath;
-    /** Worker threads executing requests. */
-    unsigned workers = 2;
-    /** Per-connection pending-request cap before EPOLLIN is parked. */
-    std::size_t queueDepth = 64;
-    /** Max requests a worker drains from one connection per turn. */
-    std::size_t batchMax = 32;
 };
 
-/** One parsed request frame (opcode left raw so unknown opcodes can
- *  round-trip into an error reply; 0 marks a framing error that needs
- *  an in-order reply before the connection closes). */
-struct Request
-{
-    std::uint8_t op = 0;
-    std::vector<std::uint8_t> payload;
-};
+/** Unsent reply bytes at which a connection stops executing frames
+ *  and reading until the peer drains them. */
+constexpr std::size_t kReplyBacklogBytes = kMaxFrameBytes;
 
 /** The daemon core. Register stores, start(), then waitUntilStopped(). */
 class Server
@@ -95,20 +86,20 @@ class Server
     std::size_t storeCount() const { return stores_.size(); }
 
     /**
-     * Bind the socket and launch the epoll + worker threads.
+     * Bind the socket and launch the epoll thread.
      * @return false with @p err set when the socket cannot be bound
      * (path too long, address in use by a live daemon, permissions).
      */
     bool start(std::string *err);
 
     /**
-     * Ask the daemon to stop: finish queued requests, flush replies,
-     * exit the threads. Async-signal-safe (atomic store + eventfd
-     * write), so signal handlers may call it directly.
+     * Ask the daemon to stop: execute the frames already read, flush
+     * replies, exit the thread. Async-signal-safe (atomic store +
+     * eventfd write), so signal handlers may call it directly.
      */
     void requestStop();
 
-    /** Block until every daemon thread has exited. */
+    /** Block until the epoll thread has exited. */
     void waitUntilStopped();
 
     /** True between a successful start() and thread exit. */
@@ -118,12 +109,7 @@ class Server
     ServerStats statsSnapshot() const;
 
   private:
-    /**
-     * Per-connection state. The input buffer and the epoll interest
-     * bookkeeping (paused/wantOut) belong to the epoll thread alone;
-     * everything workers share sits behind mu. Destroyed only by the
-     * epoll thread, and only once no worker holds it scheduled.
-     */
+    /** Per-connection state; the epoll thread alone touches it. */
     struct Connection
     {
         explicit Connection(int fd_in) : fd(fd_in) {}
@@ -132,79 +118,58 @@ class Server
         Connection &operator=(const Connection &) = delete;
 
         const int fd;
-
-        // Epoll thread only.
+        /** Bytes read but not yet executed (at most a partial frame
+         *  unless the reply backlog is full). */
         std::vector<std::uint8_t> inbuf;
-        std::uint32_t armed = 0; ///< epoll events currently registered
-        bool stopRead = false;   ///< framing error: never read again
-
-        Mutex mu;
-        /** Parsed requests awaiting a worker, arrival order. */
-        std::deque<Request> pending CMT_GUARDED_BY(mu);
         /** Framed reply bytes not yet accepted by the socket. */
-        std::vector<std::uint8_t> outbuf CMT_GUARDED_BY(mu);
-        /** In the ready queue or being served (at most one worker). */
-        bool scheduled CMT_GUARDED_BY(mu) = false;
-        /** Peer is gone, or we decided to close after flushing. */
-        bool closing CMT_GUARDED_BY(mu) = false;
+        std::vector<std::uint8_t> outbuf;
+        std::uint32_t armed = 0; ///< epoll events currently registered
+        /** EOF or framing error: never read again, close once every
+         *  reply is sent. */
+        bool stopRead = false;
+        /** The peer is gone: drop everything and close now. */
+        bool dead = false;
     };
-    using ConnPtr = std::shared_ptr<Connection>;
 
-    // --- epoll thread ------------------------------------------------
     void epollLoop();
     void acceptAll();
-    void handleReadable(const ConnPtr &conn);
-    void handleWritable(const ConnPtr &conn);
-    void parseFrames(const ConnPtr &conn);
-    void processAttention();
-    /** Re-examine one connection's epoll interest + lifetime. */
-    void reconcile(const ConnPtr &conn);
-    void updateInterest(const ConnPtr &conn, bool want_in,
-                        bool want_out);
-    void destroyConnection(const ConnPtr &conn);
-    bool drainFinished();
-
-    // --- worker threads ----------------------------------------------
-    void workerLoop();
-    void serveBatch(const ConnPtr &conn);
-    void executeRequest(const Request &request,
+    /** Read what the socket holds, up to the input buffer's cap. */
+    void receive(Connection &c);
+    /** Execute frames and send replies until the input holds no
+     *  complete frame or the backlog bound stops it, then update the
+     *  connection's epoll interest or destroy it. */
+    void serve(Connection &c);
+    /** Execute complete frames from the input buffer while the reply
+     *  backlog is under its bound; true when the bound stopped it. */
+    bool executeFrames(Connection &c);
+    void executeRequest(std::uint8_t op,
+                        std::span<const std::uint8_t> payload,
                         std::vector<std::uint8_t> &replies);
-    /** Coalesce a run of kWrite requests to one store; returns the
-     *  number of batch entries consumed (>= 1). */
-    std::size_t executeWriteRun(const std::vector<Request> &batch,
-                                std::size_t first,
+    /** Execute the run of kWrite frames at the front of @p in aimed at
+     *  one store as one store batch; returns the bytes consumed. */
+    std::size_t executeWriteRun(std::span<const std::uint8_t> in,
                                 std::vector<std::uint8_t> &replies);
-
-    // --- shared ------------------------------------------------------
-    /** Queue @p conn for the epoll thread's attention and wake it. */
-    void requestAttention(const ConnPtr &conn);
-    void wake();
     /** Flush as much of outbuf as the socket accepts right now. */
-    void sendPending(Connection &conn) CMT_REQUIRES(conn.mu);
+    void sendPending(Connection &c);
+    void updateInterest(Connection &c, std::uint32_t events);
+    void destroyConnection(int fd);
+    /** Stopping and no connection has a reply left to send. */
+    bool drained() const;
 
     ServeConfig config_;
     std::vector<std::unique_ptr<ServeStore>> stores_;
 
     int listenFd_ = -1;
     int epollFd_ = -1;
+    /** Wakes the epoll thread for requestStop(). */
     int wakeFd_ = -1;
 
     std::thread epollThread_;
-    std::vector<std::thread> workers_;
     std::atomic<bool> running_{false};
     std::atomic<bool> stopping_{false};
 
-    /** Connections scheduled for worker service (each at most once). */
-    Mutex queueMu_;
-    CondVar queueCv_;
-    std::deque<ConnPtr> ready_ CMT_GUARDED_BY(queueMu_);
-
-    /** Connections the epoll thread must reconcile after a wake. */
-    Mutex attnMu_;
-    std::vector<ConnPtr> attn_ CMT_GUARDED_BY(attnMu_);
-
-    /** Live connections by fd; epoll thread only. */
-    std::unordered_map<int, ConnPtr> conns_;
+    /** Live connections by fd. */
+    std::unordered_map<int, std::unique_ptr<Connection>> conns_;
 
     std::atomic<std::uint64_t> connections_{0};
     std::atomic<std::uint64_t> requests_{0};

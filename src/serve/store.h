@@ -4,16 +4,17 @@
  *
  * A store pairs a sparse BackingStore (the untrusted RAM image) with a
  * MerkleMemory whose sharded hash tree and root registers make every
- * read verified. One mutex serializes tree mutations; concurrent
- * daemon workers funnel through it, so the tree the clients observe is
- * always some serialization of their requests.
+ * read verified. One mutex serializes tree mutations; every caller
+ * funnels through it, so the tree the clients observe is always some
+ * serialization of their requests.
  *
- * Writes arrive from the worker pool in batches. applyWriteBatch()
- * groups a batch by destination shard under a single lock acquisition:
- * shards partition the address space (tree/shard_router.h), so two
- * writes to different shards never alias and replaying them
- * shard-by-shard is equivalence-preserving, while writes within one
- * shard keep their arrival order. Grouping matters because consecutive
+ * Writes arrive in batches: the server passes each run of pipelined
+ * writes to one store to applyWriteBatch(), which groups the batch by
+ * destination shard under a single lock acquisition: shards
+ * partition the address space (tree/shard_router.h), so two writes to
+ * different shards never alias and replaying them shard-by-shard is
+ * equivalence-preserving, while writes within one shard keep their
+ * arrival order. Grouping matters because consecutive
  * same-shard updates reuse the shard's hot ancestor chunks in the
  * trusted cache instead of ping-ponging between subtrees.
  *

@@ -29,7 +29,7 @@
 namespace cmt
 {
 
-/** Upper bound shared by the count flags (--jobs, --workers,
+/** Upper bound shared by the count flags (--jobs, --shards,
  *  --clients, --stores, ...): a typo must not become a million
  *  threads. */
 inline constexpr unsigned kMaxCount = 1'000'000;

@@ -31,7 +31,6 @@
 #ifndef CMT_SUPPORT_THREAD_ANNOTATIONS_H
 #define CMT_SUPPORT_THREAD_ANNOTATIONS_H
 
-#include <condition_variable>
 #include <mutex>
 
 #if defined(__clang__)
@@ -96,37 +95,6 @@ class CMT_CAPABILITY("mutex") Mutex
 
   private:
     std::mutex mu_;
-};
-
-/**
- * Condition variable over cmt::Mutex. wait() is annotated as
- * requiring the mutex: it is held at entry and exit, and the
- * release/reacquire inside the wait is invisible to (and sound for)
- * the thread-safety analysis - guarded state may be touched before
- * and after the wait exactly as the annotation promises. Built on
- * condition_variable_any, which drives Mutex's public lock()/unlock()
- * directly.
- */
-class CondVar
-{
-  public:
-    CondVar() = default;
-    CondVar(const CondVar &) = delete;
-    CondVar &operator=(const CondVar &) = delete;
-
-    /**
-     * Block until notified; @p mu must be held. Spurious wakeups are
-     * possible - callers re-test their predicate in a while loop,
-     * which also keeps every guarded access visible to the analysis
-     * (a predicate lambda would be opaque to it).
-     */
-    void wait(Mutex &mu) CMT_REQUIRES(mu) { cv_.wait(mu); }
-
-    void notifyOne() { cv_.notify_one(); }
-    void notifyAll() { cv_.notify_all(); }
-
-  private:
-    std::condition_variable_any cv_;
 };
 
 /** Annotated scoped lock over cmt::Mutex (std::lock_guard shape). */

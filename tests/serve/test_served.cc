@@ -6,10 +6,10 @@
  *
  * Covered here because only a live socket can prove them: protocol
  * edge cases (torn, truncated, zero-length and oversized frames,
- * disconnects mid-request), bounded-queue liveness under pipelined
- * floods, multi-client concurrency equivalence against a serial
- * replay, corruption surfacing as kCorrupt over the wire, and the
- * shutdown -> save -> reload cycle.
+ * disconnects mid-request), in-order replies and a bounded reply
+ * backlog under pipelined floods, multi-client concurrency
+ * equivalence against a serial replay, corruption surfacing as
+ * kCorrupt over the wire, and the shutdown -> save -> reload cycle.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +18,9 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -54,14 +56,11 @@ smallConfig(unsigned shards = 4, unsigned cache_chunks = 16)
 struct Daemon
 {
     explicit Daemon(const std::string &tag, unsigned stores = 1,
-                    const MerkleConfig &mc = smallConfig(),
-                    unsigned workers = 2, std::size_t queue_depth = 64)
+                    const MerkleConfig &mc = smallConfig())
         : path(::testing::TempDir() + "/cmt_" + tag + ".sock")
     {
         ServeConfig sc;
         sc.socketPath = path;
-        sc.workers = workers;
-        sc.queueDepth = queue_depth;
         server = std::make_unique<Server>(sc);
         for (unsigned i = 0; i < stores; ++i)
             server->addStore(std::make_unique<ServeStore>(
@@ -104,6 +103,70 @@ patternBlock(std::uint64_t seed, std::size_t len)
     for (std::uint8_t &b : block)
         b = static_cast<std::uint8_t>(splitmix64(rng));
     return block;
+}
+
+/**
+ * Write a distinct 64-byte tag every 4 KiB of store 0's first
+ * @p size bytes through @p c; returns the image those bytes now hold,
+ * or nothing on a failed write.
+ */
+std::vector<std::uint8_t>
+writeTags(Client &c, std::uint64_t size, std::string *err)
+{
+    std::vector<std::uint8_t> image(size, 0);
+    for (std::uint64_t addr = 0; addr < size; addr += 4096) {
+        const std::vector<std::uint8_t> tag = patternBlock(addr, 64);
+        if (c.writeBlock(0, addr, tag, err) != CallResult::kOk)
+            return {};
+        std::copy(tag.begin(), tag.end(),
+                  image.begin() + static_cast<std::ptrdiff_t>(addr));
+    }
+    return image;
+}
+
+/** smallConfig() over 1 MiB, room for many 64 KiB reads. */
+MerkleConfig
+mibConfig()
+{
+    MerkleConfig mc = smallConfig();
+    mc.protectedSize = 1u << 20;
+    return mc;
+}
+
+/** Frames reading [addr, addr + len) of store 0, back to back. */
+std::vector<std::uint8_t>
+pipelinedReads(const std::vector<std::uint64_t> &addrs, std::uint32_t len)
+{
+    std::vector<std::uint8_t> raw;
+    for (const std::uint64_t addr : addrs) {
+        std::vector<std::uint8_t> payload;
+        appendU32(payload, 0);
+        appendU64(payload, addr);
+        appendU32(payload, len);
+        const std::vector<std::uint8_t> frame =
+            frameRequest(Op::kRead, payload);
+        raw.insert(raw.end(), frame.begin(), frame.end());
+    }
+    return raw;
+}
+
+/**
+ * Poll the daemon's executed-read count until it has not moved for
+ * 200 ms (or 10 s pass) and return it: the number of reads the
+ * daemon executes before it stalls on its own.
+ */
+std::uint64_t
+settledReadOps(const Server &server)
+{
+    std::uint64_t last = server.statsSnapshot().readOps;
+    int quiet = 0;
+    for (int polls = 0; polls < 500 && quiet < 10; ++polls) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        const std::uint64_t now = server.statsSnapshot().readOps;
+        quiet = now == last ? quiet + 1 : 0;
+        last = now;
+    }
+    return last;
 }
 
 TEST(ServedLifecycle, SecondDaemonRejectsLiveSocketThenReclaimsStale)
@@ -320,10 +383,9 @@ TEST(ServedFraming, TornFrameDisconnectLeavesServerHealthy)
 
 TEST(ServedFraming, PipelinedFloodRepliesInOrderPastTinyQueue)
 {
-    // queueDepth 4 forces the backpressure path (EPOLLIN parked and
-    // re-armed) many times over; replies must still arrive exactly in
+    // One burst of 64 pipelined reads: replies must arrive exactly in
     // request order.
-    Daemon d("flood", 1, smallConfig(), 2, 4);
+    Daemon d("flood");
     ASSERT_TRUE(d.started) << d.startErr;
 
     Client c;
@@ -341,17 +403,10 @@ TEST(ServedFraming, PipelinedFloodRepliesInOrderPastTinyQueue)
     }
 
     // Pipeline one read per block in a single burst, then collect.
-    std::vector<std::uint8_t> raw;
-    for (int i = 0; i < kBlocks; ++i) {
-        std::vector<std::uint8_t> payload;
-        appendU32(payload, 0);
-        appendU64(payload, static_cast<std::uint64_t>(i) * 64);
-        appendU32(payload, 64);
-        const std::vector<std::uint8_t> frame =
-            frameRequest(Op::kRead, payload);
-        raw.insert(raw.end(), frame.begin(), frame.end());
-    }
-    ASSERT_TRUE(c.sendRaw(raw, &err)) << err;
+    std::vector<std::uint64_t> addrs;
+    for (int i = 0; i < kBlocks; ++i)
+        addrs.push_back(static_cast<std::uint64_t>(i) * 64);
+    ASSERT_TRUE(c.sendRaw(pipelinedReads(addrs, 64), &err)) << err;
     for (int i = 0; i < kBlocks; ++i) {
         Status status = Status::kError;
         std::vector<std::uint8_t> payload;
@@ -364,6 +419,107 @@ TEST(ServedFraming, PipelinedFloodRepliesInOrderPastTinyQueue)
     }
 }
 
+TEST(ServedFraming, UnreadRepliesStopExecutionAtTheBacklogBound)
+{
+    // A client pipelines 64 reads of 64 KiB and reads no reply. The
+    // daemon must stop executing once kReplyBacklogBytes of replies
+    // wait unsent (16 replies) plus what the socket itself buffers
+    // (a few more at default socket sizes), not run all 64 and hold
+    // 4 MiB for a peer that may never read them.
+    Daemon d("backlog", 1, mibConfig());
+    ASSERT_TRUE(d.started) << d.startErr;
+    Client c;
+    std::string err;
+    ASSERT_TRUE(c.connectTo(d.path, &err)) << err;
+    const std::vector<std::uint8_t> image = writeTags(c, 1u << 20, &err);
+    ASSERT_FALSE(image.empty()) << err;
+
+    constexpr int kReads = 64;
+    constexpr std::uint32_t kLen = 64 * 1024;
+    static_assert(kReplyBacklogBytes / kLen == 16);
+    constexpr std::uint64_t kBound = 32;
+    std::vector<std::uint64_t> addrs;
+    for (int i = 0; i < kReads; ++i)
+        addrs.push_back(static_cast<std::uint64_t>(i) * 4096);
+    const std::uint64_t before = d.server->statsSnapshot().readOps;
+    ASSERT_TRUE(c.sendRaw(pipelinedReads(addrs, kLen), &err)) << err;
+
+    const std::uint64_t executed = settledReadOps(*d.server) - before;
+    EXPECT_LE(executed, kBound)
+        << "the daemon kept executing for a peer that reads nothing";
+
+    // Reading the replies resumes execution: all 64 arrive, whole
+    // and in request order.
+    for (int i = 0; i < kReads; ++i) {
+        Status status = Status::kError;
+        std::vector<std::uint8_t> payload;
+        ASSERT_TRUE(c.recvReply(&status, &payload, &err))
+            << "reply " << i << ": " << err;
+        ASSERT_EQ(status, Status::kOk) << "reply " << i;
+        const auto first =
+            image.begin() + static_cast<std::ptrdiff_t>(addrs[i]);
+        ASSERT_TRUE(payload ==
+                    std::vector<std::uint8_t>(first, first + kLen))
+            << "reply " << i << " wrong or out of order";
+    }
+    EXPECT_EQ(d.server->statsSnapshot().readOps - before,
+              static_cast<std::uint64_t>(kReads));
+    EXPECT_TRUE(c.ping(&err)) << err;
+}
+
+TEST(ServedShutdown, AnotherClientsPipelinedRepliesFlushBeforeClose)
+{
+    // Client A pipelines 8 reads of 64 KiB and reads nothing yet:
+    // more reply bytes than the socket buffers, so most still sit in
+    // the daemon when client B asks it to shut down. A must still
+    // get all 8 replies, then EOF, and the daemon must stop.
+    Daemon d("stopflush", 1, mibConfig());
+    ASSERT_TRUE(d.started) << d.startErr;
+    Client a;
+    std::string err;
+    ASSERT_TRUE(a.connectTo(d.path, &err)) << err;
+    const std::vector<std::uint8_t> image = writeTags(a, 1u << 20, &err);
+    ASSERT_FALSE(image.empty()) << err;
+
+    constexpr std::uint64_t kReads = 8;
+    constexpr std::uint32_t kLen = 64 * 1024;
+    std::vector<std::uint64_t> addrs;
+    for (std::uint64_t i = 0; i < kReads; ++i)
+        addrs.push_back(i * 12288);
+    const std::uint64_t before = d.server->statsSnapshot().readOps;
+    ASSERT_TRUE(a.sendRaw(pipelinedReads(addrs, kLen), &err)) << err;
+    // Let all 8 execute, so the replies wait in the daemon, not in
+    // A's request stream.
+    for (int polls = 0;
+         polls < 500 && d.server->statsSnapshot().readOps - before < kReads;
+         ++polls)
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    ASSERT_EQ(d.server->statsSnapshot().readOps - before, kReads);
+
+    Client b;
+    ASSERT_TRUE(b.connectTo(d.path, &err)) << err;
+    ASSERT_TRUE(b.shutdownServer(&err)) << err;
+
+    for (std::uint64_t i = 0; i < kReads; ++i) {
+        Status status = Status::kError;
+        std::vector<std::uint8_t> payload;
+        ASSERT_TRUE(a.recvReply(&status, &payload, &err))
+            << "reply " << i << ": " << err;
+        ASSERT_EQ(status, Status::kOk) << "reply " << i;
+        const auto first =
+            image.begin() + static_cast<std::ptrdiff_t>(addrs[i]);
+        ASSERT_TRUE(payload ==
+                    std::vector<std::uint8_t>(first, first + kLen))
+            << "reply " << i;
+    }
+    Status status = Status::kOk;
+    std::vector<std::uint8_t> payload;
+    EXPECT_FALSE(a.recvReply(&status, &payload, &err))
+        << "connection still open after the drain";
+    d.server->waitUntilStopped();
+    EXPECT_FALSE(d.server->running());
+}
+
 TEST(ServedConcurrency, ParallelClientsMatchSerialReplayByteForByte)
 {
     // Four clients hammer store 0 concurrently over disjoint slices
@@ -372,7 +528,7 @@ TEST(ServedConcurrency, ParallelClientsMatchSerialReplayByteForByte)
     // immaterial, so both stores must end byte-identical. This is
     // the daemon's parallel-equals-serial proof; cmt_loadgen only
     // checks each client's reads against its own writes.
-    Daemon d("parclients", 2, smallConfig(), 3);
+    Daemon d("parclients", 2);
     ASSERT_TRUE(d.started) << d.startErr;
 
     constexpr unsigned kClients = 4;

@@ -1,7 +1,7 @@
 /**
  * @file
  * parseNumber(): the checked parser behind every numeric CLI flag.
- * Count flags (--jobs, --workers, --clients, ...) parse unsigned in
+ * Count flags (--jobs, --clients, --stores, ...) parse unsigned in
  * [0, kMaxCount]; sizes, seeds and instruction counts parse the full
  * std::uint64_t range; --hash-gbps parses a double.
  */

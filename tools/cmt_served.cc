@@ -5,21 +5,22 @@
  * The daemon owns one or more integrity-protected stores (a sharded
  * Merkle tree over a sparse RAM image, src/verify) and serves
  * read/write/verify/sync/save requests from many concurrent clients
- * over the length-prefixed binary protocol of src/serve. SIGINT or
- * SIGTERM (or a client kShutdown) stops it gracefully: queued
- * requests finish, replies flush, and - when --state-dir is given -
- * every store is persisted through the crash-safe tmp+rename save
- * path, so the next --load starts from a verified snapshot.
+ * over the length-prefixed binary protocol of src/serve. One event
+ * loop serves every connection, running each request to completion
+ * on the thread that read it (src/serve/server.h). SIGINT or SIGTERM
+ * (or a client kShutdown) stops it gracefully: requests already read
+ * finish, replies flush, and - when --state-dir is given - every
+ * store is persisted through the crash-safe tmp+rename save path, so
+ * the next --load starts from a verified snapshot.
  *
  *   cmt_served --socket PATH [options]
  *
  *     --socket PATH          listening socket path (required)
  *     --stores N             independent stores to host (default 1)
- *     --shards K             subtrees per store (default 4)
+ *     --shards K             subtrees per store, a power of two
+ *                            (default 4)
  *     --protected-size B     bytes protected per store (default 1 MiB)
  *     --cache-chunks N       trusted chunk cache entries (default 64)
- *     --workers N            request worker threads (default 2)
- *     --queue-depth N        per-connection pending cap (default 64)
  *     --state-dir DIR        save stores here on shutdown / kSave
  *     --load                 restore saved state at startup
  */
@@ -33,6 +34,7 @@
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "serve/store.h"
+#include "support/bitops.h"
 #include "support/logging.h"
 #include "support/parse.h"
 #include "verify/merkle_memory.h"
@@ -61,8 +63,6 @@ struct DaemonOptions
     unsigned shards = 4;
     std::uint64_t protectedSize = 1u << 20;
     unsigned cacheChunks = 64;
-    unsigned workers = 2;
-    unsigned queueDepth = 64;
     bool load = false;
 };
 
@@ -93,10 +93,6 @@ parseArgs(int argc, char **argv)
                 "cmt_served", arg, value(), 1);
         } else if (arg == "--cache-chunks") {
             opt.cacheChunks = count();
-        } else if (arg == "--workers") {
-            opt.workers = count();
-        } else if (arg == "--queue-depth") {
-            opt.queueDepth = count();
         } else if (arg == "--state-dir") {
             opt.stateDir = value();
         } else if (arg == "--load") {
@@ -104,8 +100,7 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--help" || arg == "-h") {
             inform("usage: cmt_served --socket PATH [--stores N] "
                    "[--shards K] [--protected-size B] "
-                   "[--cache-chunks N] [--workers N] [--queue-depth N] "
-                   "[--state-dir DIR] [--load]");
+                   "[--cache-chunks N] [--state-dir DIR] [--load]");
             std::exit(0);
         } else {
             usageError("cmt_served", "unknown argument '%s' (try --help)",
@@ -116,6 +111,8 @@ parseArgs(int argc, char **argv)
         usageError("cmt_served", "--socket PATH is required");
     if (opt.stores == 0)
         usageError("cmt_served", "--stores must be at least 1");
+    if (!isPow2(opt.shards))
+        usageError("cmt_served", "--shards must be a power of two");
     if (opt.load && opt.stateDir.empty())
         usageError("cmt_served", "--load requires --state-dir");
     return opt;
@@ -131,12 +128,10 @@ main(int argc, char **argv)
     MerkleConfig mc;
     mc.protectedSize = opt.protectedSize;
     mc.cacheChunks = opt.cacheChunks;
-    mc.shards = opt.shards == 0 ? 1 : opt.shards;
+    mc.shards = opt.shards;
 
     serve::ServeConfig sc;
     sc.socketPath = opt.socketPath;
-    sc.workers = opt.workers;
-    sc.queueDepth = opt.queueDepth == 0 ? 1 : opt.queueDepth;
 
     serve::Server server(sc);
     for (unsigned i = 0; i < opt.stores; ++i) {
@@ -169,10 +164,9 @@ main(int argc, char **argv)
     ::sigaction(SIGTERM, &sa, nullptr);
 
     inform("cmt_served: listening on %s (%u stores, %u shards, "
-           "%llu bytes each, %u workers)",
+           "%llu bytes each, one event loop)",
            opt.socketPath.c_str(), opt.stores, mc.shards,
-           static_cast<unsigned long long>(opt.protectedSize),
-           sc.workers == 0 ? 1u : sc.workers);
+           static_cast<unsigned long long>(opt.protectedSize));
 
     server.waitUntilStopped();
     g_server.store(nullptr);
