@@ -1,7 +1,6 @@
 #include "mem/main_memory.h"
 
 #include <algorithm>
-#include <vector>
 
 #include "mem/storage.h"
 #include "support/event.h"
@@ -11,7 +10,7 @@
 namespace cmt
 {
 
-MainMemory::MainMemory(EventQueue &events, Storage &storage,
+MainMemory::MainMemory(EventQueue &events, Storage &,
                        const MemTimingParams &params, StatGroup &stats)
     : stat_reads(stats, "mem.reads", "block reads issued to DRAM"),
       stat_writes(stats, "mem.writes", "block writes issued to DRAM"),
@@ -19,7 +18,7 @@ MainMemory::MainMemory(EventQueue &events, Storage &storage,
                      "bytes transferred RAM -> chip"),
       stat_bytesWritten(stats, "mem.bytes_written",
                         "bytes transferred chip -> RAM"),
-      events_(events), storage_(storage), params_(params)
+      events_(events), params_(params)
 {
     cmt_assert(params_.busWidthBytes > 0);
     cmt_assert(params_.cpuCyclesPerBusCycle > 0);
@@ -37,6 +36,7 @@ void
 MainMemory::read(std::uint64_t addr, unsigned size,
                  ReadCallback on_complete)
 {
+    (void)addr;
     ++stat_reads;
     stat_bytesRead += size;
 
@@ -50,13 +50,7 @@ MainMemory::read(std::uint64_t addr, unsigned size,
     dataBusFree_ = data_slot + transfer;
     dataBusBusy_ += transfer;
 
-    events_.schedule(
-        data_slot + transfer,
-        [this, addr, size, cb = std::move(on_complete)]() mutable {
-            readScratch_.resize(size);
-            storage_.read(addr, readScratch_);
-            cb(readScratch_);
-        });
+    events_.schedule(data_slot + transfer, std::move(on_complete));
 }
 
 void

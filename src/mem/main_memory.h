@@ -1,7 +1,7 @@
 /**
  * @file
  * Main-memory timing model: split address/data buses plus DRAM
- * latency, in front of a functional Storage.
+ * latency. It moves no bytes: reads and writes alike are timing only.
  *
  * Matches the paper's setup (Section 6.3): "separate address and data
  * buses were implemented. All structures that access the main memory
@@ -10,10 +10,13 @@
  *
  *   read : addr bus 1 bus-cycle -> DRAM latency -> data bus occupies
  *          size/width bus-cycles; the requester's callback fires when
- *          the transfer completes.
+ *          the transfer completes. The requester samples the
+ *          functional RAM itself in that callback, so its verdict
+ *          sees RAM as it stands at the data-arrival instant (a
+ *          tamper while the read is in flight is caught).
  *   write: addr bus 1 bus-cycle -> data bus transfer; the functional
  *          store is updated by the caller (atomically with the tree
- *          bookkeeping), so writes here are pure timing.
+ *          bookkeeping).
  *
  * Bandwidth saturation - the effect that makes the naive scheme ~10x
  * slower on swim/applu - emerges directly from data-bus contention.
@@ -23,7 +26,6 @@
 #define CMT_MEM_MAIN_MEMORY_H
 
 #include <cstdint>
-#include <vector>
 
 #include "mem/storage.h"
 #include "support/callback.h"
@@ -51,19 +53,18 @@ class MainMemory
     /** Completion callbacks are inline-only (support/callback.h):
      *  oversized captures are a compile error, which keeps the
      *  miss-path allocation-free - pool big state instead. */
-    using ReadCallback =
-        SmallCallback<void(std::span<const std::uint8_t>)>;
+    using ReadCallback = SmallCallback<void()>;
     using WriteCallback = SmallCallback<void()>;
 
-    MainMemory(EventQueue &events, Storage &storage,
+    /** The Storage parameter is unused (the model moves no bytes); it
+     *  stays for source compatibility with existing callers. */
+    MainMemory(EventQueue &events, Storage &,
                const MemTimingParams &params, StatGroup &stats);
 
     /**
-     * Issue a block read. The functional bytes are sampled from the
-     * storage at data-arrival time (so a tampering adversary races
-     * realistically) and handed to @p on_complete. The span aliases a
-     * scratch buffer owned by this class and is only valid for the
-     * duration of the callback.
+     * Issue a block read for timing purposes only. @p on_complete
+     * fires at data arrival; the caller reads the functional RAM
+     * there, so what it sees is RAM at the arrival instant.
      */
     void read(std::uint64_t addr, unsigned size,
               ReadCallback on_complete);
@@ -103,7 +104,6 @@ class MainMemory
     Cycle transferCycles(unsigned size) const;
 
     EventQueue &events_;
-    Storage &storage_;
     MemTimingParams params_;
 
     /** Next cycle at which the address bus is free. */
@@ -112,10 +112,6 @@ class MainMemory
     Cycle dataBusFree_ = 0;
     /** Accumulated data-bus occupancy. */
     Cycle dataBusBusy_ = 0;
-    /** Read-completion staging buffer, reused across reads (only one
-     *  completion runs at a time; the event loop is single-threaded
-     *  and callbacks must not retain the span). */
-    std::vector<std::uint8_t> readScratch_;
 };
 
 } // namespace cmt

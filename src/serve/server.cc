@@ -8,8 +8,10 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <utility>
+#include <vector>
 
 #include "serve/protocol.h"
 #include "serve/store.h"
@@ -22,6 +24,10 @@ namespace
 {
 
 constexpr std::span<const std::uint8_t> kNoBytes{};
+
+/** epoll_wait timeout while stopping, so that stalled connections
+ *  are dropped on time even when no socket wakes the loop. */
+constexpr int kStopPollMs = 100;
 
 /** Input buffer cap: one maximum frame. A connection reads while its
  *  buffer is under the cap, so it never holds more than one maximum
@@ -227,12 +233,13 @@ Server::epollLoop()
                 ::epoll_ctl(epollFd_, EPOLL_CTL_DEL, listenFd_, nullptr);
                 listening = false;
             }
+            dropStalled();
             if (drained())
                 break;
         }
-        const int n =
-            ::epoll_wait(epollFd_, events.data(),
-                         static_cast<int>(events.size()), -1);
+        const int n = ::epoll_wait(epollFd_, events.data(),
+                                   static_cast<int>(events.size()),
+                                   listening ? -1 : kStopPollMs);
         if (n < 0) {
             if (errno == EINTR)
                 continue;
@@ -422,6 +429,30 @@ Server::drained() const
 }
 
 void
+Server::dropStalled()
+{
+    const auto now = std::chrono::steady_clock::now();
+    std::vector<int> stalled;
+    for (auto &kv : conns_) {
+        Connection &c = *kv.second;
+        if (c.outbuf.empty()) {
+            c.stallMark = Connection::kNoMark;
+        } else if (c.sentBytes != c.stallMark) {
+            c.stallMark = c.sentBytes;
+            c.stallSince = now;
+        } else if (now - c.stallSince >= kStopStallLimit) {
+            stalled.push_back(kv.first);
+        }
+    }
+    for (const int fd : stalled) {
+        warn("cmt_served: dropping a connection whose replies made no "
+             "progress for %lld s",
+             static_cast<long long>(kStopStallLimit.count()));
+        destroyConnection(fd);
+    }
+}
+
+void
 Server::sendPending(Connection &c)
 {
     std::size_t sent = 0;
@@ -441,6 +472,7 @@ Server::sendPending(Connection &c)
         break;
     }
     bytesOut_.fetch_add(sent);
+    c.sentBytes += sent;
     c.outbuf.erase(c.outbuf.begin(),
                    c.outbuf.begin() + static_cast<std::ptrdiff_t>(sent));
 }

@@ -31,14 +31,17 @@
  * handler - the signal path is async-signal-safe: one atomic store
  * and one eventfd write) stops accepting, executes every complete
  * frame already read, flushes every reply, then closes every
- * connection and exits the thread. The daemon then saves store state
- * through ServeStore::saveState().
+ * connection and exits the thread. A connection whose unsent replies
+ * make no progress for kStopStallLimit is dropped with them, so a
+ * peer that never reads cannot hold the stop. The daemon then saves
+ * store state through ServeStore::saveState().
  */
 
 #ifndef CMT_SERVE_SERVER_H
 #define CMT_SERVE_SERVER_H
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -64,6 +67,10 @@ struct ServeConfig
 /** Unsent reply bytes at which a connection stops executing frames
  *  and reading until the peer drains them. */
 constexpr std::size_t kReplyBacklogBytes = kMaxFrameBytes;
+
+/** While stopping, a connection whose unsent replies have made no
+ *  progress for this long is dropped. */
+constexpr std::chrono::seconds kStopStallLimit{2};
 
 /** The daemon core. Register stores, start(), then waitUntilStopped(). */
 class Server
@@ -129,6 +136,13 @@ class Server
         bool stopRead = false;
         /** The peer is gone: drop everything and close now. */
         bool dead = false;
+        /** Reply bytes sent so far. */
+        std::uint64_t sentBytes = 0;
+        /** While stopping: sentBytes when the unsent replies were last
+         *  seen to move (kNoMark: none pending), and when. */
+        std::uint64_t stallMark = kNoMark;
+        std::chrono::steady_clock::time_point stallSince;
+        static constexpr std::uint64_t kNoMark = ~std::uint64_t{0};
     };
 
     void epollLoop();
@@ -155,6 +169,9 @@ class Server
     void destroyConnection(int fd);
     /** Stopping and no connection has a reply left to send. */
     bool drained() const;
+    /** Drop each connection whose unsent replies have not moved for
+     *  kStopStallLimit. */
+    void dropStalled();
 
     ServeConfig config_;
     std::vector<std::unique_ptr<ServeStore>> stores_;

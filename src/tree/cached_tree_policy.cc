@@ -53,7 +53,7 @@ CachedTreePolicy::fetchChunk(std::uint64_t chunk, bool demand)
             ++l2_.stat_integrityBlockReads;
         ++f.pendingReads;
         memory_.read(block_addr, params_.blockSize,
-                     [this, chunk](std::span<const std::uint8_t>) {
+                     [this, chunk]() {
                          auto fit = fetches_.find(chunk);
                          if (fit == fetches_.end())
                              return;
@@ -314,7 +314,7 @@ CachedTreePolicy::evictDirty(const CacheArray::Victim &victim)
         job->dirtyBlocks = dirty_blocks;
         job->extraCheck = !chunk_fully_cached;
         memory_.read(base, static_cast<unsigned>(params_.chunkSize),
-                     [job](std::span<const std::uint8_t>) {
+                     [job]() {
                          job->self->writeBackReadDone(job);
                      });
     } else {

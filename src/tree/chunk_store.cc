@@ -6,6 +6,7 @@
 #include "tree/shard_router.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 namespace cmt
@@ -13,7 +14,8 @@ namespace cmt
 
 ChunkStore::ChunkStore(Storage &base, const ShardRouter &tree,
                        const Authenticator &auth)
-    : base_(base), tree_(tree), auth_(auth)
+    : base_(base), tree_(tree), auth_(auth),
+      touched_((tree.totalChunks() + kLeafBits - 1) >> kLeafShift)
 {
     // Build the canonical authenticators bottom-up: a virgin leaf is
     // all zeros; a virgin hash chunk at level k repeats the canonical
@@ -34,31 +36,64 @@ ChunkStore::ChunkStore(Storage &base, const ShardRouter &tree,
 }
 
 void
-ChunkStore::canonicalChunk(std::uint64_t chunk,
+ChunkStore::canonicalBytes(std::uint64_t chunk, std::uint64_t offset,
                            std::span<std::uint8_t> out) const
 {
-    cmt_assert(out.size() == tree_.chunkSize());
+    cmt_assert(offset + out.size() <= tree_.chunkSize());
     if (!tree_.isHashChunk(chunk)) {
         std::memset(out.data(), 0, out.size());
         return;
     }
-    const unsigned child_level = tree_.levelOf(chunk) + 1;
-    for (std::uint64_t s = 0; s < tree_.arity(); ++s) {
-        std::memcpy(out.data() + s * TreeLayout::kSlotSize,
-                    canonicalSlots_[child_level].data(),
-                    TreeLayout::kSlotSize);
+    // A virgin hash chunk repeats its child level's canonical slot.
+    const Slot &slot = canonicalSlots_[tree_.levelOf(chunk) + 1];
+    std::size_t done = 0;
+    while (done < out.size()) {
+        const std::size_t at = (offset + done) % TreeLayout::kSlotSize;
+        const std::size_t take = std::min<std::size_t>(
+            out.size() - done, TreeLayout::kSlotSize - at);
+        std::memcpy(out.data() + done, slot.data() + at, take);
+        done += take;
     }
+}
+
+void
+ChunkStore::markTouched(std::uint64_t chunk)
+{
+    cmt_assert(chunk < tree_.totalChunks());
+    std::unique_ptr<Leaf> &leaf = touched_[chunk >> kLeafShift];
+    if (leaf == nullptr)
+        leaf = std::make_unique<Leaf>();
+    const std::uint64_t bit = chunk & (kLeafBits - 1);
+    (*leaf)[bit / 64] |= std::uint64_t{1} << (bit % 64);
+}
+
+std::vector<std::uint64_t>
+ChunkStore::touchedChunks() const
+{
+    std::vector<std::uint64_t> out;
+    for (std::uint64_t l = 0; l < touched_.size(); ++l) {
+        if (touched_[l] == nullptr)
+            continue;
+        for (std::uint64_t w = 0; w < touched_[l]->size(); ++w) {
+            for (std::uint64_t bits = (*touched_[l])[w]; bits != 0;
+                 bits &= bits - 1) {
+                out.push_back((l << kLeafShift) + w * 64 +
+                              static_cast<unsigned>(std::countr_zero(bits)));
+            }
+        }
+    }
+    return out;
 }
 
 void
 ChunkStore::materialise(std::uint64_t chunk)
 {
-    if (touched_.contains(chunk))
+    if (touched(chunk))
         return;
     std::vector<std::uint8_t> content(tree_.chunkSize());
-    canonicalChunk(chunk, content);
+    canonicalBytes(chunk, 0, content);
     base_.write(tree_.chunkAddr(chunk), content);
-    touched_.insert(chunk);
+    markTouched(chunk);
 }
 
 void
@@ -70,13 +105,10 @@ ChunkStore::read(std::uint64_t addr, std::span<std::uint8_t> out)
         const std::uint64_t offset = (addr + done) % tree_.chunkSize();
         const std::size_t take = std::min<std::size_t>(
             out.size() - done, tree_.chunkSize() - offset);
-        if (touched_.contains(chunk)) {
+        if (touched(chunk))
             base_.read(addr + done, out.subspan(done, take));
-        } else {
-            std::vector<std::uint8_t> content(tree_.chunkSize());
-            canonicalChunk(chunk, content);
-            std::memcpy(out.data() + done, content.data() + offset, take);
-        }
+        else
+            canonicalBytes(chunk, offset, out.subspan(done, take));
         done += take;
     }
 }

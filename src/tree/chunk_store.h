@@ -18,8 +18,9 @@
 #ifndef CMT_TREE_CHUNK_STORE_H
 #define CMT_TREE_CHUNK_STORE_H
 
+#include <array>
 #include <cstdint>
-#include <unordered_set>
+#include <memory>
 #include <vector>
 
 #include "mem/storage.h"
@@ -45,21 +46,21 @@ class ChunkStore : public Storage
     bool
     touched(std::uint64_t chunk) const
     {
-        return touched_.contains(chunk);
+        const std::uint64_t leaf = chunk >> kLeafShift;
+        if (leaf >= touched_.size() || touched_[leaf] == nullptr)
+            return false;
+        const std::uint64_t bit = chunk & (kLeafBits - 1);
+        return ((*touched_[leaf])[bit / 64] >> (bit % 64)) & 1;
     }
 
-    /** Every chunk that has been written concretely. */
-    const std::unordered_set<std::uint64_t> &
-    touchedChunks() const
-    {
-        return touched_;
-    }
+    /** Every chunk that has been written concretely, ascending. */
+    std::vector<std::uint64_t> touchedChunks() const;
 
     /**
      * Mark @p chunk concrete without writing (state restore: the
      * backing store already holds its bytes).
      */
-    void markTouched(std::uint64_t chunk) { touched_.insert(chunk); }
+    void markTouched(std::uint64_t chunk);
 
     /** Canonical (all-virgin) authenticator for a chunk at @p level.
      *  Shards are geometrically identical, so one table serves all. */
@@ -92,8 +93,15 @@ class ChunkStore : public Storage
     const ShardRouter &tree() const { return tree_; }
 
   private:
-    /** Fill @p out with the canonical content of @p chunk. */
-    void canonicalChunk(std::uint64_t chunk,
+    /** Chunks per touched-bitmap leaf: one 4 KiB page of bits. */
+    static constexpr unsigned kLeafShift = 15;
+    static constexpr std::uint64_t kLeafBits = std::uint64_t{1}
+                                               << kLeafShift;
+    using Leaf = std::array<std::uint64_t, kLeafBits / 64>;
+
+    /** Fill @p out with the canonical bytes of @p chunk from byte
+     *  @p offset of the chunk on. */
+    void canonicalBytes(std::uint64_t chunk, std::uint64_t offset,
                         std::span<std::uint8_t> out) const;
 
     /** Ensure @p chunk is concrete in the backing store. */
@@ -102,7 +110,9 @@ class ChunkStore : public Storage
     Storage &base_;
     const ShardRouter &tree_;
     const Authenticator &auth_;
-    std::unordered_set<std::uint64_t> touched_;
+    /** Touched-chunk bitmap: touched_[chunk >> kLeafShift] holds bit
+     *  (chunk mod kLeafBits); leaves are allocated on first touch. */
+    std::vector<std::unique_ptr<Leaf>> touched_;
     /** canonicalSlots_[k] = authenticator of a virgin level-k chunk. */
     std::vector<Slot> canonicalSlots_;
 };

@@ -81,7 +81,7 @@ IncrementalPolicy::evictDirty(const CacheArray::Victim &victim)
     job->blockAddr = victim.blockAddr;
     job->shard = shard;
     memory_.read(victim.blockAddr, params_.blockSize,
-                 [job](std::span<const std::uint8_t>) {
+                 [job]() {
                      job->self->oldValueArrived(job);
                  });
 }

@@ -1,7 +1,10 @@
 #include "tree/naive_policy.h"
 
+#include <algorithm>
+
 #include "cache/cache_array.h"
 #include "tree/integrity_policy.h"
+#include "tree/layout.h"
 
 namespace cmt
 {
@@ -36,7 +39,7 @@ NaivePolicy::startDemandMiss(std::uint64_t block_addr)
             ++l2_.stat_integrityBlockReads;
         memory_.read(tree_.chunkAddr(job->path[i]),
                      static_cast<unsigned>(params_.chunkSize),
-                     [job](std::span<const std::uint8_t>) {
+                     [job]() {
                          if (--job->pendingReads == 0)
                              job->self->missDataArrived(job);
                      });
@@ -48,22 +51,25 @@ NaivePolicy::missDataArrived(MissJob *job)
 {
     // Verdict: the whole chain bottom-up against current RAM, batched
     // through the authenticator's interleaved multi-stream digest.
+    // Each level's expected slot comes from its parent's image, read
+    // one level up in the same pass; the top level checks the root.
     const std::size_t levels = job->path.size();
     if (imageScratch_.size() < levels)
         imageScratch_.resize(levels);
     spanScratch_.clear();
     slotScratch_.clear();
     for (std::size_t i = 0; i < levels; ++i) {
-        const std::uint64_t c = job->path[i];
-        l2_.ramChunkImage(c, imageScratch_[i]);
+        l2_.ramChunkImage(job->path[i], imageScratch_[i]);
         spanScratch_.push_back(imageScratch_[i]);
-        const std::int64_t parent = tree_.parentOf(c);
-        slotScratch_.push_back(
-            parent < 0
-                ? tree_.rootOf(c)
-                : ram_.readSlot(static_cast<std::uint64_t>(parent),
-                                tree_.slotIndexOf(c)));
     }
+    for (std::size_t i = 0; i + 1 < levels; ++i) {
+        const std::uint8_t *slot =
+            imageScratch_[i + 1].data() +
+            tree_.slotIndexOf(job->path[i]) * TreeLayout::kSlotSize;
+        Slot &expected = slotScratch_.emplace_back();
+        std::copy(slot, slot + TreeLayout::kSlotSize, expected.begin());
+    }
+    slotScratch_.push_back(tree_.rootOf(job->path[levels - 1]));
     job->ok = auth_.verifyChain(spanScratch_, slotScratch_);
 
     // Only the demand data block enters the cache: the naive
@@ -136,7 +142,7 @@ NaivePolicy::evictDirty(const CacheArray::Victim &victim)
         if (cur >= 0)
             cur = tree_.parentOf(static_cast<std::uint64_t>(cur));
         memory_.read(addr, static_cast<unsigned>(params_.chunkSize),
-                     [job](std::span<const std::uint8_t>) {
+                     [job]() {
                          if (--job->pendingReads == 0)
                              job->self->evictReadsDone(job);
                      });
@@ -178,7 +184,8 @@ NaivePolicy::recomputePath(std::uint64_t chunk)
     std::uint64_t cur = chunk;
     const Slot zero{};
     for (;;) {
-        const Slot slot = auth_.compute(l2_.ramChunkImage(cur), zero);
+        l2_.ramChunkImage(cur, recomputeScratch_);
+        const Slot slot = auth_.compute(recomputeScratch_, zero);
         const std::int64_t parent = tree_.parentOf(cur);
         if (parent < 0) {
             tree_.rootOf(cur) = slot;

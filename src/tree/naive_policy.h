@@ -84,6 +84,8 @@ class NaivePolicy final : public IntegrityPolicy
     std::vector<std::vector<std::uint8_t>> imageScratch_;
     std::vector<std::span<const std::uint8_t>> spanScratch_;
     std::vector<Slot> slotScratch_;
+    /** recomputePath's one chunk image, reused level to level. */
+    std::vector<std::uint8_t> recomputeScratch_;
 };
 
 } // namespace cmt

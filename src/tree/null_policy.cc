@@ -10,7 +10,7 @@ NullPolicy::startDemandMiss(std::uint64_t block_addr)
 {
     ++l2_.stat_demandBlockReads;
     memory_.read(block_addr, params_.blockSize,
-                 [this, block_addr](std::span<const std::uint8_t>) {
+                 [this, block_addr]() {
                      l2_.fillBlockFromRam(block_addr);
                      l2_.completeMshr(block_addr);
                  });

@@ -587,10 +587,7 @@ MerkleMemory::verifyAll()
     std::array<std::span<const std::uint8_t>, kBatch> spans;
     std::array<Slot, kBatch> expected;
     std::size_t pending = 0;
-    for (std::uint64_t chunk = 0; chunk < tree_.totalChunks();
-         ++chunk) {
-        if (!chunks_.touched(chunk))
-            continue;
+    for (const std::uint64_t chunk : chunks_.touchedChunks()) {
         images[pending] = chunks_.readChunk(chunk);
         spans[pending] = images[pending];
         const std::int64_t parent = tree_.parentOf(chunk);

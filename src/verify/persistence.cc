@@ -1,5 +1,6 @@
 #include "verify/persistence.h"
 
+#include <algorithm>
 #include <cerrno>
 // cmt-analyze: allow(stdout-discipline) - atomic rename needs std::rename
 #include <cstdio>
@@ -170,17 +171,26 @@ saveUntrustedImage(MerkleMemory &memory, const BackingStore &ram,
         sizeof(kRamMagic))
         cmt_fatal("short write during RAM save");
 
+    // Pages and touched chunks go out in ascending index order, so
+    // one content always saves to the same bytes.
     const auto &pages = ram.pages();
-    put64(f.get(), pages.size());
+    std::vector<std::uint64_t> indices;
+    indices.reserve(pages.size());
+    for (const auto &kv : pages)
+        indices.push_back(kv.first);
+    std::sort(indices.begin(), indices.end());
+    put64(f.get(), indices.size());
     maybeCrashAt("image-mid-write");
-    for (const auto &[index, bytes] : pages) {
+    for (const std::uint64_t index : indices) {
+        const std::vector<std::uint8_t> &bytes = pages.at(index);
         put64(f.get(), index);
         if (std::fwrite(bytes.data(), 1, bytes.size(), f.get()) !=
             bytes.size())
             cmt_fatal("short write during RAM save");
     }
 
-    const auto &touched = memory.chunkStore().touchedChunks();
+    const std::vector<std::uint64_t> touched =
+        memory.chunkStore().touchedChunks();
     put64(f.get(), touched.size());
     for (const std::uint64_t chunk : touched)
         put64(f.get(), chunk);
@@ -257,8 +267,14 @@ loadState(MerkleMemory &memory, BackingStore &ram,
         }
 
         const std::uint64_t touched_count = get64(f.get());
-        for (std::uint64_t i = 0; i < touched_count; ++i)
-            memory.chunkStore().markTouched(get64(f.get()));
+        for (std::uint64_t i = 0; i < touched_count; ++i) {
+            const std::uint64_t chunk = get64(f.get());
+            if (chunk >= memory.tree().totalChunks())
+                cmt_fatal("'%s' names chunk %llu, past the tree's end",
+                          ram_path.c_str(),
+                          static_cast<unsigned long long>(chunk));
+            memory.chunkStore().markTouched(chunk);
+        }
     }
 
     // --- trusted roots -------------------------------------------------

@@ -46,7 +46,8 @@
 namespace cmt
 {
 
-/** Write the untrusted image of @p ram plus @p memory's touched set. */
+/** Write the untrusted image of @p ram plus @p memory's touched set,
+ *  pages and chunks in ascending index order (one content, one file). */
 void saveUntrustedImage(MerkleMemory &memory, const BackingStore &ram,
                         const std::string &ram_path);
 

@@ -520,6 +520,38 @@ TEST(ServedShutdown, AnotherClientsPipelinedRepliesFlushBeforeClose)
     EXPECT_FALSE(d.server->running());
 }
 
+TEST(ServedShutdown, PeerThatNeverReadsCannotHoldTheStop)
+{
+    // A client pipelines 64 reads of 64 KiB and never reads a reply,
+    // so the daemon's backlog of unsent replies never drains. The
+    // stop must still finish: the stalled connection is dropped once
+    // its replies have not moved for kStopStallLimit.
+    Daemon d("stopstall", 1, mibConfig());
+    ASSERT_TRUE(d.started) << d.startErr;
+    Client c;
+    std::string err;
+    ASSERT_TRUE(c.connectTo(d.path, &err)) << err;
+    std::vector<std::uint64_t> addrs;
+    for (std::uint64_t i = 0; i < 64; ++i)
+        addrs.push_back(i * 4096);
+    ASSERT_TRUE(c.sendRaw(pipelinedReads(addrs, 64 * 1024), &err)) << err;
+    ASSERT_GT(settledReadOps(*d.server), 0u);
+
+    std::thread stopper([&d] {
+        d.server->requestStop();
+        d.server->waitUntilStopped();
+    });
+    const auto deadline = std::chrono::steady_clock::now() +
+                          kStopStallLimit + std::chrono::seconds(3);
+    while (d.server->running() && std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_FALSE(d.server->running())
+        << "stop still waiting on a peer that never reads";
+    // Closing the client lets a daemon that missed the deadline exit.
+    c.disconnect();
+    stopper.join();
+}
+
 TEST(ServedConcurrency, ParallelClientsMatchSerialReplayByteForByte)
 {
     // Four clients hammer store 0 concurrently over disjoint slices

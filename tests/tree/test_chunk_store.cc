@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "crypto/md5.h"
@@ -127,6 +128,74 @@ TEST(ChunkStoreTest, XorMacCanonicalSlotsVerify)
         EXPECT_TRUE(auth.verify(bytes, store.canonicalSlot(level)))
             << "level " << level;
     }
+}
+
+// The touched set is a two-level bitmap: 32768 chunks per 4 KiB leaf,
+// leaves allocated on first touch. A 4 GB, K=4 tree spans thousands
+// of leaves.
+struct BigFixture
+{
+    BackingStore base;
+    ShardRouter layout{64, 4ULL << 30};
+    Key128 key{};
+    Authenticator auth{Authenticator::Kind::kMd5, key, 64};
+    ChunkStore store{base, layout, auth};
+};
+
+TEST(ChunkStoreTest, UntouchedInUnallocatedAndAllocatedLeaves)
+{
+    BigFixture f;
+    EXPECT_FALSE(f.store.touched(0));
+    EXPECT_FALSE(f.store.touched(40000)) << "leaf 1 not yet allocated";
+    f.store.markTouched(32768);
+    EXPECT_TRUE(f.store.touched(32768));
+    EXPECT_FALSE(f.store.touched(32769)) << "same leaf, other bit";
+    EXPECT_FALSE(f.store.touched(40000)) << "same leaf, other word";
+    EXPECT_FALSE(f.store.touched(32767)) << "previous leaf";
+    EXPECT_FALSE(f.store.touched(f.layout.totalChunks() - 1));
+}
+
+TEST(ChunkStoreTest, LeafBoundaryAndLastChunkRoundTrip)
+{
+    const std::uint64_t last = ShardRouter(64, 4ULL << 30).totalChunks() - 1;
+    ASSERT_GT(last >> 15, 1000u) << "the tree spans many leaves";
+    const std::vector<std::uint64_t> chunks{32767, 32768, last};
+
+    BigFixture written;
+    for (std::size_t i = 0; i < chunks.size(); ++i) {
+        const std::uint64_t c = chunks[i];
+        const std::vector<std::uint8_t> data{
+            static_cast<std::uint8_t>(i + 1), 0xab, 0xcd};
+        written.store.write(written.layout.chunkAddr(c) + 8, data);
+        EXPECT_TRUE(written.store.touched(c)) << c;
+        std::vector<std::uint8_t> out(3);
+        written.store.read(written.layout.chunkAddr(c) + 8, out);
+        EXPECT_EQ(out, data) << c;
+    }
+    EXPECT_EQ(written.store.touchedChunks(), chunks);
+
+    BigFixture marked;
+    for (const std::uint64_t c : chunks) {
+        EXPECT_FALSE(marked.store.touched(c)) << c;
+        marked.store.markTouched(c);
+        EXPECT_TRUE(marked.store.touched(c)) << c;
+    }
+    EXPECT_EQ(marked.store.touchedChunks(), chunks);
+}
+
+TEST(ChunkStoreTest, TouchedChunksIterateAscending)
+{
+    BigFixture f;
+    const std::uint64_t last = f.layout.totalChunks() - 1;
+    const std::vector<std::uint64_t> order{
+        5'000'000, 63, last, 0, 32768, 64, 1'000'000, 32767, 65};
+    for (const std::uint64_t c : order)
+        f.store.markTouched(c);
+    f.store.write(f.layout.chunkAddr(777), std::vector<std::uint8_t>{1});
+    std::vector<std::uint64_t> expected = order;
+    expected.push_back(777);
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(f.store.touchedChunks(), expected);
 }
 
 } // namespace

@@ -167,6 +167,34 @@ TEST_P(TamperingAdversary, SpoofedDataChunkIsDetected)
     EXPECT_GE(f.l2.stat_checks.value(), 1u) << pc.name;
 }
 
+// DRAM reads are timing only: each policy samples RAM when the data
+// arrives. A bit flipped while the miss is on the bus - after the
+// reads are issued, before their data arrives - must still be caught.
+TEST_P(TamperingAdversary, TamperWhileMissInFlightIsDetected)
+{
+    const PolicyCase &pc = GetParam();
+    PolicyFixture f(pc.scheme, 4096, 4, pc.chunkSize, pc.blockSize);
+    Adversary mallory(f.ram);
+
+    const std::uint64_t addr = 8 * 5;
+    bool done = false;
+    f.l2.read(addr, 8, [&] { done = true; });
+    // Run to the cycle the miss's DRAM reads go out; their data
+    // arrives a DRAM latency later.
+    while (f.mem.stat_reads.value() == 0) {
+        ASSERT_FALSE(f.events.empty());
+        f.events.runUntil(f.events.nextEventTime());
+    }
+    ASSERT_FALSE(done);
+    ASSERT_EQ(f.l2.stat_checks.value(), 0u);
+
+    mallory.flipBit(f.layout.dataToRam(addr), 3);
+    f.drain();
+
+    EXPECT_TRUE(done) << pc.name;
+    EXPECT_GE(f.l2.integrityFailures(), 1u) << pc.name;
+}
+
 // Freshness: replaying a stale-but-authentic chunk image must fail
 // against the updated parent, for every verifying policy.
 TEST_P(TamperingAdversary, ReplayedStaleChunkIsDetected)

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -326,6 +327,24 @@ TEST(CrashConsistencyTest, ShardCountMismatchRejected)
 
     BackingStore ram;
     MerkleMemory mm(ram, shardedConfig(2));
+    ScopedThrowOnError guard;
+    EXPECT_THROW(loadState(mm, ram, p.ram, p.roots), SimError);
+}
+
+// The image's touched-chunk list is outside input too: an index past
+// the tree's end is refused, not marked.
+TEST(CrashConsistencyTest, OutOfRangeTouchedChunkRejected)
+{
+    Paths p("touched_range");
+    populateAndSave(p, shardedConfig(), 61);
+    auto bytes = slurp(p.ram);
+    ASSERT_GE(bytes.size(), 8u);
+    // The image ends with the last touched chunk's index.
+    std::fill(bytes.end() - 8, bytes.end(), std::uint8_t{0xff});
+    spew(p.ram, bytes);
+
+    BackingStore ram;
+    MerkleMemory mm(ram, shardedConfig());
     ScopedThrowOnError guard;
     EXPECT_THROW(loadState(mm, ram, p.ram, p.roots), SimError);
 }

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "mem/backing_store.h"
 #include "support/random.h"
@@ -164,6 +165,48 @@ TEST(PersistenceTest, UntouchedChunksStayCanonicalAfterReload)
         EXPECT_EQ(mm.load64(1 << 17), 0u)
             << "virgin regions still verified-zero after reload";
     }
+}
+
+std::vector<std::uint8_t>
+fileBytes(const std::string &path)
+{
+    std::vector<std::uint8_t> bytes;
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    if (f == nullptr)
+        return bytes;
+    std::uint8_t buf[4096];
+    std::size_t got = 0;
+    while ((got = std::fread(buf, 1, sizeof buf, f)) > 0)
+        bytes.insert(bytes.end(), buf, buf + got);
+    std::fclose(f);
+    return bytes;
+}
+
+TEST(PersistenceTest, OneContentSavesToTheSameBytesWhateverTheWriteOrder)
+{
+    // Pages and touched chunks are written in ascending index order,
+    // so the image depends on the content alone, not on the order in
+    // which pages and chunks were first touched.
+    std::vector<std::uint64_t> addrs;
+    for (std::uint64_t a = 0; a < (1u << 18); a += 520)
+        addrs.push_back(a & ~std::uint64_t{7});
+    const auto save = [&addrs](const char *tag, bool reverse) {
+        Paths p(tag);
+        BackingStore ram;
+        MerkleMemory mm(ram, config());
+        for (std::size_t i = 0; i < addrs.size(); ++i) {
+            const std::uint64_t addr =
+                addrs[reverse ? addrs.size() - 1 - i : i];
+            mm.store64(addr, addr * 0x9E3779B97F4A7C15ULL + 1);
+        }
+        saveUntrustedImage(mm, ram, p.ram);
+        return fileBytes(p.ram);
+    };
+    const std::vector<std::uint8_t> forward = save("order_fwd", false);
+    const std::vector<std::uint8_t> backward = save("order_rev", true);
+    ASSERT_GT(forward.size(), 64u * 4096);
+    EXPECT_TRUE(forward == backward)
+        << "two write orders of one content saved different images";
 }
 
 } // namespace

@@ -8,8 +8,10 @@
  *     --scheme <s>        base | naive | cached | incremental
  *     --l2-size <bytes>   L2 capacity            (default 1048576)
  *     --l2-block <bytes>  L2 line size           (default 64)
- *     --chunk <bytes>     tree chunk size        (default = block)
- *     --shards <k>        independent subtrees   (default 1)
+ *     --chunk <bytes>     tree chunk size        (default = block;
+ *                         a power of two >= 32, a multiple of block)
+ *     --shards <k>        independent subtrees   (default 1; a power
+ *                         of two)
  *     --buffers <n>       hash read/write buffer entries (default 16)
  *     --hash-gbps <f>     hash throughput        (default 3.2)
  *     --no-spec           block until checks complete (ablation)
@@ -36,6 +38,7 @@
 #include "sim/config.h"
 #include "sim/runner.h"
 #include "sim/system.h"
+#include "support/bitops.h"
 #include "support/parse.h"
 #include "support/json.h"
 #include "trace/specgen.h"
@@ -143,6 +146,13 @@ main(int argc, char **argv)
     }
     if (!chunk_set)
         cfg.l2.chunkSize = cfg.l2.blockSize;
+    if (!isPow2(cfg.l2.shards))
+        usageError("cmt_sim", "--shards must be a power of two");
+    if (!isPow2(cfg.l2.chunkSize) || cfg.l2.chunkSize < 32)
+        usageError("cmt_sim",
+                   "--chunk must be a power of two of at least 32");
+    if (cfg.l2.blockSize == 0 || cfg.l2.chunkSize % cfg.l2.blockSize != 0)
+        usageError("cmt_sim", "--chunk must be a multiple of --l2-block");
 
     printConfigTable(std::cout, cfg);
 
