@@ -88,6 +88,9 @@ compressK(std::uint32_t (&states)[K][4],
         d[k] = states[k][3];
     }
 
+    // Fully unrolled, so each round's message index, shift and sine
+    // constant are compile-time constants.
+#pragma GCC unroll 64
     for (int i = 0; i < 64; ++i) {
         int g;
         if (i < 16)
@@ -178,6 +181,7 @@ compress4Sse2(std::uint32_t (&states)[4][4],
                               static_cast<int>(states[1][3]),
                               static_cast<int>(states[0][3]));
 
+#pragma GCC unroll 64
     for (int i = 0; i < 64; ++i) {
         __m128i f;
         int g;

@@ -32,11 +32,9 @@ MainMemory::transferCycles(unsigned size) const
     return static_cast<Cycle>(bus_cycles) * params_.cpuCyclesPerBusCycle;
 }
 
-void
-MainMemory::read(std::uint64_t addr, unsigned size,
-                 ReadCallback on_complete)
+Cycle
+MainMemory::reserveRead(unsigned size)
 {
-    (void)addr;
     ++stat_reads;
     stat_bytesRead += size;
 
@@ -49,8 +47,26 @@ MainMemory::read(std::uint64_t addr, unsigned size,
     const Cycle transfer = transferCycles(size);
     dataBusFree_ = data_slot + transfer;
     dataBusBusy_ += transfer;
+    return data_slot + transfer;
+}
 
-    events_.schedule(data_slot + transfer, std::move(on_complete));
+void
+MainMemory::read(std::uint64_t addr, unsigned size,
+                 ReadCallback on_complete)
+{
+    (void)addr;
+    events_.schedule(reserveRead(size), std::move(on_complete));
+}
+
+void
+MainMemory::readChain(unsigned size, unsigned count,
+                      ReadCallback on_complete)
+{
+    cmt_assert(count > 0);
+    Cycle last = 0;
+    for (unsigned i = 0; i < count; ++i)
+        last = reserveRead(size);
+    events_.schedule(last, std::move(on_complete));
 }
 
 void

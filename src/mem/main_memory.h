@@ -70,6 +70,19 @@ class MainMemory
               ReadCallback on_complete);
 
     /**
+     * Chain batching (DESIGN.md §11): reserve @p count back-to-back
+     * reads of @p size bytes exactly as @p count read() calls at this
+     * instant would - same counters, same bus state - but schedule
+     * one event, @p on_complete, at the last arrival. Exact because
+     * read() fixes each completion cycle at issue time and every
+     * later read of the chain finishes strictly later; the one event
+     * takes the last read's place in the same-cycle FIFO order. For
+     * requesters whose earlier arrivals only count down to the last.
+     */
+    void readChain(unsigned size, unsigned count,
+                   ReadCallback on_complete);
+
+    /**
      * Issue a block write for timing purposes only; the caller is
      * responsible for the functional store update. @p on_complete may
      * be empty.
@@ -102,6 +115,9 @@ class MainMemory
   private:
     /** CPU cycles the data bus needs for @p size bytes. */
     Cycle transferCycles(unsigned size) const;
+
+    /** Reserve one read's bus slots; returns its arrival cycle. */
+    Cycle reserveRead(unsigned size);
 
     EventQueue &events_;
     MemTimingParams params_;

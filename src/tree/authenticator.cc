@@ -61,36 +61,47 @@ Authenticator::verifyChain(
     return verifyChainFirstFailure(chunks, slots) < 0;
 }
 
+void
+Authenticator::computeChain(
+    std::span<const std::span<const std::uint8_t>> chunks,
+    std::span<Slot> out) const
+{
+    cmt_assert(kind_ != Kind::kXorMac);
+    cmt_assert(out.size() >= chunks.size());
+    if (kind_ == Kind::kMd5) {
+        Md5::digestChain(chunks, out);
+        return;
+    }
+    const Slot zero{};
+    for (std::size_t i = 0; i < chunks.size(); ++i)
+        out[i] = compute(chunks[i], zero);
+}
+
 std::int64_t
 Authenticator::verifyChainFirstFailure(
     std::span<const std::span<const std::uint8_t>> chunks,
     std::span<const Slot> slots) const
 {
     cmt_assert(chunks.size() == slots.size());
-    std::int64_t bad = -1;
-    if (kind_ == Kind::kMd5) {
-        // Batched digest: fixed-size stack batches through the
-        // interleaved multi-stream MD5.
-        constexpr std::size_t kBatch = 16;
-        Hash128 digests[kBatch];
-        std::size_t done = 0;
-        while (done < chunks.size()) {
-            const std::size_t n =
-                std::min(kBatch, chunks.size() - done);
-            Md5::digestChain(chunks.subspan(done, n), {digests, n});
-            for (std::size_t i = 0; i < n; ++i) {
-                if (bad < 0 && digests[i] != slots[done + i])
-                    bad = static_cast<std::int64_t>(done + i);
-            }
-            done += n;
+    if (kind_ == Kind::kXorMac) {
+        for (std::size_t i = 0; i < chunks.size(); ++i) {
+            if (!verify(chunks[i], slots[i]))
+                return static_cast<std::int64_t>(i);
         }
-        return bad;
+        return -1;
     }
-    for (std::size_t i = 0; i < chunks.size(); ++i) {
-        if (bad < 0 && !verify(chunks[i], slots[i]))
-            bad = static_cast<std::int64_t>(i);
+    // Fixed-size stack batches through computeChain.
+    constexpr std::size_t kBatch = 16;
+    Slot digests[kBatch];
+    for (std::size_t done = 0; done < chunks.size(); done += kBatch) {
+        const std::size_t n = std::min(kBatch, chunks.size() - done);
+        computeChain(chunks.subspan(done, n), {digests, n});
+        for (std::size_t i = 0; i < n; ++i) {
+            if (digests[i] != slots[done + i])
+                return static_cast<std::int64_t>(done + i);
+        }
     }
-    return bad;
+    return -1;
 }
 
 Slot

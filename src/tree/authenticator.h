@@ -60,6 +60,16 @@ class Authenticator
     Slot compute(std::span<const std::uint8_t> chunk,
                  const Slot &prev_slot) const;
 
+    /**
+     * Slot values of many chunks in one call: out[i] = compute(
+     * chunks[i], {}). kMd5 runs through the interleaved
+     * Md5::digestChain, kSha1Trunc loops. Only for the kinds whose
+     * slot is a pure function of the image; panics for kXorMac,
+     * whose slot also depends on the previous timestamp bits.
+     */
+    void computeChain(std::span<const std::span<const std::uint8_t>> chunks,
+                      std::span<Slot> out) const;
+
     /** Check @p chunk against the stored @p slot. */
     bool verify(std::span<const std::uint8_t> chunk,
                 const Slot &slot) const;

@@ -99,7 +99,8 @@ CachedTreePolicy::chunkDataArrived(std::uint64_t chunk)
 
     // Functional verdict against the *current* RAM image and the
     // current trusted slot (cached copy if present, RAM otherwise).
-    const std::vector<std::uint8_t> image = l2_.ramChunkImage(chunk);
+    std::vector<std::uint8_t> &image = imageScratch_;
+    l2_.ramChunkImage(chunk, image);
     f.verdictOk = auth_.verify(image, l2_.expectedSlotNow(chunk));
     if (static_cast<std::int64_t>(chunk) == traceChunkId()) {
         debugf("@%llu dataArrived chunk=%llu ok=%d\n",
@@ -276,7 +277,8 @@ CachedTreePolicy::evictDirty(const CacheArray::Victim &victim)
     // Timestamp bits of a MAC-kind slot carry over from the current
     // slot value.
     const Slot prev = l2_.expectedSlotNow(chunk);
-    const Slot new_slot = auth_.compute(l2_.ramChunkImage(chunk), prev);
+    l2_.ramChunkImage(chunk, imageScratch_);
+    const Slot new_slot = auth_.compute(imageScratch_, prev);
 
     if (static_cast<std::int64_t>(chunk) == traceChunkId()) {
         debugf("@%llu cachedEvict chunk=%llu victim=%llx "

@@ -95,6 +95,9 @@ class CachedTreePolicy : public IntegrityPolicy
 
     std::map<std::uint64_t, ChunkFetch> fetches_; ///< by chunk index
     SlabPool<WriteBackJob> writeBackJobs_;
+    /** A chunk's RAM image for one verdict or one slot recompute;
+     *  each use reads and digests it with no nested flow between. */
+    std::vector<std::uint8_t> imageScratch_;
 };
 
 } // namespace cmt

@@ -36,8 +36,8 @@ IncrementalPolicy::evictDirty(const CacheArray::Victim &victim)
     // bytes - the victim's line is already gone from the array.
     std::vector<std::uint8_t> old_block(params_.blockSize);
     ram_.read(victim.blockAddr, old_block);
-    const std::vector<std::uint8_t> new_block =
-        mergeVictimOverRam(victim, ram_, params_.blockSize);
+    std::vector<std::uint8_t> new_block;
+    mergeVictimOverRam(victim, ram_, params_.blockSize, new_block);
     ram_.write(victim.blockAddr, new_block);
 
     // Make the parent slot's line resident next: allocating it inside

@@ -21,19 +21,18 @@ IntegrityPolicy::IntegrityPolicy(L2Controller &l2)
       auth_(l2.auth()), params_(l2.params()), array_(l2.array())
 {}
 
-std::vector<std::uint8_t>
+void
 mergeVictimOverRam(const CacheArray::Victim &victim, ChunkStore &ram,
-                   unsigned block_size)
+                   unsigned block_size, std::vector<std::uint8_t> &out)
 {
-    std::vector<std::uint8_t> bytes(block_size);
-    ram.read(victim.blockAddr, bytes);
+    out.resize(block_size);
+    ram.read(victim.blockAddr, out);
     for (unsigned w = 0; w < block_size / kWordSize; ++w) {
         if ((victim.validWords >> w) & 1) {
-            std::memcpy(bytes.data() + w * kWordSize,
+            std::memcpy(out.data() + w * kWordSize,
                         victim.data.data() + w * kWordSize, kWordSize);
         }
     }
-    return bytes;
 }
 
 std::unique_ptr<IntegrityPolicy>

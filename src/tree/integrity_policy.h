@@ -126,10 +126,11 @@ class FlowScope
     L2Controller &l2_;
 };
 
-/** Merge a victim's valid words over the RAM image of its block. */
-std::vector<std::uint8_t>
-mergeVictimOverRam(const CacheArray::Victim &victim, ChunkStore &ram,
-                   unsigned block_size);
+/** Merge a victim's valid words over the RAM image of its block,
+ *  into @p out (resized to the block; its capacity is kept, so a
+ *  reused buffer never reallocates). */
+void mergeVictimOverRam(const CacheArray::Victim &victim, ChunkStore &ram,
+                        unsigned block_size, std::vector<std::uint8_t> &out);
 
 /** Create the policy implementing @p scheme behind @p l2 (the
  *  canonical PolicyFactory). */

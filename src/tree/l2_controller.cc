@@ -48,9 +48,10 @@ L2Controller::L2Controller(EventQueue &events, MainMemory &memory,
       stat_bufferStallEvents(stats, "l2.buffer_stalls",
                              "demand misses queued on full buffers"),
       events_(events), memory_(memory), ram_(ram), hasher_(hasher),
-      tree_(tree), auth_(auth), params_(params),
+      tree_(tree), auth_(auth), stats_(stats), params_(params),
       array_(CacheParams{"l2", params.sizeBytes, params.assoc,
-                         params.blockSize, /*storesData=*/true})
+                         params.blockSize, /*storesData=*/true}),
+      fillScratch_(params.blockSize)
 {
     cmt_assert(params_.chunkSize % params_.blockSize == 0);
     cmt_assert(params_.chunkSize == tree_.chunkSize());
@@ -277,13 +278,12 @@ L2Controller::fillBlockFromRam(std::uint64_t block_addr)
     if (line == nullptr)
         line = allocateLine(block_addr);
 
-    std::vector<std::uint8_t> bytes(params_.blockSize);
-    ram_.read(block_addr, bytes);
+    ram_.read(block_addr, fillScratch_);
     for (unsigned w = 0; w < array_.wordsPerBlock(); ++w) {
         if ((line->validWords >> w) & 1)
             continue; // keep (possibly dirty) cached words
         std::memcpy(line->data.data() + w * kWordSize,
-                    bytes.data() + w * kWordSize, kWordSize);
+                    fillScratch_.data() + w * kWordSize, kWordSize);
     }
     line->validWords = array_.fullMask();
     debugCheckInvariant("fillBlockFromRam");

@@ -210,6 +210,9 @@ class L2Controller
     MainMemory &memory() { return memory_; }
     ChunkStore &ram() { return ram_; }
     HashEngine &hasher() { return hasher_; }
+    /** The registry the controller's counters live in; policies
+     *  register their own there. */
+    StatGroup &stats() { return stats_; }
     const Authenticator &auth() const { return auth_; }
     const L2Params &params() const { return params_; }
     CacheArray &array() { return array_; }
@@ -309,8 +312,11 @@ class L2Controller
     HashEngine &hasher_;
     ShardRouter &tree_;
     const Authenticator &auth_;
+    StatGroup &stats_;
     L2Params params_;
     CacheArray array_;
+    /** fillBlockFromRam's block image, reused fill to fill. */
+    std::vector<std::uint8_t> fillScratch_;
 
     std::map<std::uint64_t, Mshr> mshrs_; ///< by block address
 

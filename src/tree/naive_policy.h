@@ -12,10 +12,14 @@
 #ifndef CMT_TREE_NAIVE_POLICY_H
 #define CMT_TREE_NAIVE_POLICY_H
 
+#include <bit>
+#include <cstddef>
+#include <span>
 #include <vector>
 
 #include "cache/cache_array.h"
 #include "support/arena.h"
+#include "support/stats.h"
 #include "tree/integrity_policy.h"
 #include "tree/l2_controller.h"
 
@@ -26,10 +30,24 @@ namespace cmt
 class NaivePolicy final : public IntegrityPolicy
 {
   public:
-    explicit NaivePolicy(L2Controller &l2) : IntegrityPolicy(l2) {}
+    /**
+     * Entries of the host-side digest memo (DESIGN.md §11): a fixed,
+     * direct-mapped table from a chunk to the last image digested for
+     * it and that image's slot.
+     */
+    static constexpr std::size_t kDigestMemoEntries = 1024;
+    static_assert(std::has_single_bit(kDigestMemoEntries));
+
+    explicit NaivePolicy(L2Controller &l2);
 
     void startDemandMiss(std::uint64_t block_addr) override;
     void evictDirty(const CacheArray::Victim &victim) override;
+
+    /** Chunk digests the host computed (miss verdicts and write-back
+     *  path recomputes). */
+    Counter stat_hostDigests;
+    /** Miss-verdict digests taken from the memo instead. */
+    Counter stat_hostDigestsReused;
 
   private:
     /**
@@ -44,7 +62,6 @@ class NaivePolicy final : public IntegrityPolicy
         NaivePolicy *self = nullptr;
         std::uint64_t blockAddr = 0;
         std::uint64_t shard = 0;
-        unsigned pendingReads = 0;
         bool ok = true;
         /** Leaf chunk plus every ancestor, bottom-up. */
         std::vector<std::uint64_t> path;
@@ -56,7 +73,6 @@ class NaivePolicy final : public IntegrityPolicy
         NaivePolicy *self = nullptr;
         std::uint64_t chunk = 0;
         std::uint64_t shard = 0;
-        unsigned pendingReads = 0;
         unsigned ancestors = 0;
     };
 
@@ -76,16 +92,39 @@ class NaivePolicy final : public IntegrityPolicy
      */
     unsigned recomputePath(std::uint64_t chunk);
 
+    /** The memoized slot of @p chunk if its memo image is byte-for-
+     *  byte @p image, else null. */
+    const Slot *memoFind(std::uint64_t chunk,
+                         std::span<const std::uint8_t> image) const;
+    /** Record that @p image, @p chunk's current bytes, digests to
+     *  @p slot. */
+    void memoFill(std::uint64_t chunk,
+                  std::span<const std::uint8_t> image, const Slot &slot);
+
     SlabPool<MissJob> missJobs_;
     SlabPool<EvictJob> evictJobs_;
 
+    /**
+     * The memo, as flat arrays. Empty when the slot is not a pure
+     * function of the image (kXorMac folds in timestamp bits), which
+     * leaves every digest to the authenticator.
+     */
+    std::vector<std::uint64_t> memoTag_;
+    std::vector<Slot> memoSlot_;
+    std::vector<std::uint8_t> memoImage_;
+
     /** Ancestor-walk scratch (images stay alive across the batched
-     *  verifyChain call; capacity retained across misses). */
+     *  digest call; capacity retained across misses). */
     std::vector<std::vector<std::uint8_t>> imageScratch_;
     std::vector<std::span<const std::uint8_t>> spanScratch_;
     std::vector<Slot> slotScratch_;
+    /** Miss levels the memo did not serve, and their digests. */
+    std::vector<std::size_t> digestLevels_;
+    std::vector<Slot> digestScratch_;
     /** recomputePath's one chunk image, reused level to level. */
     std::vector<std::uint8_t> recomputeScratch_;
+    /** evictDirty's merged victim block. */
+    std::vector<std::uint8_t> mergeScratch_;
 };
 
 } // namespace cmt

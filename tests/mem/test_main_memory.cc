@@ -82,6 +82,71 @@ TEST(MainMemoryTest, WritesOccupyDataBusWithoutDramLatency)
     EXPECT_EQ(done, 40u); // no 80-cycle DRAM wait for posted writes
 }
 
+// A chained read is N reads with one event: after prior traffic, its
+// completion cycle, the bus state it leaves and every mem.* counter
+// equal those of N separate read() calls, and its one event keeps
+// the last read's place among same-cycle events.
+TEST(MainMemoryTest, ReadChainMatchesIndividualReads)
+{
+    constexpr unsigned kReads = 13;
+    const auto prior_traffic = [](Fixture &f) {
+        f.mem.read(0, 64, [] {});
+        f.mem.write(64, 64);
+        f.mem.read(128, 32, [] {});
+        f.events.runUntil(150);
+    };
+
+    Fixture single;
+    prior_traffic(single);
+    const std::uint64_t single_before = single.events.executedCount();
+    Cycle single_done = 0;
+    for (unsigned i = 0; i < kReads; ++i) {
+        single.mem.read(i * 64, 64, [&, i]() {
+            if (i + 1 == kReads)
+                single_done = single.events.now();
+        });
+    }
+    Cycle single_next = 0;
+    single.mem.read(0, 64, [&]() { single_next = single.events.now(); });
+    single.events.runUntil(100000);
+    ASSERT_GT(single_done, 150u);
+
+    Fixture chained;
+    prior_traffic(chained);
+    const std::uint64_t executed_before = chained.events.executedCount();
+    std::vector<char> order;
+    Cycle chained_done = 0;
+    chained.events.schedule(single_done, [&] { order.push_back('b'); });
+    chained.mem.readChain(64, kReads, [&]() {
+        chained_done = chained.events.now();
+        order.push_back('c');
+    });
+    chained.events.schedule(single_done, [&] { order.push_back('a'); });
+    Cycle chained_next = 0;
+    chained.mem.read(0, 64,
+                     [&]() { chained_next = chained.events.now(); });
+    chained.events.runUntil(100000);
+
+    EXPECT_EQ(chained_done, single_done);
+    EXPECT_EQ(order, (std::vector<char>{'b', 'c', 'a'}));
+    // Same bus state: the read issued next completes at the same cycle.
+    EXPECT_EQ(chained_next, single_next);
+    EXPECT_EQ(chained.mem.dataBusBusyCycles(),
+              single.mem.dataBusBusyCycles());
+    EXPECT_EQ(chained.mem.stat_reads.value(), single.mem.stat_reads.value());
+    EXPECT_EQ(chained.mem.stat_writes.value(),
+              single.mem.stat_writes.value());
+    EXPECT_EQ(chained.mem.stat_bytesRead.value(),
+              single.mem.stat_bytesRead.value());
+    EXPECT_EQ(chained.mem.stat_bytesWritten.value(),
+              single.mem.stat_bytesWritten.value());
+    // The chain runs one event where the reads ran kReads; the
+    // chained run adds its two markers.
+    EXPECT_EQ(chained.events.executedCount() - executed_before,
+              single.events.executedCount() - single_before -
+                  (kReads - 1) + 2);
+}
+
 TEST(EventQueueTest, FifoOrderingAtSameCycle)
 {
     EventQueue q;

@@ -12,6 +12,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 
 #include "mem/backing_store.h"
 #include "support/random.h"
@@ -31,11 +32,12 @@ struct PolicyFixture
                            std::uint64_t chunk_size = 64,
                            unsigned block_size = 64,
                            PolicyFactory factory = {},
-                           unsigned shards = 1)
+                           unsigned shards = 1,
+                           std::optional<Authenticator::Kind> kind = {})
         : tree(chunk_size, 4ULL << 30, shards),
-          auth(scheme == Scheme::kIncremental
-                   ? Authenticator::Kind::kXorMac
-                   : Authenticator::Kind::kMd5,
+          auth(kind.value_or(scheme == Scheme::kIncremental
+                                 ? Authenticator::Kind::kXorMac
+                                 : Authenticator::Kind::kMd5),
                key(), block_size),
           ram(base, tree, auth),
           mem(events, ram, MemTimingParams{}, stats),
@@ -274,6 +276,150 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<PolicyCase> &info) {
         return info.param.name;
     });
+
+// The naive scheme's digest memo: a miss-path level reuses a stored
+// slot only when the chunk's current image is byte-for-byte the image
+// that slot was computed from, so a changed chunk is always digested
+// again and its verdict is the one a full recompute would give.
+struct NaiveMemoFixture : PolicyFixture
+{
+    explicit NaiveMemoFixture(
+        Authenticator::Kind kind = Authenticator::Kind::kMd5)
+        : PolicyFixture(Scheme::kNaive, 4096, 4, 64, 64, {}, 1, kind)
+    {}
+
+    std::uint64_t
+    reused() const
+    {
+        return stats.counterValue("naive.host_digests_reused");
+    }
+
+    std::uint64_t
+    computed() const
+    {
+        return stats.counterValue("naive.host_digests");
+    }
+
+    std::uint64_t
+    leafOf(std::uint64_t addr) const
+    {
+        return layout.chunkOf(layout.dataToRam(addr));
+    }
+
+    /** A data address in another leaf chunk under the same parent
+     *  as @p addr's. */
+    std::uint64_t
+    siblingOf(std::uint64_t addr, unsigned nth = 1) const
+    {
+        const std::uint64_t leaf = leafOf(addr);
+        for (std::uint64_t a = 0;; a += 64) {
+            const std::uint64_t c = leafOf(a);
+            if (c != leaf && layout.parentOf(c) == layout.parentOf(leaf) &&
+                --nth == 0)
+                return a;
+        }
+    }
+};
+
+TEST(NaiveMemoTest, TamperedMemoizedAncestorIsDetected)
+{
+    NaiveMemoFixture f;
+    Adversary mallory(f.ram);
+    const std::uint64_t a = 0;
+    const std::uint64_t b = f.siblingOf(a, 1);
+    const std::uint64_t c = f.siblingOf(a, 2);
+
+    // Miss A verifies and memoizes the whole path; miss B shares
+    // every ancestor and takes each of them from the memo.
+    f.readWait(a);
+    f.drain();
+    const std::uint64_t reused_before_b = f.reused();
+    f.readWait(b);
+    f.drain();
+    ASSERT_EQ(f.l2.integrityFailures(), 0u);
+    ASSERT_GE(f.reused() - reused_before_b, f.layout.ancestorDepth());
+
+    // One flipped bit in the shared parent, inside A's slot so C's own
+    // slot still matches: miss C must digest the parent afresh and
+    // fail against the grandparent's slot.
+    const std::uint64_t leaf_a = f.leafOf(a);
+    const auto parent = static_cast<std::uint64_t>(f.layout.parentOf(leaf_a));
+    mallory.flipBit(
+        f.layout.slotAddr(parent, f.layout.slotIndexOf(leaf_a)), 0);
+    f.readWait(c);
+    f.drain();
+    EXPECT_GE(f.l2.integrityFailures(), 1u);
+}
+
+TEST(NaiveMemoTest, ReplayedImageAndSlotOfMemoizedChunkIsDetected)
+{
+    NaiveMemoFixture f;
+    Adversary mallory(f.ram);
+    const std::uint64_t addr = 8 * 3;
+    const std::uint64_t leaf = f.leafOf(addr);
+    const auto parent =
+        static_cast<std::uint64_t>(f.layout.parentOf(leaf));
+    const std::uint64_t slot_addr =
+        f.layout.slotAddr(parent, f.layout.slotIndexOf(leaf));
+
+    // Image 1 and the slot that authenticates it.
+    f.write64(addr, 0x1111'2222'3333'4444ull);
+    f.l2.flushAllDirty();
+    f.drain();
+    const auto old_image =
+        mallory.capture(f.layout.chunkAddr(leaf), 64);
+    const auto old_slot = mallory.capture(slot_addr, 16);
+
+    // Image 2 is written back, then verified by a miss, so the memo
+    // holds the chunk's current path.
+    f.write64(addr, 0x5555'6666'7777'8888ull);
+    f.l2.flushAllDirty();
+    f.drain();
+    f.thrash();
+    f.readWait(addr);
+    f.drain();
+    f.thrash();
+    ASSERT_EQ(f.l2.integrityFailures(), 0u);
+    ASSERT_GT(f.reused(), 0u);
+
+    // Restore the older, once-authentic image and slot pair. The leaf
+    // then matches its replayed slot; the parent's image no longer
+    // equals its memoized image, so it is digested and fails against
+    // the grandparent.
+    mallory.replay(f.layout.chunkAddr(leaf), old_image);
+    mallory.replay(slot_addr, old_slot);
+    f.readWait(addr);
+    f.drain();
+    EXPECT_GE(f.l2.integrityFailures(), 1u);
+}
+
+TEST(NaiveMemoTest, XorMacSlotsNeverTakeTheMemo)
+{
+    // The same repeated-path workload reuses memoized digests under
+    // MD5 and truncated SHA-1, while an XOR-MAC slot (which folds in
+    // timestamp bits) is always computed by the authenticator.
+    for (const auto kind :
+         {Authenticator::Kind::kMd5, Authenticator::Kind::kSha1Trunc,
+          Authenticator::Kind::kXorMac}) {
+        NaiveMemoFixture f(kind);
+        for (unsigned round = 0; round < 2; ++round) {
+            for (unsigned i = 0; i < 8; ++i) {
+                f.write64(64 * i, round * 100 + i);
+                f.readWait(64 * i + 4096);
+            }
+            f.l2.flushAllDirty();
+            f.drain();
+            f.thrash();
+        }
+        EXPECT_EQ(f.l2.integrityFailures(), 0u);
+        EXPECT_TRUE(f.l2.verifyTreeConsistency());
+        EXPECT_GT(f.computed(), 0u);
+        if (kind == Authenticator::Kind::kXorMac)
+            EXPECT_EQ(f.reused(), 0u);
+        else
+            EXPECT_GT(f.reused(), 0u);
+    }
+}
 
 // NullPolicy is the paper's insecure baseline: it must run the same
 // cache machinery but never check anything - tampering sails through.

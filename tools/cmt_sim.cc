@@ -7,7 +7,8 @@
  *     --trace <file>      drive the core from a CMT trace file instead
  *     --scheme <s>        base | naive | cached | incremental
  *     --l2-size <bytes>   L2 capacity            (default 1048576)
- *     --l2-block <bytes>  L2 line size           (default 64)
+ *     --l2-block <bytes>  L2 line size           (default 64; a
+ *                         power of two >= the 32 B L1 line)
  *     --chunk <bytes>     tree chunk size        (default = block;
  *                         a power of two >= 32, a multiple of block)
  *     --shards <k>        independent subtrees   (default 1; a power
@@ -144,6 +145,12 @@ main(int argc, char **argv)
             usage();
         }
     }
+    // The L2 serves whole L1 lines, so a block holds at least one.
+    if (!isPow2(cfg.l2.blockSize) ||
+        cfg.l2.blockSize < cfg.core.l1BlockSize)
+        usageError("cmt_sim",
+                   "--l2-block must be a power of two of at least %u",
+                   cfg.core.l1BlockSize);
     if (!chunk_set)
         cfg.l2.chunkSize = cfg.l2.blockSize;
     if (!isPow2(cfg.l2.shards))
@@ -151,7 +158,7 @@ main(int argc, char **argv)
     if (!isPow2(cfg.l2.chunkSize) || cfg.l2.chunkSize < 32)
         usageError("cmt_sim",
                    "--chunk must be a power of two of at least 32");
-    if (cfg.l2.blockSize == 0 || cfg.l2.chunkSize % cfg.l2.blockSize != 0)
+    if (cfg.l2.chunkSize % cfg.l2.blockSize != 0)
         usageError("cmt_sim", "--chunk must be a multiple of --l2-block");
 
     printConfigTable(std::cout, cfg);
