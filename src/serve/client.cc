@@ -141,14 +141,21 @@ Client::request(Op op, std::span<const std::uint8_t> payload,
     return recvReply(status, reply, err);
 }
 
+void
+Client::describeFailure(const std::vector<std::uint8_t> &reply,
+                        std::string *err)
+{
+    err->assign(reply.begin(), reply.end());
+    if (err->empty())
+        *err = "request failed";
+}
+
 CallResult
 Client::failureOf(Status status,
                   const std::vector<std::uint8_t> &reply,
                   std::string *err)
 {
-    err->assign(reply.begin(), reply.end());
-    if (err->empty())
-        *err = "request failed";
+    describeFailure(reply, err);
     return status == Status::kCorrupt ? CallResult::kCorrupt
                                       : CallResult::kError;
 }
@@ -161,7 +168,7 @@ Client::ping(std::string *err)
     if (!request(Op::kPing, {}, &status, &reply, err))
         return false;
     if (status != Status::kOk) {
-        failureOf(status, reply, err);
+        describeFailure(reply, err);
         return false;
     }
     return true;
@@ -224,7 +231,7 @@ Client::verifyStore(std::uint32_t store_id, bool *clean,
         *clean = false;
         return true; // the call worked; the verdict is "tampered"
     }
-    failureOf(status, reply, err);
+    describeFailure(reply, err);
     return false;
 }
 
@@ -238,7 +245,7 @@ Client::syncStore(std::uint32_t store_id, std::string *err)
     if (!request(Op::kSync, payload, &status, &reply, err))
         return false;
     if (status != Status::kOk) {
-        failureOf(status, reply, err);
+        describeFailure(reply, err);
         return false;
     }
     return true;
@@ -254,7 +261,7 @@ Client::saveStore(std::uint32_t store_id, std::string *err)
     if (!request(Op::kSave, payload, &status, &reply, err))
         return false;
     if (status != Status::kOk) {
-        failureOf(status, reply, err);
+        describeFailure(reply, err);
         return false;
     }
     return true;
@@ -268,7 +275,7 @@ Client::fetchStats(ServerStats *out, std::string *err)
     if (!request(Op::kStats, {}, &status, &reply, err))
         return false;
     if (status != Status::kOk) {
-        failureOf(status, reply, err);
+        describeFailure(reply, err);
         return false;
     }
     if (!unpackStats(reply, out)) {
@@ -286,7 +293,7 @@ Client::shutdownServer(std::string *err)
     if (!request(Op::kShutdown, {}, &status, &reply, err))
         return false;
     if (status != Status::kOk) {
-        failureOf(status, reply, err);
+        describeFailure(reply, err);
         return false;
     }
     return true;

@@ -27,8 +27,9 @@
 namespace cmt::serve
 {
 
-/** Result of one client call (wire status + transport failures). */
-enum class CallResult
+/** Result of one client call (wire status + transport failures).
+ *  [[nodiscard]]: a dropped kCorrupt is a dropped integrity verdict. */
+enum class [[nodiscard]] CallResult
 {
     kOk,
     /** Server replied kError (malformed request, I/O failure...). */
@@ -50,13 +51,14 @@ class Client
     Client &operator=(const Client &) = delete;
 
     /** Connect to a daemon socket; false with @p err on failure. */
-    bool connectTo(const std::string &socket_path, std::string *err);
+    [[nodiscard]] bool connectTo(const std::string &socket_path,
+                                 std::string *err);
 
-    bool connected() const { return fd_ >= 0; }
+    [[nodiscard]] bool connected() const { return fd_ >= 0; }
     void disconnect();
 
     /** Round-trip a kPing. */
-    bool ping(std::string *err);
+    [[nodiscard]] bool ping(std::string *err);
 
     /** Verified read of [addr, addr+len) from @p store_id. */
     CallResult readBlock(std::uint32_t store_id, std::uint64_t addr,
@@ -71,39 +73,47 @@ class Client
 
     /** Whole-tree verification pass on the server.
      *  @p clean reports the verdict when the call itself succeeds. */
-    bool verifyStore(std::uint32_t store_id, bool *clean,
-                     std::string *err);
+    [[nodiscard]] bool verifyStore(std::uint32_t store_id, bool *clean,
+                                   std::string *err);
 
     /** Flush the store's dirty cached chunks into (model) RAM. */
-    bool syncStore(std::uint32_t store_id, std::string *err);
+    [[nodiscard]] bool syncStore(std::uint32_t store_id, std::string *err);
 
     /** Persist the store through the crash-safe save path. */
-    bool saveStore(std::uint32_t store_id, std::string *err);
+    [[nodiscard]] bool saveStore(std::uint32_t store_id, std::string *err);
 
     /** Fetch server-wide counters. */
-    bool fetchStats(ServerStats *out, std::string *err);
+    [[nodiscard]] bool fetchStats(ServerStats *out, std::string *err);
 
     /** Ask the daemon to shut down gracefully. */
-    bool shutdownServer(std::string *err);
+    [[nodiscard]] bool shutdownServer(std::string *err);
 
     // --- raw access for protocol tests -------------------------------
 
     /** Write arbitrary bytes to the socket (torn/garbage frames). */
-    bool sendRaw(std::span<const std::uint8_t> bytes, std::string *err);
+    [[nodiscard]] bool sendRaw(std::span<const std::uint8_t> bytes,
+                               std::string *err);
 
     /** Read exactly one reply frame. */
-    bool recvReply(Status *status, std::vector<std::uint8_t> *payload,
-                   std::string *err);
+    [[nodiscard]] bool recvReply(Status *status,
+                                 std::vector<std::uint8_t> *payload,
+                                 std::string *err);
 
     /** Frame + send a request, then read its reply. */
-    bool request(Op op, std::span<const std::uint8_t> payload,
-                 Status *status, std::vector<std::uint8_t> *reply,
-                 std::string *err);
+    [[nodiscard]] bool request(Op op,
+                               std::span<const std::uint8_t> payload,
+                               Status *status,
+                               std::vector<std::uint8_t> *reply,
+                               std::string *err);
 
   private:
-    bool sendAll(const std::uint8_t *data, std::size_t len,
-                 std::string *err);
-    bool recvAll(std::uint8_t *data, std::size_t len, std::string *err);
+    [[nodiscard]] bool sendAll(const std::uint8_t *data, std::size_t len,
+                               std::string *err);
+    [[nodiscard]] bool recvAll(std::uint8_t *data, std::size_t len,
+                               std::string *err);
+    /** Copy a failed reply's message into @p err. */
+    static void describeFailure(const std::vector<std::uint8_t> &reply,
+                                std::string *err);
     /** Map a non-kOk reply onto CallResult + message. */
     static CallResult failureOf(Status status,
                                 const std::vector<std::uint8_t> &reply,

@@ -13,9 +13,8 @@
  *    stores, appends the framed reply to the connection's output
  *    buffer and sends it in the same pass. Requests on a connection
  *    therefore execute and reply in arrival order, with no hand-off
- *    and no lock of the server's own; each store's mutex still
- *    serialises access to that store against callers outside the
- *    loop.
+ *    and no lock. The thread owns every store (serve/store.h); other
+ *    callers touch a store only while no request is in flight.
  *  - A long request (kVerify or kSave on a large store) delays every
  *    connection, and requests to different stores do not overlap.
  *

@@ -6,7 +6,6 @@
 
 #include "serve/protocol.h"
 #include "support/logging.h"
-#include "support/thread_annotations.h"
 #include "verify/merkle_memory.h"
 #include "verify/persistence.h"
 
@@ -43,7 +42,6 @@ ServeStore::read(std::uint64_t addr, std::uint32_t len,
         return StoreOutcome::kBadRequest;
     }
     out->resize(len);
-    MutexLock lock(mu_);
     try {
         memory_.load(addr, std::span<std::uint8_t>(*out));
     } catch (const IntegrityException &e) {
@@ -92,8 +90,6 @@ ServeStore::applyWriteBatch(std::span<const WriteOp> ops,
         }
     }
 
-    MutexLock lock(mu_);
-
     // Shard-major replay: bucket ops by destination subtree so
     // consecutive updates share hot ancestor chunks, keeping arrival
     // order within each shard. Only equivalence-preserving when no op
@@ -133,7 +129,6 @@ ServeStore::applyWriteBatch(std::span<const WriteOp> ops,
 bool
 ServeStore::verifyAll()
 {
-    MutexLock lock(mu_);
     const bool clean = memory_.verifyAll();
     if (!clean)
         corruptions_.fetch_add(1);
@@ -143,7 +138,6 @@ ServeStore::verifyAll()
 void
 ServeStore::sync()
 {
-    MutexLock lock(mu_);
     memory_.flush();
 }
 
@@ -162,7 +156,6 @@ ServeStore::saveState(std::string *err)
         *err = "store '" + name_ + "' has no state paths bound";
         return false;
     }
-    MutexLock lock(mu_);
     // Image first, then roots: each save is individually atomic
     // (tmp + rename), and a crash between the two leaves an
     // image/roots pair from different epochs that loadState rejects.
@@ -187,7 +180,6 @@ ServeStore::loadStateIfPresent(bool *loaded, std::string *err)
     }
     if (!fileExists(imagePath_) && !fileExists(rootsPath_))
         return true; // fresh store, nothing on disk
-    MutexLock lock(mu_);
     ScopedThrowOnError guard;
     try {
         loadState(memory_, backing_, imagePath_, rootsPath_);

@@ -4,19 +4,25 @@
  *
  * A store pairs a sparse BackingStore (the untrusted RAM image) with a
  * MerkleMemory whose sharded hash tree and root registers make every
- * read verified. One mutex serializes tree mutations; every caller
- * funnels through it, so the tree the clients observe is always some
- * serialization of their requests.
+ * read verified.
+ *
+ * Ownership: a store has no lock. While the daemon runs, its one
+ * epoll loop thread (serve/server.h) owns every store and runs each
+ * request to completion, so the tree the clients observe is the
+ * serialization of their requests in execution order. Any other
+ * caller (daemon startup and shutdown, tests reaching in through
+ * memoryForTest()) touches a store only while no request is in
+ * flight. TSan (the tsan preset) checks that claim at run time.
  *
  * Writes arrive in batches: the server passes each run of pipelined
  * writes to one store to applyWriteBatch(), which groups the batch by
- * destination shard under a single lock acquisition: shards
- * partition the address space (tree/shard_router.h), so two writes to
- * different shards never alias and replaying them shard-by-shard is
- * equivalence-preserving, while writes within one shard keep their
- * arrival order. Grouping matters because consecutive
- * same-shard updates reuse the shard's hot ancestor chunks in the
- * trusted cache instead of ping-ponging between subtrees.
+ * destination shard. Shards partition the address space
+ * (tree/shard_router.h), so two writes to different shards never
+ * alias and replaying them shard-by-shard is equivalence-preserving,
+ * while writes within one shard keep their arrival order. Grouping
+ * matters because consecutive same-shard updates reuse the shard's
+ * hot ancestor chunks in the trusted cache instead of ping-ponging
+ * between subtrees.
  *
  * Persistence goes through verify/persistence.h: the image first, then
  * the roots, each individually atomic (tmp + rename). A crash between
@@ -34,7 +40,6 @@
 #include <vector>
 
 #include "mem/backing_store.h"
-#include "support/thread_annotations.h"
 #include "verify/merkle_memory.h"
 
 namespace cmt::serve
@@ -59,7 +64,7 @@ enum class StoreOutcome
     kFailed,
 };
 
-/** A named, lockable, integrity-verified memory. */
+/** A named, integrity-verified memory. */
 class ServeStore
 {
   public:
@@ -79,11 +84,10 @@ class ServeStore
      * the integrity failure message and @p out is unspecified.
      */
     StoreOutcome read(std::uint64_t addr, std::uint32_t len,
-                      std::vector<std::uint8_t> *out, std::string *err)
-        CMT_EXCLUDES(mu_);
+                      std::vector<std::uint8_t> *out, std::string *err);
 
     /**
-     * Apply @p ops under one lock acquisition, grouped by destination
+     * Apply @p ops, grouped by destination
      * shard (arrival order preserved within each shard). @p per_op is
      * resized to ops.size() and filled with the fate of each op by its
      * original index: kOk once applied, kCorrupt for the op whose tree
@@ -92,16 +96,16 @@ class ServeStore
      */
     StoreOutcome applyWriteBatch(std::span<const WriteOp> ops,
                                  std::vector<StoreOutcome> *per_op,
-                                 std::string *err) CMT_EXCLUDES(mu_);
+                                 std::string *err);
 
     /**
      * Walk the whole tree and check every touched chunk against its
      * parent. @return false when any check fails.
      */
-    bool verifyAll() CMT_EXCLUDES(mu_);
+    [[nodiscard]] bool verifyAll();
 
     /** Write back every dirty cached chunk (tree fully in RAM). */
-    void sync() CMT_EXCLUDES(mu_);
+    void sync();
 
     /** Bind the on-disk home of this store's snapshot. */
     void setStatePaths(const std::string &image_path,
@@ -113,7 +117,7 @@ class ServeStore
      * @return false with @p err set on I/O failure (the daemon stays
      * up; the previous snapshot on disk is untouched).
      */
-    bool saveState(std::string *err) CMT_EXCLUDES(mu_);
+    [[nodiscard]] bool saveState(std::string *err);
 
     /**
      * Restore the snapshot bound by setStatePaths() if both files
@@ -121,18 +125,15 @@ class ServeStore
      * but unloadable snapshot (geometry mismatch, torn image/roots
      * pair, tampering) returns false with @p err set.
      */
-    bool loadStateIfPresent(bool *loaded, std::string *err)
-        CMT_EXCLUDES(mu_);
+    [[nodiscard]] bool loadStateIfPresent(bool *loaded,
+                                          std::string *err);
 
     /**
-     * Test-only, unlocked access to the verified memory so tamper
-     * tests can reach the untrusted RAM image through memory().ram().
-     * Callers must be the only thread touching the store.
+     * Test-only access to the verified memory so tamper tests can
+     * reach the untrusted RAM image through memory().ram(). Callers
+     * must be the only thread touching the store.
      */
-    MerkleMemory &memoryForTest() CMT_NO_THREAD_SAFETY_ANALYSIS
-    {
-        return memory_;
-    }
+    MerkleMemory &memoryForTest() { return memory_; }
 
     // --- counters (lock-free reads for kStats) -----------------------
     std::uint64_t readOps() const { return readOps_.load(); }
@@ -143,18 +144,17 @@ class ServeStore
     /** Apply one op; records its fate in (*per_op)[index]. */
     StoreOutcome applyOne(const WriteOp &op, std::size_t index,
                           std::vector<StoreOutcome> *per_op,
-                          std::string *err) CMT_REQUIRES(mu_);
+                          std::string *err);
 
     const std::string name_;
     std::string imagePath_;
     std::string rootsPath_;
 
-    Mutex mu_;
     /** Untrusted RAM image (adversary-accessible in the model). */
-    BackingStore backing_ CMT_GUARDED_BY(mu_);
+    BackingStore backing_;
     /** The verified view; every client byte moves through here. */
-    MerkleMemory memory_ CMT_GUARDED_BY(mu_);
-    /** Cached outside the lock: geometry is immutable after build. */
+    MerkleMemory memory_;
+    /** Geometry is immutable after build. */
     const std::uint64_t size_;
     const unsigned shards_;
 

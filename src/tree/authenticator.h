@@ -71,8 +71,8 @@ class Authenticator
                       std::span<Slot> out) const;
 
     /** Check @p chunk against the stored @p slot. */
-    bool verify(std::span<const std::uint8_t> chunk,
-                const Slot &slot) const;
+    [[nodiscard]] bool verify(std::span<const std::uint8_t> chunk,
+                              const Slot &slot) const;
 
     /**
      * Check a whole ancestor chain in one call: chunks[i] against
@@ -81,7 +81,7 @@ class Authenticator
      * Md5::digestChain, which is how the batched policies and
      * MerkleMemory check a root-to-leaf path.
      */
-    bool
+    [[nodiscard]] bool
     verifyChain(std::span<const std::span<const std::uint8_t>> chunks,
                 std::span<const Slot> slots) const;
 
@@ -92,7 +92,7 @@ class Authenticator
      * specific chunk (MerkleMemory's exception carries the chunk
      * index) use this form.
      */
-    std::int64_t verifyChainFirstFailure(
+    [[nodiscard]] std::int64_t verifyChainFirstFailure(
         std::span<const std::span<const std::uint8_t>> chunks,
         std::span<const Slot> slots) const;
 

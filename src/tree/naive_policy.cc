@@ -18,20 +18,6 @@ namespace
 /** Memo tag of an empty entry; no chunk index reaches it. */
 constexpr std::uint64_t kNoChunk = ~std::uint64_t{0};
 
-/**
- * Memo entry of @p chunk: Fibonacci hashing. The ancestors of nearby
- * leaves are chunk / arity^k apart, which a plain modulo folds onto
- * each other (81 % of miss digests reused on swim, against 86 %).
- */
-std::size_t
-memoEntry(std::uint64_t chunk)
-{
-    constexpr int kShift =
-        64 - std::countr_zero(NaivePolicy::kDigestMemoEntries);
-    return static_cast<std::size_t>(
-        (chunk * 0x9E3779B97F4A7C15ull) >> kShift);
-}
-
 } // namespace
 
 NaivePolicy::NaivePolicy(L2Controller &l2)
@@ -42,9 +28,11 @@ NaivePolicy::NaivePolicy(L2Controller &l2)
                              "miss digests reused from the exact memo")
 {
     if (auth_.kind() != Authenticator::Kind::kXorMac) {
-        memoTag_.assign(kDigestMemoEntries, kNoChunk);
-        memoSlot_.resize(kDigestMemoEntries);
-        memoImage_.resize(kDigestMemoEntries * params_.chunkSize);
+        const std::size_t entries = digestMemoEntries(params_.chunkSize);
+        memoTag_.assign(entries, kNoChunk);
+        memoSlot_.resize(entries);
+        memoImage_.resize(entries * params_.chunkSize);
+        memoShift_ = 64 - std::countr_zero(entries);
     }
 }
 
@@ -247,6 +235,21 @@ NaivePolicy::recomputePath(std::uint64_t chunk)
         ++updated;
     }
     return updated;
+}
+
+/**
+ * Fibonacci hashing. The ancestors of nearby leaves are chunk / arity^k
+ * apart, which a plain modulo folds onto each other (81 % of miss
+ * digests reused on swim, against 86 %).
+ */
+std::size_t
+NaivePolicy::memoEntry(std::uint64_t chunk) const
+{
+    // A one-entry memo would shift by 64, which C++ leaves undefined.
+    if (memoShift_ == 64)
+        return 0;
+    return static_cast<std::size_t>(
+        (chunk * 0x9E3779B97F4A7C15ull) >> memoShift_);
 }
 
 const Slot *

@@ -12,8 +12,10 @@
 #ifndef CMT_TREE_NAIVE_POLICY_H
 #define CMT_TREE_NAIVE_POLICY_H
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -31,12 +33,24 @@ class NaivePolicy final : public IntegrityPolicy
 {
   public:
     /**
-     * Entries of the host-side digest memo (DESIGN.md §11): a fixed,
-     * direct-mapped table from a chunk to the last image digested for
-     * it and that image's slot.
+     * The host-side digest memo (DESIGN.md §11) is a direct-mapped
+     * table from a chunk to the last image digested for it and that
+     * image's slot. It holds at most kDigestMemoMaxEntries entries and
+     * kDigestMemoBytes of images, so large chunks get fewer entries.
      */
-    static constexpr std::size_t kDigestMemoEntries = 1024;
-    static_assert(std::has_single_bit(kDigestMemoEntries));
+    static constexpr std::size_t kDigestMemoMaxEntries = 1024;
+    static constexpr std::size_t kDigestMemoBytes = 256 * 1024;
+
+    /** Memo entries for @p chunk_size: min(kDigestMemoMaxEntries,
+     *  kDigestMemoBytes / chunk_size) rounded down to a power of two,
+     *  and at least one. */
+    static constexpr std::size_t
+    digestMemoEntries(std::uint64_t chunk_size)
+    {
+        return std::max<std::size_t>(
+            1, std::bit_floor(std::min<std::uint64_t>(
+                   kDigestMemoMaxEntries, kDigestMemoBytes / chunk_size)));
+    }
 
     explicit NaivePolicy(L2Controller &l2);
 
@@ -92,6 +106,8 @@ class NaivePolicy final : public IntegrityPolicy
      */
     unsigned recomputePath(std::uint64_t chunk);
 
+    /** Memo entry of @p chunk (Fibonacci hashing, see the .cc). */
+    std::size_t memoEntry(std::uint64_t chunk) const;
     /** The memoized slot of @p chunk if its memo image is byte-for-
      *  byte @p image, else null. */
     const Slot *memoFind(std::uint64_t chunk,
@@ -112,6 +128,8 @@ class NaivePolicy final : public IntegrityPolicy
     std::vector<std::uint64_t> memoTag_;
     std::vector<Slot> memoSlot_;
     std::vector<std::uint8_t> memoImage_;
+    /** 64 - log2(entries): the hash's top bits pick the entry. */
+    int memoShift_ = 64;
 
     /** Ancestor-walk scratch (images stay alive across the batched
      *  digest call; capacity retained across misses). */

@@ -76,8 +76,9 @@ class SecureProcessor
     verificationKeyFor(std::span<const std::uint8_t> program_image) const;
 
     /** Requester-side check of a received certificate. */
-    static bool verifyCertificate(const Key128 &verification_key,
-                                  const Certificate &cert);
+    [[nodiscard]] static bool
+    verifyCertificate(const Key128 &verification_key,
+                      const Certificate &cert);
 
   private:
     Key128 secret_;

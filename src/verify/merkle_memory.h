@@ -135,7 +135,7 @@ class MerkleMemory
      * Walk every touched chunk and verify it against its parent.
      * @return false on the first inconsistency (no exception).
      */
-    bool verifyAll();
+    [[nodiscard]] bool verifyAll();
 
     /** One shard's geometry (identical across shards). */
     const TreeLayout &layout() const { return tree_.shardLayout(); }

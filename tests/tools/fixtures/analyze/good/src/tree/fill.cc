@@ -23,8 +23,8 @@ verifyChunk(std::uint64_t chunk,
     return auth_.verify(chunk, image);
 }
 
-// Void helper: discarding its (nonexistent) result is fine, and it
-// still sanitizes because it reaches verify on every path.
+// Void helper: it still sanitizes because it reaches verify on every
+// path.
 void
 verifySlow(std::uint64_t chunk,
            const std::vector<std::uint8_t> &image)
@@ -53,12 +53,4 @@ std::vector<std::uint8_t>
 rawImage(std::uint64_t chunk)
 {
     return ram_.readChunk(chunk);
-}
-
-// Locks here and in locks.h acquire in one global order (a then b).
-void
-consistentLocks()
-{
-    MutexLock a(mu_a);
-    MutexLock b(mu_b);
 }

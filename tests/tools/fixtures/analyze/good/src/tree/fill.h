@@ -2,11 +2,11 @@
 #ifndef FIXTURE_TREE_FILL_H
 #define FIXTURE_TREE_FILL_H
 
-#include "support/locks.h"
+#include "support/tag.h"
 
 struct ChunkImage
 {
-    LockTag tag;
+    ChunkTag tag;
 };
 
 bool verifyChunk(std::uint64_t chunk,

@@ -192,13 +192,12 @@ TEST(Index, DetectsMutableSpanOutParams)
     EXPECT_FALSE(findFn(s, "peek")->hasMutableSpanParam);
 }
 
-TEST(Index, BranchesLocksAndDiscardsBecomeEvents)
+TEST(Index, BranchesBecomeEvents)
 {
     const FileSummary s = summarize(
         "src/tree/x.cc",
         "void f()\n"
         "{\n"
-        "    MutexLock guard(mu_);\n"
         "    if (cond()) {\n"
         "        verify(a, b);\n"
         "    } else {\n"
@@ -212,15 +211,9 @@ TEST(Index, BranchesLocksAndDiscardsBecomeEvents)
         kinds.push_back(e.kind);
     EXPECT_EQ(kinds,
               (std::vector<Event::Kind>{
-                  Event::Kind::kLock, Event::Kind::kCall,
-                  Event::Kind::kIfBegin, Event::Kind::kVerify,
-                  Event::Kind::kElseBegin, Event::Kind::kCall,
-                  Event::Kind::kIfEnd, Event::Kind::kUnlock}));
-    // The discarded save() call is marked.
-    for (const Event &e : fn->events)
-        if (e.name == "save") {
-            EXPECT_TRUE(e.discarded);
-        }
+                  Event::Kind::kCall, Event::Kind::kIfBegin,
+                  Event::Kind::kVerify, Event::Kind::kElseBegin,
+                  Event::Kind::kCall, Event::Kind::kIfEnd}));
 }
 
 TEST(Index, DeclaredSymbolsCoverTypesEnumsAliasesAndMacros)
@@ -254,16 +247,16 @@ TEST(Index, AllowDirectivesCoverTheirLineAndTheNext)
 {
     const FileSummary s = summarize(
         "src/x.cc",
-        "int a; // cmt-analyze: allow(lock-order)\n"
-        "// cmt-analyze: allow(trust-boundary)\n"
+        "int a; // cmt-analyze: allow(trust-boundary)\n"
+        "// cmt-analyze: allow(include-hygiene)\n"
         "int b;\n"
         "int c;\n");
-    EXPECT_TRUE(allowedAt(s, "lock-order", 1));
-    EXPECT_FALSE(allowedAt(s, "lock-order", 2));
+    EXPECT_TRUE(allowedAt(s, "trust-boundary", 1));
+    EXPECT_FALSE(allowedAt(s, "trust-boundary", 2));
     // A directive-only line covers itself and the next line.
-    EXPECT_TRUE(allowedAt(s, "trust-boundary", 2));
-    EXPECT_TRUE(allowedAt(s, "trust-boundary", 3));
-    EXPECT_FALSE(allowedAt(s, "trust-boundary", 4));
+    EXPECT_TRUE(allowedAt(s, "include-hygiene", 2));
+    EXPECT_TRUE(allowedAt(s, "include-hygiene", 3));
+    EXPECT_FALSE(allowedAt(s, "include-hygiene", 4));
 }
 
 TEST(Index, BlockCommentDirectiveSitsOnItsOwnLine)
@@ -284,8 +277,8 @@ TEST(Index, DirectiveInsideStringLiteralIsData)
 {
     const FileSummary s = summarize(
         "src/x.cc",
-        "const char *s = \"// cmt-analyze: allow(lock-order)\";\n");
-    EXPECT_FALSE(allowedAt(s, "lock-order", 1));
+        "const char *s = \"// cmt-analyze: allow(trust-boundary)\";\n");
+    EXPECT_FALSE(allowedAt(s, "trust-boundary", 1));
 }
 
 // --- per-file rules -------------------------------------------------
@@ -845,143 +838,6 @@ TEST(TrustBoundary, FunctionScopedAllowSuppresses)
                     .empty());
 }
 
-// --- lock-order -------------------------------------------------------
-
-TEST(LockOrder, AbbaOrderingIsACycle)
-{
-    const auto diags = runOn(
-        {{"src/sim/x.cc",
-          "void a() { MutexLock l1(mu_a); MutexLock l2(mu_b); }\n"
-          "void b() { MutexLock l2(mu_b); MutexLock l1(mu_a); }\n"}},
-        "lock-order");
-    ASSERT_EQ(diags.size(), 1u);
-    EXPECT_EQ(diags[0].rule, "lock-order");
-    EXPECT_NE(diags[0].message.find("cycle"), std::string::npos);
-}
-
-TEST(LockOrder, ConsistentOrderIsClean)
-{
-    EXPECT_TRUE(
-        runOn({{"src/sim/x.cc",
-                "void a() { MutexLock l1(mu_a); MutexLock "
-                "l2(mu_b); }\n"
-                "void b() { MutexLock l1(mu_a); MutexLock "
-                "l2(mu_b); }\n"}},
-              "lock-order")
-            .empty());
-}
-
-TEST(LockOrder, CycleThroughACallEdgeIsFound)
-{
-    const auto diags = runOn(
-        {{"src/sim/x.cc",
-          "void outer() { MutexLock l(mu_a); inner(); }\n"
-          "void inner() { MutexLock l(mu_b); }\n"
-          "void other() { MutexLock l(mu_b); grab(); }\n"
-          "void grab() { MutexLock l(mu_a); }\n"}},
-        "lock-order");
-    ASSERT_EQ(diags.size(), 1u);
-}
-
-TEST(LockOrder, AmbiguousReceiverCallsCreateNoPhantomEdges)
-{
-    // Regression for the MemoCache false positive: doc.find() must
-    // not resolve to MemoCache::find just because the names match
-    // when another find exists.
-    const std::vector<std::pair<std::string, std::string>> srcs = {
-        {"src/sim/cache.cc",
-         "void MemoCache::load()\n"
-         "{\n"
-         "    MutexLock lock(mu_);\n"
-         "    doc.find(\"rows\");\n"
-         "}\n"
-         "void MemoCache::find()\n"
-         "{\n"
-         "    MutexLock lock(mu_);\n"
-         "}\n"},
-        {"src/support/json.cc", "void Json::find() {}\n"}};
-    EXPECT_TRUE(runOn(srcs, "lock-order").empty());
-}
-
-TEST(LockOrder, SelfDeadlockThroughImplicitThisIsFound)
-{
-    // An unqualified call binds within the caller's class, so
-    // re-acquiring the same member mutex is caught.
-    const auto diags = runOn(
-        {{"src/sim/cache.cc",
-          "void MemoCache::load()\n"
-          "{\n"
-          "    MutexLock lock(mu_);\n"
-          "    helper();\n"
-          "}\n"
-          "void MemoCache::helper()\n"
-          "{\n"
-          "    MutexLock lock(mu_);\n"
-          "}\n"}},
-        "lock-order");
-    ASSERT_EQ(diags.size(), 1u);
-}
-
-// --- error-discipline -------------------------------------------------
-
-TEST(ErrorDiscipline, DiscardedBoolVerifyIsFlagged)
-{
-    const auto diags = runOn(
-        {{"src/tree/x.cc",
-          "bool verifyChunk(int c) { return c == 0; }\n"
-          "void f() { verifyChunk(3); }\n"}},
-        "error-discipline");
-    ASSERT_EQ(diags.size(), 1u);
-    EXPECT_EQ(diags[0].line, 2);
-}
-
-TEST(ErrorDiscipline, ConsumedResultsAreClean)
-{
-    EXPECT_TRUE(runOn({{"src/tree/x.cc",
-                        "bool verifyChunk(int c) { return c == 0; }\n"
-                        "void f() { if (!verifyChunk(3)) panic(); }\n"
-                        "bool g() { return verifyChunk(4); }\n"}},
-                      "error-discipline")
-                    .empty());
-}
-
-TEST(ErrorDiscipline, BareVerifyWithoutDefinitionStillCounts)
-{
-    const auto diags =
-        runOn({{"src/tree/x.cc",
-                "void f(int c, Image &img) { verify(c, img); }\n"}},
-              "error-discipline");
-    ASSERT_EQ(diags.size(), 1u);
-}
-
-TEST(ErrorDiscipline, VoidHelpersAndOtherNamesAreExempt)
-{
-    EXPECT_TRUE(runOn({{"src/tree/x.cc",
-                        "void verifySlow(int c) {}\n"
-                        "bool computeBit(int c) { return c & 1; }\n"
-                        "void f()\n"
-                        "{\n"
-                        "    verifySlow(3);\n"
-                        "    computeBit(4);\n"
-                        "}\n"}},
-                      "error-discipline")
-                    .empty());
-}
-
-TEST(ErrorDiscipline, AllowDirectiveSuppresses)
-{
-    EXPECT_TRUE(
-        runOn({{"src/tree/x.cc",
-                "bool saveRoots(int c) { return true; }\n"
-                "void f()\n"
-                "{\n"
-                "    // cmt-analyze: allow(error-discipline)\n"
-                "    saveRoots(3);\n"
-                "}\n"}},
-              "error-discipline")
-            .empty());
-}
-
 // --- include-hygiene --------------------------------------------------
 
 TEST(IncludeHygiene, UnusedAndTransitiveIncludesAreFlagged)
@@ -1073,8 +929,6 @@ TEST(AnalyzeTree, EachBadFixtureFiresExactlyItsRule)
 {
     const std::vector<std::pair<std::string, std::string>> cases = {
         {"bad/trust_boundary", "trust-boundary"},
-        {"bad/lock_order", "lock-order"},
-        {"bad/error_discipline", "error-discipline"},
         {"bad/include_hygiene", "include-hygiene"}};
     for (const auto &[leaf, rule] : cases) {
         AnalyzeOptions opt;
@@ -1094,7 +948,7 @@ TEST(AnalyzeTree, RuleFilterRestrictsThePasses)
 {
     AnalyzeOptions opt;
     opt.root = fixtureDir("bad/trust_boundary");
-    opt.rules = {"lock-order"};
+    opt.rules = {"include-hygiene"};
     EXPECT_TRUE(analyzeTree(opt).diagnostics.empty());
 
     // The filter covers the per-file rules too.

@@ -18,6 +18,7 @@
 #include "support/random.h"
 #include "tree/integrity_policy.h"
 #include "tree/l2_controller.h"
+#include "tree/naive_policy.h"
 #include "verify/adversary.h"
 
 namespace cmt
@@ -391,6 +392,17 @@ TEST(NaiveMemoTest, ReplayedImageAndSlotOfMemoizedChunkIsDetected)
     f.readWait(addr);
     f.drain();
     EXPECT_GE(f.l2.integrityFailures(), 1u);
+}
+
+TEST(NaiveMemoTest, EntryCountFitsTheByteBudget)
+{
+    // 64 B chunks keep the full 1024 entries; 64 KiB chunks get four,
+    // so the image table stays at 256 KiB instead of 64 MiB.
+    EXPECT_EQ(NaivePolicy::digestMemoEntries(64), 1024u);
+    EXPECT_EQ(NaivePolicy::digestMemoEntries(256), 1024u);
+    EXPECT_EQ(NaivePolicy::digestMemoEntries(512), 512u);
+    EXPECT_EQ(NaivePolicy::digestMemoEntries(65536), 4u);
+    EXPECT_EQ(NaivePolicy::digestMemoEntries(1 << 20), 1u);
 }
 
 TEST(NaiveMemoTest, XorMacSlotsNeverTakeTheMemo)

@@ -28,12 +28,6 @@ isUntrustedReadCall(const std::string &name,
            qualifier == "store_" || qualifier == "untrusted_";
 }
 
-bool
-isMutexLockType(const std::string &name)
-{
-    return name == "MutexLock";
-}
-
 /** Tokens that may sit between a declarator's `)` and its body. */
 bool
 isFnQualifierToken(const Token &t)
@@ -523,9 +517,7 @@ class Parser
         if (nameBegin >= 1 && is(nameBegin - 1, "~"))
             --nameBegin;
 
-        fn.returnType = computeReturnType(declBegin, nameBegin);
-        fn.returnsVoid =
-            fn.returnType.empty() || fn.returnType == "void";
+        fn.returnsVoid = computeReturnsVoid(declBegin, nameBegin);
         fn.hasMutableSpanParam =
             computeMutableSpan(parenOpen + 1, parenClose);
         fn.bodyOpenLine = tok(bodyOpen).line;
@@ -536,17 +528,21 @@ class Parser
 
         // The ctor init list runs before the body.
         if (is(parenClose + 1, ":"))
-            scanExpr(parenClose + 2, bodyOpen, fn.events,
-                     /*discardAt=*/code_.size());
+            scanExpr(parenClose + 2, bodyOpen, fn.events);
         parseStmts(bodyOpen + 1, bodyClose, fn.events);
         out_.functions.push_back(std::move(fn));
         return bodyClose + 1;
     }
 
-    std::string computeReturnType(std::size_t declBegin,
-                                  std::size_t nameBegin) const
+    /** True when the declared return type, specifiers and
+     *  attributes stripped, is exactly `void` — or absent, as for
+     *  constructors and destructors: nothing flows out through the
+     *  return value. */
+    bool computeReturnsVoid(std::size_t declBegin,
+                            std::size_t nameBegin) const
     {
-        std::string type;
+        std::size_t typeTokens = 0;
+        bool isVoid = false;
         for (std::size_t j = declBegin; j < nameBegin; ++j) {
             const std::string &s = tok(j).text;
             if (s == "[") { // attribute: skip balanced
@@ -558,13 +554,10 @@ class Parser
                 s == "explicit" || s == "friend" || s == "extern" ||
                 s == "~")
                 continue;
-            if (!type.empty())
-                type += ' ';
-            type += s;
+            ++typeTokens;
+            isVoid = s == "void";
         }
-        // Constructors/destructors yield "" (treated as void:
-        // nothing flows out through the return value).
-        return type;
+        return typeTokens == 0 || (typeTokens == 1 && isVoid);
     }
 
     bool computeMutableSpan(std::size_t i, std::size_t end) const
@@ -599,29 +592,18 @@ class Parser
 
     // ------------------------------------------- statement parsing
 
-    /** Parse statements in [i, end); RAII locks declared directly in
-     *  this block release (kUnlock) when it closes. */
+    /** Parse statements in [i, end). */
     void parseStmts(std::size_t i, std::size_t end,
                     std::vector<Event> &ev)
     {
-        std::vector<std::string> blockLocks;
         while (i < end)
-            i = parseOneStmt(i, end, ev, &blockLocks);
-        for (auto it = blockLocks.rbegin(); it != blockLocks.rend();
-             ++it) {
-            Event e;
-            e.kind = Event::Kind::kUnlock;
-            e.name = *it;
-            e.line = end < code_.size() ? tok(end).line : 0;
-            ev.push_back(std::move(e));
-        }
+            i = parseOneStmt(i, end, ev);
     }
 
     /** One statement (compound, control, or simple). Returns the
      *  index just past it. */
     std::size_t parseOneStmt(std::size_t i, std::size_t end,
-                             std::vector<Event> &ev,
-                             std::vector<std::string> *blockLocks)
+                             std::vector<Event> &ev)
     {
         if (i >= end)
             return end;
@@ -641,13 +623,12 @@ class Parser
             if (!is(j, "("))
                 return i + 1;
             const std::size_t close = matchBracket(j, end);
-            scanExpr(j + 1, close, ev, code_.size());
+            scanExpr(j + 1, close, ev);
             push(ev, Event::Kind::kIfBegin, tok(i).line);
-            std::size_t next =
-                parseOneStmt(close + 1, end, ev, nullptr);
+            std::size_t next = parseOneStmt(close + 1, end, ev);
             if (next < end && is(next, "else")) {
                 push(ev, Event::Kind::kElseBegin, tok(next).line);
-                next = parseOneStmt(next + 1, end, ev, nullptr);
+                next = parseOneStmt(next + 1, end, ev);
             }
             push(ev, Event::Kind::kIfEnd, tok(i).line);
             return next;
@@ -657,22 +638,21 @@ class Parser
             if (!is(j, "("))
                 return i + 1;
             const std::size_t close = matchBracket(j, end);
-            scanExpr(j + 1, close, ev, code_.size());
+            scanExpr(j + 1, close, ev);
             push(ev, Event::Kind::kMaybeBegin, tok(i).line);
-            const std::size_t next =
-                parseOneStmt(close + 1, end, ev, nullptr);
+            const std::size_t next = parseOneStmt(close + 1, end, ev);
             push(ev, Event::Kind::kMaybeEnd, tok(i).line);
             return next;
         }
         if (s == "do") {
             // The body runs at least once: parse it as executed,
             // then consume `while (...);`.
-            std::size_t next = parseOneStmt(i + 1, end, ev, nullptr);
+            std::size_t next = parseOneStmt(i + 1, end, ev);
             if (next < end && is(next, "while") &&
                 is(next + 1, "(")) {
                 const std::size_t close =
                     matchBracket(next + 1, end);
-                scanExpr(next + 2, close, ev, code_.size());
+                scanExpr(next + 2, close, ev);
                 next = close + 1;
                 if (next < end && is(next, ";"))
                     ++next;
@@ -684,7 +664,7 @@ class Parser
             if (!is(j, "("))
                 return i + 1;
             const std::size_t close = matchBracket(j, end);
-            scanExpr(j + 1, close, ev, code_.size());
+            scanExpr(j + 1, close, ev);
             push(ev, Event::Kind::kMaybeBegin, tok(i).line);
             std::size_t next = close + 1;
             if (next < end && is(next, "{")) {
@@ -706,24 +686,24 @@ class Parser
             return i + 2;
         if (s == "return") {
             const std::size_t semi = findSemi(i + 1, end);
-            scanExpr(i + 1, semi, ev, code_.size());
+            scanExpr(i + 1, semi, ev);
             push(ev, Event::Kind::kReturn, tok(i).line);
             return semi + 1;
         }
         if (s == "throw") {
             const std::size_t semi = findSemi(i + 1, end);
-            scanExpr(i + 1, semi, ev, code_.size());
+            scanExpr(i + 1, semi, ev);
             push(ev, Event::Kind::kThrow, tok(i).line);
             return semi + 1;
         }
         if (s == "try") {
-            std::size_t next = parseOneStmt(i + 1, end, ev, nullptr);
+            std::size_t next = parseOneStmt(i + 1, end, ev);
             while (next < end && is(next, "catch")) {
                 std::size_t j = next + 1;
                 if (is(j, "("))
                     j = matchBracket(j, end) + 1;
                 push(ev, Event::Kind::kMaybeBegin, tok(next).line);
-                next = parseOneStmt(j, end, ev, nullptr);
+                next = parseOneStmt(j, end, ev);
                 push(ev, Event::Kind::kMaybeEnd, tok(next - 1).line);
             }
             return next;
@@ -733,7 +713,7 @@ class Parser
 
         // Simple statement: expression or local declaration.
         const std::size_t semi = findSemi(i, end);
-        scanSimpleStmt(i, semi, ev, blockLocks);
+        scanExpr(i, semi, ev);
         return semi + 1;
     }
 
@@ -746,67 +726,12 @@ class Parser
     }
 
     /**
-     * A simple statement [i, semi). Handles the MutexLock RAII
-     * pattern, detects a discarded top-level call, and otherwise
-     * scans for events.
-     */
-    void scanSimpleStmt(std::size_t i, std::size_t semi,
-                        std::vector<Event> &ev,
-                        std::vector<std::string> *blockLocks)
-    {
-        // `[cmt::]MutexLock name(expr)` / `{expr}`.
-        for (std::size_t j = i; j + 2 < semi; ++j) {
-            if (!isMutexLockType(tok(j).text) || !isIdent(j + 1))
-                continue;
-            if (!is(j + 2, "(") && !is(j + 2, "{"))
-                continue;
-            const std::size_t close = matchBracket(j + 2, semi);
-            std::string expr;
-            for (std::size_t k = j + 3; k < close; ++k) {
-                if (!expr.empty() && isIdent(k) && isIdent(k - 1))
-                    expr += ' ';
-                expr += tok(k).text;
-            }
-            Event e;
-            e.kind = Event::Kind::kLock;
-            e.name = expr;
-            e.line = tok(j).line;
-            ev.push_back(std::move(e));
-            if (blockLocks != nullptr) {
-                blockLocks->push_back(expr);
-            } else {
-                // Unbraced substatement: the lock dies immediately.
-                Event u;
-                u.kind = Event::Kind::kUnlock;
-                u.name = expr;
-                u.line = tok(j).line;
-                ev.push_back(std::move(u));
-            }
-            return;
-        }
-
-        // Discarded call: the whole statement is `chain(...)`.
-        std::size_t discardAt = code_.size();
-        std::size_t k = i;
-        while (k + 1 < semi && isIdent(k) &&
-               (is(k + 1, "::") || is(k + 1, ".") ||
-                is(k + 1, "->")))
-            k += 2;
-        if (k + 1 < semi && isIdent(k) && is(k + 1, "(") &&
-            matchBracket(k + 1, semi) == semi - 1)
-            discardAt = k;
-
-        scanExpr(i, semi, ev, discardAt);
-    }
-
-    /**
      * Scan an expression region for calls/reads/verifies. Braced
      * subexpressions (lambda bodies, init lists) parse as 0-or-more
-     * regions — a lambda may never run. @p discardAt marks the one
-     * call token whose result the statement drops.
+     * regions — a lambda may never run.
      */
     void scanExpr(std::size_t i, std::size_t end,
-                  std::vector<Event> &ev, std::size_t discardAt)
+                  std::vector<Event> &ev)
     {
         for (std::size_t j = i; j < end; ++j) {
             if (is(j, "{")) {
@@ -834,7 +759,6 @@ class Parser
                 e.kind = Event::Kind::kRead;
             else
                 e.kind = Event::Kind::kCall;
-            e.discarded = (j == discardAt);
             ev.push_back(std::move(e));
         }
     }

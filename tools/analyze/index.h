@@ -6,11 +6,10 @@
  * includes, the symbols it declares, the identifiers it uses, and
  * one FunctionInfo per function *definition*. A function
  * carries a flattened event tree (reads of untrusted memory, verify
- * calls, ordinary calls, lock acquisitions, returns/throws, and
- * branch/loop brackets) that the rule passes interpret without ever
- * touching tokens again. The whole-program passes then stitch
- * summaries together: call edges resolve by name across files, lock
- * sets propagate over those edges, and the include graph closes
+ * calls, ordinary calls, returns/throws, and branch/loop brackets)
+ * that the rule passes interpret without ever touching tokens again.
+ * The whole-program passes then stitch summaries together: call
+ * edges resolve by name across files, and the include graph closes
  * transitively.
  *
  * The parser is a recognizer, not a compiler: it runs on the shared
@@ -55,16 +54,12 @@ struct Event
         kMaybeBegin, ///< 0-or-more region: loop / switch / lambda /
                      ///< catch body
         kMaybeEnd,   ///< 0-or-more region closes
-        kLock,       ///< MutexLock acquisition (name = lock id expr)
-        kUnlock,     ///< RAII release at enclosing block close
     };
 
     Kind kind = Kind::kCall;
-    std::string name;      ///< callee or lock expression
+    std::string name;      ///< callee
     std::string qualifier; ///< receiver before . / -> / :: (one hop)
     int line = 0;
-    bool discarded = false; ///< expression-statement call whose
-                            ///< result nothing consumes
 };
 
 /** One function *definition* with its interpreted body. */
@@ -75,10 +70,8 @@ struct FunctionInfo
     int nameLine = 0;      ///< line of the declarator name
     int bodyOpenLine = 0;  ///< line of the `{`
     int endLine = 0;       ///< line of the matching `}`
+    /** Declared return type is `void`, or absent (ctor/dtor). */
     bool returnsVoid = true;
-    /** Declared return type, specifiers stripped, tokens joined with
-     *  spaces ("bool", "std :: uint64_t"); empty for ctors/dtors. */
-    std::string returnType;
     /** Takes a mutable std::span<std::uint8_t> — data can leave
      *  through an out-parameter even when returnsVoid. */
     bool hasMutableSpanParam = false;

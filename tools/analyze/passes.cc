@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <deque>
 #include <map>
-#include <regex>
 #include <set>
 
 namespace cmt::analyze
@@ -22,14 +21,6 @@ baseName(const std::string &path)
     const std::size_t slash = path.rfind('/');
     return slash == std::string::npos ? path
                                       : path.substr(slash + 1);
-}
-
-std::string
-fileStem(const std::string &path)
-{
-    std::string base = baseName(path);
-    const std::size_t dot = base.rfind('.');
-    return dot == std::string::npos ? base : base.substr(0, dot);
 }
 
 bool
@@ -82,7 +73,6 @@ class CallResolver
 {
   public:
     explicit CallResolver(const std::vector<FileSummary> &files)
-        : files_(files)
     {
         for (std::size_t f = 0; f < files.size(); ++f)
             for (std::size_t k = 0; k < files[f].functions.size();
@@ -99,46 +89,7 @@ class CallResolver
         return it == byName_.end() ? empty : it->second;
     }
 
-    /**
-     * Precise resolution for lock propagation, where a spurious
-     * match manufactures phantom deadlock edges (`doc.find()` on a
-     * Json must not resolve to MemoCache::find, which locks).
-     * Implicit-this calls bind within the caller's class; a
-     * qualifier that names a class binds statically; a unique
-     * definition binds anywhere; everything else — an ambiguous
-     * name behind an untyped receiver — resolves to nothing.
-     */
-    std::vector<FnRef> resolveStrict(
-        const std::string &callerClass, const Event &e) const
-    {
-        const std::vector<FnRef> &cands = candidates(e.name);
-        if (cands.empty())
-            return {};
-        std::vector<FnRef> match;
-        if (e.qualifier.empty()) {
-            for (const FnRef &ref : cands)
-                if (!fn(ref).className.empty() &&
-                    fn(ref).className == callerClass)
-                    match.push_back(ref);
-        } else {
-            for (const FnRef &ref : cands)
-                if (fn(ref).className == e.qualifier)
-                    match.push_back(ref);
-        }
-        if (!match.empty())
-            return match;
-        if (cands.size() == 1)
-            return cands;
-        return {};
-    }
-
-    const FunctionInfo &fn(const FnRef &ref) const
-    {
-        return files_[ref.file].functions[ref.fn];
-    }
-
   private:
-    const std::vector<FileSummary> &files_;
     std::map<std::string, std::vector<FnRef>> byName_;
 };
 
@@ -330,276 +281,12 @@ trustBoundaryPass(const std::vector<FileSummary> &files)
                         cur = mergeStates(cur, f.saved);
                     }
                     break;
-                case Event::Kind::kLock:
-                case Event::Kind::kUnlock:
-                    break;
                 }
             }
             // Falling off the end only leaks through an
             // out-parameter (a non-void function must return).
             if (!cur.dead && cur.tainted && fn.hasMutableSpanParam)
                 violate(fn.endLine);
-        }
-    }
-    return out;
-}
-
-// ------------------------------------------------------- lock rule
-
-namespace
-{
-
-/** Qualify a MutexLock argument so `mu_` in two classes stays two
- *  locks: `Class::mu_`, or `filestem::mu` for free functions.
- *  Compound expressions (a.mu, ptr->mu) already self-qualify. */
-std::string
-qualifyLock(const FileSummary &file, const FunctionInfo &fn,
-            const std::string &expr)
-{
-    if (expr.find('.') != std::string::npos ||
-        expr.find("->") != std::string::npos ||
-        expr.find("::") != std::string::npos)
-        return expr;
-    const std::string prefix =
-        fn.className.empty() ? fileStem(file.path) : fn.className;
-    return prefix + "::" + expr;
-}
-
-struct EdgeSite
-{
-    std::string file;
-    int line = 0;
-    std::string via; ///< empty for a direct acquisition
-};
-
-/** May-acquire closure: every lock a function can take, directly or
- *  through any call chain. */
-std::map<FnRef, std::set<std::string>>
-transitiveAcquires(const std::vector<FileSummary> &files,
-                   const CallResolver &resolver)
-{
-    std::map<FnRef, std::set<std::string>> acquires;
-    for (std::size_t f = 0; f < files.size(); ++f)
-        for (std::size_t k = 0; k < files[f].functions.size(); ++k) {
-            const FunctionInfo &fn = files[f].functions[k];
-            for (const Event &e : fn.events)
-                if (e.kind == Event::Kind::kLock)
-                    acquires[{f, k}].insert(
-                        qualifyLock(files[f], fn, e.name));
-        }
-    bool grew = true;
-    while (grew) {
-        grew = false;
-        for (std::size_t f = 0; f < files.size(); ++f) {
-            for (std::size_t k = 0; k < files[f].functions.size();
-                 ++k) {
-                const FnRef self{f, k};
-                std::set<std::string> &mine = acquires[self];
-                const std::string &callerClass =
-                    files[f].functions[k].className;
-                for (const Event &e :
-                     files[f].functions[k].events) {
-                    if (e.kind != Event::Kind::kCall &&
-                        e.kind != Event::Kind::kVerify)
-                        continue;
-                    for (const FnRef &callee :
-                         resolver.resolveStrict(callerClass, e)) {
-                        auto it = acquires.find(callee);
-                        if (it == acquires.end())
-                            continue;
-                        for (const std::string &lock : it->second)
-                            grew |= mine.insert(lock).second;
-                    }
-                }
-            }
-        }
-    }
-    return acquires;
-}
-
-} // namespace
-
-std::vector<Diagnostic>
-lockOrderPass(const std::vector<FileSummary> &files)
-{
-    static const std::string rule = "lock-order";
-    const CallResolver resolver(files);
-    const std::map<FnRef, std::set<std::string>> acquires =
-        transitiveAcquires(files, resolver);
-
-    // held-before edges, first site wins (stable diagnostics).
-    std::map<std::string, std::map<std::string, EdgeSite>> edges;
-    const auto addEdge = [&](const std::string &from,
-                             const std::string &to,
-                             EdgeSite site) {
-        edges[from].try_emplace(to, std::move(site));
-    };
-
-    for (std::size_t f = 0; f < files.size(); ++f) {
-        for (std::size_t k = 0; k < files[f].functions.size();
-             ++k) {
-            const FunctionInfo &fn = files[f].functions[k];
-            if (functionAllowed(files[f], rule, fn))
-                continue;
-            std::vector<std::string> held;
-            for (const Event &e : fn.events) {
-                if (e.kind == Event::Kind::kLock) {
-                    const std::string id =
-                        qualifyLock(files[f], fn, e.name);
-                    for (const std::string &h : held)
-                        addEdge(h, id,
-                                {files[f].path, e.line, ""});
-                    held.push_back(id);
-                } else if (e.kind == Event::Kind::kUnlock) {
-                    const std::string id =
-                        qualifyLock(files[f], fn, e.name);
-                    auto it =
-                        std::find(held.rbegin(), held.rend(), id);
-                    if (it != held.rend())
-                        held.erase(std::next(it).base());
-                } else if ((e.kind == Event::Kind::kCall ||
-                            e.kind == Event::Kind::kVerify) &&
-                           !held.empty()) {
-                    if (allowedAt(files[f], rule, e.line))
-                        continue;
-                    for (const FnRef &callee :
-                         resolver.resolveStrict(fn.className, e)) {
-                        auto it = acquires.find(callee);
-                        if (it == acquires.end())
-                            continue;
-                        for (const std::string &lock : it->second)
-                            for (const std::string &h : held)
-                                addEdge(h, lock,
-                                        {files[f].path, e.line,
-                                         e.name});
-                    }
-                }
-            }
-        }
-    }
-
-    // Any edge u -> v with a path v ->* u closes a cycle.
-    const auto pathBack =
-        [&](const std::string &from,
-            const std::string &to) -> std::vector<std::string> {
-        std::map<std::string, std::string> parent;
-        std::deque<std::string> queue{from};
-        parent[from] = from;
-        while (!queue.empty()) {
-            const std::string cur = queue.front();
-            queue.pop_front();
-            if (cur == to)
-                break;
-            auto it = edges.find(cur);
-            if (it == edges.end())
-                continue;
-            for (const auto &[next, site] : it->second)
-                if (parent.try_emplace(next, cur).second)
-                    queue.push_back(next);
-        }
-        std::vector<std::string> path;
-        if (!parent.contains(to))
-            return path;
-        for (std::string cur = to;; cur = parent[cur]) {
-            path.push_back(cur);
-            if (cur == from)
-                break;
-        }
-        std::reverse(path.begin(), path.end());
-        return path;
-    };
-
-    std::vector<Diagnostic> out;
-    std::set<std::set<std::string>> reported;
-    for (const auto &[from, targets] : edges) {
-        for (const auto &[to, site] : targets) {
-            std::vector<std::string> back;
-            if (from == to) {
-                back = {to};
-            } else {
-                back = pathBack(to, from);
-                if (back.empty())
-                    continue;
-            }
-            std::set<std::string> key(back.begin(), back.end());
-            key.insert(from);
-            if (!reported.insert(key).second)
-                continue;
-            // back runs to -> ... -> from inclusive, so the chain
-            // closes itself.
-            std::string chain = from;
-            for (const std::string &node : back)
-                chain += " -> " + node;
-            Diagnostic d;
-            d.file = site.file;
-            d.line = site.line;
-            d.rule = rule;
-            d.message = "lock-order cycle: " + chain +
-                        (site.via.empty()
-                             ? std::string()
-                             : " (via call to '" + site.via +
-                                   "')") +
-                        "; two threads taking these in opposite "
-                        "order deadlock";
-            out.push_back(std::move(d));
-        }
-    }
-    return out;
-}
-
-// ------------------------------------------------ error discipline
-
-std::vector<Diagnostic>
-errorDisciplinePass(const std::vector<FileSummary> &files)
-{
-    static const std::string rule = "error-discipline";
-    static const std::regex nameRe(
-        "^(verify|check|save|load|restore|persist)");
-    const CallResolver resolver(files);
-
-    const auto mustCheck = [&](const Event &e) {
-        if (!std::regex_search(e.name, nameRe))
-            return false;
-        const std::vector<FnRef> &defs =
-            resolver.candidates(e.name);
-        if (defs.empty())
-            // `verify` is the sanctioned integrity call even when
-            // its definition is outside the indexed tree.
-            return e.kind == Event::Kind::kVerify;
-        // Mixed overload sets (some void) stay quiet: resolution
-        // is by name only, so only flag when every definition
-        // returns a checkable verdict.
-        return std::all_of(
-            defs.begin(), defs.end(), [&](const FnRef &ref) {
-                const std::string &ret =
-                    resolver.fn(ref).returnType;
-                return ret == "bool" ||
-                       ret.find("Status") != std::string::npos;
-            });
-    };
-
-    std::vector<Diagnostic> out;
-    for (const FileSummary &file : files) {
-        for (const FunctionInfo &fn : file.functions) {
-            for (const Event &e : fn.events) {
-                if (!e.discarded)
-                    continue;
-                if (e.kind != Event::Kind::kCall &&
-                    e.kind != Event::Kind::kVerify)
-                    continue;
-                if (!mustCheck(e) ||
-                    allowedAt(file, rule, e.line))
-                    continue;
-                Diagnostic d;
-                d.file = file.path;
-                d.line = e.line;
-                d.rule = rule;
-                d.message =
-                    "result of '" + e.name +
-                    "()' is discarded; a bool/Status verify or "
-                    "persistence verdict must be checked";
-                out.push_back(std::move(d));
-            }
         }
     }
     return out;
@@ -776,7 +463,7 @@ ruleNames()
         "nondeterminism",      "stdout-discipline", "naked-new",
         "header-guard",        "catch-all",         "root-registers",
         "seed-nondeterminism", "hot-path-alloc",    "trust-boundary",
-        "lock-order",          "error-discipline",  "include-hygiene",
+        "include-hygiene",
     };
     return names;
 }
@@ -811,10 +498,6 @@ runPasses(const std::vector<FileSummary> &files,
     };
     if (enabled("trust-boundary"))
         append(trustBoundaryPass(files));
-    if (enabled("lock-order"))
-        append(lockOrderPass(files));
-    if (enabled("error-discipline"))
-        append(errorDisciplinePass(files));
     if (enabled("include-hygiene"))
         append(includeHygienePass(files));
     sortDiagnostics(out);

@@ -1,6 +1,6 @@
 /**
  * @file
- * The rules of cmt_analyze: eight per-file rules and four
+ * The rules of cmt_analyze: eight per-file rules and two
  * whole-program passes. See DESIGN.md §10 for the architecture and
  * the rule semantics, and tests/tools/fixtures/ for the pinned
  * behavior.
@@ -17,17 +17,21 @@
  *    reads untrusted ChunkStore bytes must reach a verify call on
  *    every path before data can leave (return value or mutable byte
  *    span). The paper's verify-before-use invariant as a taint rule.
- *  - lock-order: MutexLock acquisition order, propagated over call
- *    edges, must be acyclic (deadlock freedom ahead of cmt_served).
- *  - error-discipline: a discarded call to a bool/Status verify or
- *    persistence API silently swallows an integrity verdict.
  *  - include-hygiene: unused quoted includes, and symbols reached
  *    only through transitive includes.
  *
+ * Two properties have no pass because an exact check holds them. A
+ * dropped verify or persistence verdict does not compile: the
+ * verdicts are [[nodiscard]] and the build passes
+ * -Werror=unused-result (the nodiscard_verdicts ctest pins it). Lock
+ * order is TSan's lock-order-inversion detector's: cmt_served's loop
+ * thread owns each store outright, so no code path holds two
+ * cmt::Mutex at once.
+ *
  * Suppression: `// cmt-analyze: allow(<rule>)` on the offending line
- * or the line above; for the two function-scoped rules the directive
- * may sit anywhere from just above the declarator to the opening
- * brace. A directive naming no known rule is itself a
+ * or the line above; for the function-scoped trust-boundary rule the
+ * directive may sit anywhere from just above the declarator to the
+ * opening brace. A directive naming no known rule is itself a
  * `bad-directive` finding.
  */
 
@@ -50,7 +54,7 @@ struct Diagnostic
     std::string message;
 };
 
-/** Stable list of the twelve rule names, the `--rule` and allow()
+/** Stable list of the ten rule names, the `--rule` and allow()
  *  vocabulary: the per-file rules, then the whole-program passes. */
 const std::vector<std::string> &ruleNames();
 
@@ -66,10 +70,6 @@ fileRulePass(const FileSummary &file, const std::string &scrubbed,
 
 std::vector<Diagnostic>
 trustBoundaryPass(const std::vector<FileSummary> &files);
-std::vector<Diagnostic>
-lockOrderPass(const std::vector<FileSummary> &files);
-std::vector<Diagnostic>
-errorDisciplinePass(const std::vector<FileSummary> &files);
 std::vector<Diagnostic>
 includeHygienePass(const std::vector<FileSummary> &files);
 

@@ -6,12 +6,12 @@
  * kinds of rule (tools/analyze/passes.h): eight per-file line rules
  * (nondeterminism, stdout-discipline, naked-new, header-guard,
  * catch-all, root-registers, seed-nondeterminism, hot-path-alloc)
- * on src/ bench/ tools/ tests/ examples/, and four whole-program
+ * on src/ bench/ tools/ tests/ examples/, and two whole-program
  * passes on a cross-translation-unit symbol index of src/ tools/
  * bench/: trust-boundary (the paper's verify-before-use invariant as
- * a taint rule), lock-order (deadlock freedom over MutexLock
- * acquisition chains), error-discipline (discarded
- * verify/persistence verdicts), and include-hygiene.
+ * a taint rule) and include-hygiene. Discarded verify/persistence
+ * verdicts are a compile error instead ([[nodiscard]] plus
+ * -Werror=unused-result), and lock order is TSan's to check.
  * Suppress one finding with `// cmt-analyze: allow(<rule>)`.
  *
  * Exit codes (contract covered by the analyze_* ctests):
