@@ -99,8 +99,8 @@ CachedTreePolicy::chunkDataArrived(std::uint64_t chunk)
 
     // Functional verdict against the *current* RAM image and the
     // current trusted slot (cached copy if present, RAM otherwise).
-    std::vector<std::uint8_t> &image = imageScratch_;
-    l2_.ramChunkImage(chunk, image);
+    ram_.readChunk(chunk, imageScratch_);
+    const std::vector<std::uint8_t> &image = imageScratch_.forCheck();
     f.verdictOk = auth_.verify(image, l2_.expectedSlotNow(chunk));
     if (static_cast<std::int64_t>(chunk) == traceChunkId()) {
         debugf("@%llu dataArrived chunk=%llu ok=%d\n",
@@ -114,7 +114,8 @@ CachedTreePolicy::chunkDataArrived(std::uint64_t chunk)
         const Slot ram_slot =
             parent < 0 ? tree_.rootOf(chunk)
                        : ram_.readSlot(static_cast<std::uint64_t>(parent),
-                                       tree_.slotIndexOf(chunk));
+                                       tree_.slotIndexOf(chunk))
+                             .forCheck();
         const Slot expected = l2_.expectedSlotNow(chunk);
         const Slot computed = auth_.compute(image, expected);
         debugf(
@@ -197,8 +198,12 @@ CachedTreePolicy::evictDirty(const CacheArray::Victim &victim)
     // Assemble the new chunk image: victim words, other cached valid
     // words, RAM for the rest. Track which blocks must be written and
     // how many RAM reads (missing words) the write-back needs.
-    std::vector<std::uint8_t> image(params_.chunkSize);
-    ram_.read(base, image);
+    ram_.readChunk(chunk, imageScratch_);
+    // Known leak: the words no cached line holds (a parent line
+    // allocated unfetched holds one slot) come from RAM unchecked and
+    // are hashed into the parent slot below, so a tampered sibling
+    // slot is laundered into the tree.
+    std::vector<std::uint8_t> &image = imageScratch_.unverified();
 
     unsigned ram_reads = 0;
     unsigned dirty_blocks = 0;
@@ -277,8 +282,9 @@ CachedTreePolicy::evictDirty(const CacheArray::Victim &victim)
     // Timestamp bits of a MAC-kind slot carry over from the current
     // slot value.
     const Slot prev = l2_.expectedSlotNow(chunk);
-    l2_.ramChunkImage(chunk, imageScratch_);
-    const Slot new_slot = auth_.compute(imageScratch_, prev);
+    ram_.readChunk(chunk, imageScratch_);
+    // The image assembled above, or a nested write-back's newer one.
+    const Slot new_slot = auth_.compute(imageScratch_.unverified(), prev);
 
     if (static_cast<std::int64_t>(chunk) == traceChunkId()) {
         debugf("@%llu cachedEvict chunk=%llu victim=%llx "

@@ -24,6 +24,7 @@
 #include "support/arena.h"
 #include "tree/integrity_policy.h"
 #include "tree/l2_controller.h"
+#include "tree/untrusted.h"
 
 namespace cmt
 {
@@ -95,9 +96,10 @@ class CachedTreePolicy : public IntegrityPolicy
 
     std::map<std::uint64_t, ChunkFetch> fetches_; ///< by chunk index
     SlabPool<WriteBackJob> writeBackJobs_;
-    /** A chunk's RAM image for one verdict or one slot recompute;
-     *  each use reads and digests it with no nested flow between. */
-    std::vector<std::uint8_t> imageScratch_;
+    /** A chunk's RAM image for one verdict, one write-back merge or
+     *  one slot recompute; each use is over before any nested flow
+     *  can start. */
+    Untrusted<std::vector<std::uint8_t>> imageScratch_;
 };
 
 } // namespace cmt

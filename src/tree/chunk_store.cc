@@ -4,6 +4,7 @@
 #include "tree/authenticator.h"
 #include "tree/layout.h"
 #include "tree/shard_router.h"
+#include "tree/untrusted.h"
 
 #include <algorithm>
 #include <bit>
@@ -128,28 +129,35 @@ ChunkStore::write(std::uint64_t addr, std::span<const std::uint8_t> in)
     }
 }
 
-std::vector<std::uint8_t>
+Untrusted<std::vector<std::uint8_t>>
 ChunkStore::readChunk(std::uint64_t chunk)
 {
-    std::vector<std::uint8_t> out;
+    Untrusted<std::vector<std::uint8_t>> out;
     readChunk(chunk, out);
     return out;
 }
 
 void
 ChunkStore::readChunk(std::uint64_t chunk,
-                      std::vector<std::uint8_t> &out)
+                      Untrusted<std::vector<std::uint8_t>> &out)
 {
-    out.resize(tree_.chunkSize());
-    read(tree_.chunkAddr(chunk), out);
+    readRange(tree_.chunkAddr(chunk), tree_.chunkSize(), out);
 }
 
-Slot
+void
+ChunkStore::readRange(std::uint64_t addr, std::size_t len,
+                      Untrusted<std::vector<std::uint8_t>> &out)
+{
+    out.value_.resize(len);
+    read(addr, out.value_);
+}
+
+Untrusted<Slot>
 ChunkStore::readSlot(std::uint64_t chunk, std::uint64_t slot_index)
 {
     cmt_assert(tree_.isHashChunk(chunk));
-    Slot out;
-    read(tree_.slotAddr(chunk, slot_index), out);
+    Untrusted<Slot> out;
+    read(tree_.slotAddr(chunk, slot_index), out.value_);
     return out;
 }
 

@@ -13,6 +13,12 @@
  * All simulator and library RAM traffic flows through this class, so
  * adversary tampering (a write) naturally promotes a chunk to
  * concrete storage.
+ *
+ * Reads through a ChunkStore are typed: readChunk, readRange and
+ * readSlot return Untrusted values (tree/untrusted.h), and the
+ * Storage::read override is private. Only code that holds the store
+ * as a plain Storage (the timing model, the Adversary, the Section
+ * 5.7 ReadWithoutChecking view MerkleMemory::ram()) reads raw bytes.
  */
 
 #ifndef CMT_TREE_CHUNK_STORE_H
@@ -27,6 +33,7 @@
 #include "tree/authenticator.h"
 #include "tree/layout.h"
 #include "tree/shard_router.h"
+#include "tree/untrusted.h"
 
 namespace cmt
 {
@@ -38,7 +45,6 @@ class ChunkStore : public Storage
     ChunkStore(Storage &base, const ShardRouter &tree,
                const Authenticator &auth);
 
-    void read(std::uint64_t addr, std::span<std::uint8_t> out) override;
     void write(std::uint64_t addr,
                std::span<const std::uint8_t> in) override;
 
@@ -71,16 +77,23 @@ class ChunkStore : public Storage
         return canonicalSlots_[level];
     }
 
-    /** Convenience: read exactly one whole chunk. */
-    std::vector<std::uint8_t> readChunk(std::uint64_t chunk);
+    /** Read exactly one whole chunk. */
+    Untrusted<std::vector<std::uint8_t>> readChunk(std::uint64_t chunk);
 
     /** As readChunk, into a caller-owned buffer (resized to the chunk
      *  size; capacity is retained across calls, so hot loops reading
-     *  many chunks through one scratch vector never reallocate). */
-    void readChunk(std::uint64_t chunk, std::vector<std::uint8_t> &out);
+     *  many chunks through one scratch buffer never reallocate). */
+    void readChunk(std::uint64_t chunk,
+                   Untrusted<std::vector<std::uint8_t>> &out);
 
-    /** Convenience: read one 16-byte slot of a hash chunk. */
-    Slot readSlot(std::uint64_t chunk, std::uint64_t slot_index);
+    /** Read @p len bytes at RAM address @p addr into a caller-owned
+     *  buffer (resized; capacity retained, as for readChunk). */
+    void readRange(std::uint64_t addr, std::size_t len,
+                   Untrusted<std::vector<std::uint8_t>> &out);
+
+    /** Read one 16-byte slot of a hash chunk. */
+    Untrusted<Slot> readSlot(std::uint64_t chunk,
+                             std::uint64_t slot_index);
 
     /** Convenience: overwrite one 16-byte slot of a hash chunk. */
     void writeSlot(std::uint64_t chunk, std::uint64_t slot_index,
@@ -93,6 +106,9 @@ class ChunkStore : public Storage
     const ShardRouter &tree() const { return tree_; }
 
   private:
+    /** Raw bytes, reachable only through a Storage reference. */
+    void read(std::uint64_t addr, std::span<std::uint8_t> out) override;
+
     /** Chunks per touched-bitmap leaf: one 4 KiB page of bits. */
     static constexpr unsigned kLeafShift = 15;
     static constexpr std::uint64_t kLeafBits = std::uint64_t{1}

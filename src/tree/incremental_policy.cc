@@ -34,11 +34,18 @@ IncrementalPolicy::evictDirty(const CacheArray::Victim &victim)
     // below may read this chunk's image (e.g. a child of this hash
     // chunk writing back reads its slot from RAM) and must see fresh
     // bytes - the victim's line is already gone from the array.
-    std::vector<std::uint8_t> old_block(params_.blockSize);
-    ram_.read(victim.blockAddr, old_block);
-    std::vector<std::uint8_t> new_block;
-    mergeVictimOverRam(victim, ram_, params_.blockSize, new_block);
-    ram_.write(victim.blockAddr, new_block);
+    // The parent-line allocation below can run a nested write-back on
+    // this policy, so each nesting depth keeps its own pair of blocks.
+    if (blockImages_.size() == depth_)
+        blockImages_.emplace_back();
+    BlockImages &images = blockImages_[depth_++];
+    ram_.readRange(victim.blockAddr, params_.blockSize, images.oldBlock);
+    // The i scheme's old-value read is unchecked by design (Section
+    // 5.6): the timestamp bit it flips makes a replay fail later.
+    const std::vector<std::uint8_t> &old_block = images.oldBlock.unverified();
+    images.newBlock.assign(old_block.begin(), old_block.end());
+    mergeVictim(victim, images.newBlock);
+    ram_.write(victim.blockAddr, images.newBlock);
 
     // Make the parent slot's line resident next: allocating it inside
     // publishSlot could displace another dirty block of this same
@@ -62,7 +69,8 @@ IncrementalPolicy::evictDirty(const CacheArray::Victim &victim)
 
     const Slot old_slot = l2_.expectedSlotNow(chunk);
     const Slot new_slot =
-        auth_.updateSlot(old_slot, block_idx, old_block, new_block);
+        auth_.updateSlot(old_slot, block_idx, old_block, images.newBlock);
+    --depth_;
     publishSlot(chunk, new_slot);
 
     // Timing: the parent MAC is read via ReadAndCheck (free if its

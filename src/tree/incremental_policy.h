@@ -13,10 +13,14 @@
 #ifndef CMT_TREE_INCREMENTAL_POLICY_H
 #define CMT_TREE_INCREMENTAL_POLICY_H
 
+#include <deque>
+#include <vector>
+
 #include "cache/cache_array.h"
 #include "support/arena.h"
 #include "tree/cached_tree_policy.h"
 #include "tree/l2_controller.h"
+#include "tree/untrusted.h"
 
 namespace cmt
 {
@@ -43,6 +47,18 @@ class IncrementalPolicy final : public CachedTreePolicy
     void oldValueArrived(WriteBackJob *job);
 
     SlabPool<WriteBackJob> writeBackJobs_;
+
+    /** evictDirty's old and new block images; capacity is kept, so a
+     *  write-back allocates nothing. */
+    struct BlockImages
+    {
+        Untrusted<std::vector<std::uint8_t>> oldBlock;
+        std::vector<std::uint8_t> newBlock;
+    };
+    /** One pair per evictDirty nesting depth; a deque keeps the outer
+     *  pairs in place while a nested write-back adds a level. */
+    std::deque<BlockImages> blockImages_;
+    unsigned depth_ = 0;
 };
 
 } // namespace cmt

@@ -5,7 +5,6 @@
 #include "cache/cache_array.h"
 #include "support/logging.h"
 #include "tree/cached_tree_policy.h"
-#include "tree/chunk_store.h"
 #include "tree/incremental_policy.h"
 #include "tree/l2_controller.h"
 #include "tree/naive_policy.h"
@@ -22,14 +21,11 @@ IntegrityPolicy::IntegrityPolicy(L2Controller &l2)
 {}
 
 void
-mergeVictimOverRam(const CacheArray::Victim &victim, ChunkStore &ram,
-                   unsigned block_size, std::vector<std::uint8_t> &out)
+mergeVictim(const CacheArray::Victim &victim, std::span<std::uint8_t> block)
 {
-    out.resize(block_size);
-    ram.read(victim.blockAddr, out);
-    for (unsigned w = 0; w < block_size / kWordSize; ++w) {
+    for (unsigned w = 0; w < block.size() / kWordSize; ++w) {
         if ((victim.validWords >> w) & 1) {
-            std::memcpy(out.data() + w * kWordSize,
+            std::memcpy(block.data() + w * kWordSize,
                         victim.data.data() + w * kWordSize, kWordSize);
         }
     }

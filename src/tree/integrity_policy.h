@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "cache/cache_array.h"
@@ -126,11 +127,10 @@ class FlowScope
     L2Controller &l2_;
 };
 
-/** Merge a victim's valid words over the RAM image of its block,
- *  into @p out (resized to the block; its capacity is kept, so a
- *  reused buffer never reallocates). */
-void mergeVictimOverRam(const CacheArray::Victim &victim, ChunkStore &ram,
-                        unsigned block_size, std::vector<std::uint8_t> &out);
+/** Copy @p victim's valid words over @p block, the RAM image of its
+ *  block. */
+void mergeVictim(const CacheArray::Victim &victim,
+                 std::span<std::uint8_t> block);
 
 /** Create the policy implementing @p scheme behind @p l2 (the
  *  canonical PolicyFactory). */

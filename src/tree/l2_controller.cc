@@ -16,6 +16,7 @@
 #include "tree/layout.h"
 #include "tree/shard_router.h"
 #include "tree/tree_debug.h"
+#include "tree/untrusted.h"
 #include "tree/verify_buffer.h"
 
 namespace cmt
@@ -50,8 +51,7 @@ L2Controller::L2Controller(EventQueue &events, MainMemory &memory,
       events_(events), memory_(memory), ram_(ram), hasher_(hasher),
       tree_(tree), auth_(auth), stats_(stats), params_(params),
       array_(CacheParams{"l2", params.sizeBytes, params.assoc,
-                         params.blockSize, /*storesData=*/true}),
-      fillScratch_(params.blockSize)
+                         params.blockSize, /*storesData=*/true})
 {
     cmt_assert(params_.chunkSize % params_.blockSize == 0);
     cmt_assert(params_.chunkSize == tree_.chunkSize());
@@ -77,9 +77,9 @@ L2Controller::debugCheckInvariant(const char *tag)
     if (id < 0 || flowDepth_ > 0)
         return;
     const std::uint64_t chunk = static_cast<std::uint64_t>(id);
-    const std::vector<std::uint8_t> image = ramChunkImage(chunk);
+    const auto image = ram_.readChunk(chunk);
     const Slot expected = expectedSlotNow(chunk);
-    if (!auth_.verify(image, expected)) {
+    if (!auth_.verify(image.forCheck(), expected)) {
         debugf("INVARIANT BROKEN @%llu after %s (chunk %llu)\n",
                static_cast<unsigned long long>(events_.now()), tag,
                static_cast<unsigned long long>(chunk));
@@ -254,23 +254,6 @@ L2Controller::completeMshrsOfChunk(std::uint64_t chunk)
 // Fills
 // --------------------------------------------------------------------
 
-// Documented raw-image seam: callers (the integrity policies) hash
-// this image against the verified parent before any byte is used.
-// cmt-analyze: allow(trust-boundary)
-std::vector<std::uint8_t>
-L2Controller::ramChunkImage(std::uint64_t chunk)
-{
-    return ram_.readChunk(chunk);
-}
-
-// cmt-analyze: allow(trust-boundary)
-void
-L2Controller::ramChunkImage(std::uint64_t chunk,
-                            std::vector<std::uint8_t> &out)
-{
-    ram_.readChunk(chunk, out);
-}
-
 void
 L2Controller::fillBlockFromRam(std::uint64_t block_addr)
 {
@@ -278,12 +261,15 @@ L2Controller::fillBlockFromRam(std::uint64_t block_addr)
     if (line == nullptr)
         line = allocateLine(block_addr);
 
-    ram_.read(block_addr, fillScratch_);
+    ram_.readRange(block_addr, params_.blockSize, fillScratch_);
+    // The policy counted its verdict on this same RAM image just
+    // before the fill (the base scheme fills unchecked by design).
+    const std::vector<std::uint8_t> &bytes = fillScratch_.unverified();
     for (unsigned w = 0; w < array_.wordsPerBlock(); ++w) {
         if ((line->validWords >> w) & 1)
             continue; // keep (possibly dirty) cached words
         std::memcpy(line->data.data() + w * kWordSize,
-                    fillScratch_.data() + w * kWordSize, kWordSize);
+                    bytes.data() + w * kWordSize, kWordSize);
     }
     line->validWords = array_.fullMask();
     debugCheckInvariant("fillBlockFromRam");
@@ -318,11 +304,6 @@ L2Controller::parentSlotCachedNow(std::uint64_t chunk)
     return (line->validWords & mask) == mask;
 }
 
-// The slot fetched here is the *reference* value the caller compares
-// a chunk's recomputed hash against; a cached copy is trusted by the
-// on-chip-cache axiom, and the RAM fallback is exactly the value
-// verifyChunk() is about to check. Verifying it here would recurse.
-// cmt-analyze: allow(trust-boundary)
 Slot
 L2Controller::expectedSlotNow(std::uint64_t chunk)
 {
@@ -346,7 +327,10 @@ L2Controller::expectedSlotNow(std::uint64_t chunk)
             return out;
         }
     }
-    return ram_.readSlot(pchunk, slot_index);
+    // The parent slot is not on chip. Callers compare a chunk against
+    // it, or update it in a write-back, and the parent's own fetch is
+    // what checks it; verifying it here would recurse.
+    return ram_.readSlot(pchunk, slot_index).unverified();
 }
 
 // --------------------------------------------------------------------
@@ -407,14 +391,15 @@ L2Controller::verifyTreeConsistency()
     if (!policy_->verifiesIntegrity())
         return true;
     for (const std::uint64_t chunk : ram_.touchedChunks()) {
-        const std::vector<std::uint8_t> image = ramChunkImage(chunk);
+        const auto image = ram_.readChunk(chunk);
         const std::int64_t parent = tree_.parentOf(chunk);
         const Slot expected =
             parent < 0
                 ? tree_.rootOf(chunk)
                 : ram_.readSlot(static_cast<std::uint64_t>(parent),
-                                tree_.slotIndexOf(chunk));
-        if (!auth_.verify(image, expected))
+                                tree_.slotIndexOf(chunk))
+                      .forCheck();
+        if (!auth_.verify(image.forCheck(), expected))
             return false;
     }
     return true;

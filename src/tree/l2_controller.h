@@ -51,6 +51,7 @@
 #include "tree/layout.h"
 #include "tree/scheme.h"
 #include "tree/shard_router.h"
+#include "tree/untrusted.h"
 #include "tree/verify_buffer.h"
 
 namespace cmt
@@ -260,14 +261,6 @@ class L2Controller
     void writeRam(std::uint64_t ram_addr,
                   std::span<const std::uint8_t> data);
 
-    /** Assemble @p chunk's current RAM image. */
-    std::vector<std::uint8_t> ramChunkImage(std::uint64_t chunk);
-
-    /** As above, into a caller-owned scratch buffer (resized; keeps
-     *  its capacity, so per-miss ancestor walks never reallocate). */
-    void ramChunkImage(std::uint64_t chunk,
-                       std::vector<std::uint8_t> &out);
-
     /** Re-admit deferred demand misses while buffer space lasts. */
     void retryPendingMisses();
 
@@ -316,7 +309,7 @@ class L2Controller
     L2Params params_;
     CacheArray array_;
     /** fillBlockFromRam's block image, reused fill to fill. */
-    std::vector<std::uint8_t> fillScratch_;
+    Untrusted<std::vector<std::uint8_t>> fillScratch_;
 
     std::map<std::uint64_t, Mshr> mshrs_; ///< by block address
 

@@ -8,6 +8,7 @@
 #include "tree/integrity_policy.h"
 #include "tree/l2_controller.h"
 #include "tree/layout.h"
+#include "tree/untrusted.h"
 
 namespace cmt
 {
@@ -37,26 +38,30 @@ NaivePolicy::NaivePolicy(L2Controller &l2)
 }
 
 void
+NaivePolicy::walkPath(std::uint64_t chunk,
+                      std::vector<std::uint64_t> &out) const
+{
+    out.clear();
+    out.push_back(chunk);
+    for (std::int64_t cur = tree_.parentOf(chunk); cur >= 0;
+         cur = tree_.parentOf(static_cast<std::uint64_t>(cur)))
+        out.push_back(static_cast<std::uint64_t>(cur));
+}
+
+void
 NaivePolicy::startDemandMiss(std::uint64_t block_addr)
 {
     const std::uint64_t chunk = tree_.chunkOf(block_addr);
     const std::uint64_t shard = tree_.shardOfChunk(chunk);
     tree_.context(shard).buffers.acquireRead();
 
-    // Read the whole leaf chunk plus every ancestor hash chunk (the
-    // walk stays inside the chunk's shard by construction).
+    // Read the whole leaf chunk plus every ancestor hash chunk.
     MissJob *job = missJobs_.acquire();
     job->self = this;
     job->blockAddr = block_addr;
     job->shard = shard;
     job->ok = true;
-    job->path.clear();
-    job->path.push_back(chunk);
-    std::int64_t cur = tree_.parentOf(chunk);
-    while (cur >= 0) {
-        job->path.push_back(static_cast<std::uint64_t>(cur));
-        cur = tree_.parentOf(static_cast<std::uint64_t>(cur));
-    }
+    walkPath(chunk, job->path);
     const unsigned levels = static_cast<unsigned>(job->path.size());
     ++l2_.stat_demandBlockReads;
     l2_.stat_integrityBlockReads += levels - 1;
@@ -67,59 +72,65 @@ NaivePolicy::startDemandMiss(std::uint64_t block_addr)
                       [job]() { job->self->missDataArrived(job); });
 }
 
-void
-NaivePolicy::missDataArrived(MissJob *job)
+bool
+NaivePolicy::pathVerdict(std::span<const std::uint64_t> path)
 {
-    // Verdict: the whole chain bottom-up against current RAM. Each
-    // level's expected slot comes from its parent's image, read one
-    // level up in the same pass; the top level checks the root.
-    const std::size_t levels = job->path.size();
+    // Each level's expected slot comes from its parent's image, read
+    // one level up in the same pass; the top level checks the root.
+    const std::size_t levels = path.size();
     if (imageScratch_.size() < levels)
         imageScratch_.resize(levels);
     slotScratch_.clear();
     for (std::size_t i = 0; i < levels; ++i)
-        l2_.ramChunkImage(job->path[i], imageScratch_[i]);
+        ram_.readChunk(path[i], imageScratch_[i]);
     for (std::size_t i = 0; i + 1 < levels; ++i) {
         const std::uint8_t *slot =
-            imageScratch_[i + 1].data() +
-            tree_.slotIndexOf(job->path[i]) * TreeLayout::kSlotSize;
+            imageScratch_[i + 1].forCheck().data() +
+            tree_.slotIndexOf(path[i]) * TreeLayout::kSlotSize;
         Slot &expected = slotScratch_.emplace_back();
         std::copy(slot, slot + TreeLayout::kSlotSize, expected.begin());
     }
-    slotScratch_.push_back(tree_.rootOf(job->path[levels - 1]));
+    slotScratch_.push_back(tree_.rootOf(path[levels - 1]));
 
     spanScratch_.clear();
     if (memoTag_.empty()) {
         for (std::size_t i = 0; i < levels; ++i)
-            spanScratch_.push_back(imageScratch_[i]);
-        job->ok = auth_.verifyChain(spanScratch_, slotScratch_);
+            spanScratch_.push_back(imageScratch_[i].forCheck());
         stat_hostDigests += levels;
-    } else {
-        // A level whose image is byte-identical to the one its slot
-        // was last computed from reuses that slot; the rest go to the
-        // authenticator as one batch. Every level's digest is then
-        // compared as before, so the verdict is the same boolean.
-        job->ok = true;
-        digestLevels_.clear();
-        for (std::size_t i = 0; i < levels; ++i) {
-            if (const Slot *slot = memoFind(job->path[i],
-                                            imageScratch_[i])) {
-                job->ok = job->ok && *slot == slotScratch_[i];
-            } else {
-                digestLevels_.push_back(i);
-                spanScratch_.push_back(imageScratch_[i]);
-            }
-        }
-        digestScratch_.resize(digestLevels_.size());
-        auth_.computeChain(spanScratch_, digestScratch_);
-        for (std::size_t k = 0; k < digestLevels_.size(); ++k) {
-            const std::size_t i = digestLevels_[k];
-            job->ok = job->ok && digestScratch_[k] == slotScratch_[i];
-            memoFill(job->path[i], imageScratch_[i], digestScratch_[k]);
-        }
-        stat_hostDigests += digestLevels_.size();
-        stat_hostDigestsReused += levels - digestLevels_.size();
+        return auth_.verifyChain(spanScratch_, slotScratch_);
     }
+
+    // A level whose image is byte-identical to the one its slot was
+    // last computed from reuses that slot; the rest go to the
+    // authenticator as one batch. Every level's digest is then
+    // compared as before, so the verdict is the same boolean.
+    bool ok = true;
+    digestLevels_.clear();
+    for (std::size_t i = 0; i < levels; ++i) {
+        const std::vector<std::uint8_t> &image = imageScratch_[i].forCheck();
+        if (const Slot *slot = memoFind(path[i], image)) {
+            ok = ok && *slot == slotScratch_[i];
+        } else {
+            digestLevels_.push_back(i);
+            spanScratch_.push_back(image);
+        }
+    }
+    digestScratch_.resize(digestLevels_.size());
+    auth_.computeChain(spanScratch_, digestScratch_);
+    for (std::size_t k = 0; k < digestLevels_.size(); ++k) {
+        const std::size_t i = digestLevels_[k];
+        ok = ok && digestScratch_[k] == slotScratch_[i];
+        memoFill(path[i], imageScratch_[i].forCheck(), digestScratch_[k]);
+    }
+    stat_hostDigests += digestLevels_.size();
+    stat_hostDigestsReused += levels - digestLevels_.size();
+    return ok;
+}
+
+void
+NaivePolicy::missDataArrived(MissJob *job)
+{
+    job->ok = pathVerdict(job->path);
 
     // Only the demand data block enters the cache: the naive
     // machinery never caches hashes.
@@ -131,7 +142,7 @@ NaivePolicy::missDataArrived(MissJob *job)
     // pipelined chain; its completion announces the check and frees
     // the buffer entry.
     hasher_.hashChain(static_cast<unsigned>(params_.chunkSize),
-                      static_cast<unsigned>(levels),
+                      static_cast<unsigned>(job->path.size()),
                       [job]() { job->self->missChecked(job); },
                       job->shard);
 }
@@ -158,10 +169,15 @@ NaivePolicy::evictDirty(const CacheArray::Victim &victim)
     const std::uint64_t shard = tree_.shardOfChunk(chunk);
     tree_.context(shard).buffers.acquireWrite();
 
-    // Functional: merge, write, and rebuild the ancestor path now.
-    mergeVictimOverRam(victim, ram_, params_.blockSize, mergeScratch_);
-    ram_.write(victim.blockAddr, mergeScratch_);
-    const unsigned ancestors = recomputePath(chunk);
+    // Functional: check the old path, then merge, write, and rebuild
+    // it now. Without the check, the rebuild would hash a tampered
+    // sibling slot into the root. The timing below already charges
+    // the path's reads and digests, so only a failure counts.
+    walkPath(chunk, evictPath_);
+    if (!pathVerdict(evictPath_))
+        ++l2_.stat_checkFailures;
+    recomputePath(victim);
+    const auto ancestors = static_cast<unsigned>(evictPath_.size() - 1);
 
     // Timing: read every ancestor (read-modify-write) plus the block's
     // missing words if it was partial, hash every level, write
@@ -212,29 +228,40 @@ NaivePolicy::evictChecked(EvictJob *job)
     l2_.retryPendingMisses();
 }
 
-unsigned
-NaivePolicy::recomputePath(std::uint64_t chunk)
+void
+NaivePolicy::recomputePath(const CacheArray::Victim &victim)
 {
-    unsigned updated = 0;
-    std::uint64_t cur = chunk;
     const Slot zero{};
-    for (;;) {
-        l2_.ramChunkImage(cur, recomputeScratch_);
-        const Slot slot = auth_.compute(recomputeScratch_, zero);
+    Slot slot{};
+    for (std::size_t i = 0;; ++i) {
+        const std::uint64_t cur = evictPath_[i];
+        // The old path pathVerdict() just checked, each level patched
+        // with what this write-back writes to RAM, so it equals RAM
+        // without a read back.
+        std::vector<std::uint8_t> &image = imageScratch_[i].unverified();
+        if (i == 0) {
+            const std::span<std::uint8_t> block =
+                std::span(image).subspan(
+                    victim.blockAddr - tree_.chunkAddr(cur),
+                    params_.blockSize);
+            mergeVictim(victim, block);
+            ram_.write(victim.blockAddr, block);
+        } else {
+            const std::uint64_t index = tree_.slotIndexOf(evictPath_[i - 1]);
+            std::copy(slot.begin(), slot.end(),
+                      image.begin() + static_cast<std::ptrdiff_t>(
+                                          index * TreeLayout::kSlotSize));
+            ram_.writeSlot(cur, index, slot);
+        }
+        slot = auth_.compute(image, zero);
         ++stat_hostDigests;
         if (!memoTag_.empty())
-            memoFill(cur, recomputeScratch_, slot);
-        const std::int64_t parent = tree_.parentOf(cur);
-        if (parent < 0) {
+            memoFill(cur, image, slot);
+        if (i + 1 == evictPath_.size()) {
             tree_.rootOf(cur) = slot;
-            break;
+            return;
         }
-        ram_.writeSlot(static_cast<std::uint64_t>(parent),
-                       tree_.slotIndexOf(cur), slot);
-        cur = static_cast<std::uint64_t>(parent);
-        ++updated;
     }
-    return updated;
 }
 
 /**

@@ -24,6 +24,7 @@
 #include "support/stats.h"
 #include "tree/integrity_policy.h"
 #include "tree/l2_controller.h"
+#include "tree/untrusted.h"
 
 namespace cmt
 {
@@ -57,10 +58,10 @@ class NaivePolicy final : public IntegrityPolicy
     void startDemandMiss(std::uint64_t block_addr) override;
     void evictDirty(const CacheArray::Victim &victim) override;
 
-    /** Chunk digests the host computed (miss verdicts and write-back
+    /** Chunk digests the host computed (path verdicts and write-back
      *  path recomputes). */
     Counter stat_hostDigests;
-    /** Miss-verdict digests taken from the memo instead. */
+    /** Verdict digests taken from the memo instead. */
     Counter stat_hostDigestsReused;
 
   private:
@@ -90,6 +91,20 @@ class NaivePolicy final : public IntegrityPolicy
         unsigned ancestors = 0;
     };
 
+    /** Fill @p out with @p chunk plus every ancestor, bottom-up (the
+     *  walk stays inside the chunk's shard by construction). */
+    void walkPath(std::uint64_t chunk,
+                  std::vector<std::uint64_t> &out) const;
+
+    /**
+     * Verdict on @p path (from walkPath) against current RAM: every
+     * level's image against the slot its parent's image holds, the
+     * top level against the root. Memoized levels are compared first,
+     * the rest digested as one computeChain batch. Leaves the images
+     * in imageScratch_.
+     */
+    bool pathVerdict(std::span<const std::uint64_t> path);
+
     /** All of @p job's chunk reads arrived: verdict + hash chain. */
     void missDataArrived(MissJob *job);
     /** The miss's hash chain completed: announce and release. */
@@ -100,11 +115,12 @@ class NaivePolicy final : public IntegrityPolicy
     void evictChecked(EvictJob *job);
 
     /**
-     * Recompute and rewrite the ancestor path of @p chunk against
-     * current RAM, assuming RAM already holds the chunk's new bytes.
-     * @return the number of ancestors updated.
+     * Write @p victim back and rebuild its path (evictPath_) up to
+     * the root: merge the victim over the leaf image pathVerdict()
+     * just checked, write it, then recompute and write each level's
+     * slot into its parent.
      */
-    unsigned recomputePath(std::uint64_t chunk);
+    void recomputePath(const CacheArray::Victim &victim);
 
     /** Memo entry of @p chunk (Fibonacci hashing, see the .cc). */
     std::size_t memoEntry(std::uint64_t chunk) const;
@@ -131,18 +147,17 @@ class NaivePolicy final : public IntegrityPolicy
     /** 64 - log2(entries): the hash's top bits pick the entry. */
     int memoShift_ = 64;
 
-    /** Ancestor-walk scratch (images stay alive across the batched
-     *  digest call; capacity retained across misses). */
-    std::vector<std::vector<std::uint8_t>> imageScratch_;
+    /** pathVerdict's images (alive across the batched digest call
+     *  and, on a write-back, through recomputePath; capacity retained
+     *  across misses and write-backs). */
+    std::vector<Untrusted<std::vector<std::uint8_t>>> imageScratch_;
     std::vector<std::span<const std::uint8_t>> spanScratch_;
     std::vector<Slot> slotScratch_;
-    /** Miss levels the memo did not serve, and their digests. */
+    /** Levels the memo did not serve, and their digests. */
     std::vector<std::size_t> digestLevels_;
     std::vector<Slot> digestScratch_;
-    /** recomputePath's one chunk image, reused level to level. */
-    std::vector<std::uint8_t> recomputeScratch_;
-    /** evictDirty's merged victim block. */
-    std::vector<std::uint8_t> mergeScratch_;
+    /** evictDirty's chunk path, leaf first. */
+    std::vector<std::uint64_t> evictPath_;
 };
 
 } // namespace cmt

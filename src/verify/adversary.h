@@ -41,9 +41,7 @@ class Adversary
     }
 
     /** Record a byte range for later replay. The adversary *is* the
-     *  untrusted side: raw unverified reads are its whole purpose.
-     */
-    // cmt-analyze: allow(trust-boundary)
+     *  untrusted side: raw unverified reads are its whole purpose. */
     std::vector<std::uint8_t>
     capture(std::uint64_t addr, std::size_t len)
     {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <optional>
 
 #include "crypto/xormac.h"
 #include "mem/storage.h"
@@ -11,6 +12,7 @@
 #include "tree/layout.h"
 #include "tree/shard_router.h"
 #include "tree/tree_debug.h"
+#include "tree/untrusted.h"
 
 namespace cmt
 {
@@ -18,9 +20,9 @@ namespace cmt
 namespace
 {
 
-/** Extract slot @p index from a raw chunk image. */
+/** Extract slot @p index from a chunk image. */
 Slot
-slotFromImage(const std::vector<std::uint8_t> &image, std::uint64_t index)
+slotFromImage(std::span<const std::uint8_t> image, std::uint64_t index)
 {
     Slot out;
     std::memcpy(out.data(), image.data() + index * TreeLayout::kSlotSize,
@@ -115,27 +117,31 @@ MerkleMemory::trustedSlotOf(std::uint64_t chunk)
         CacheEntry &entry = getCached(static_cast<std::uint64_t>(parent));
         return slotFromImage(entry.data, slot_index);
     }
-    return slotFromImage(
-        readAndCheckDirect(static_cast<std::uint64_t>(parent)),
-        slot_index);
+    const auto pchunk = static_cast<std::uint64_t>(parent);
+    return slotFromImage(readAndCheck(pchunk, trustedSlotOf(pchunk)),
+                         slot_index);
 }
 
 std::vector<std::uint8_t>
-MerkleMemory::readAndCheckDirect(std::uint64_t chunk)
+MerkleMemory::readAndCheck(std::uint64_t chunk, const Slot &expected)
 {
-    std::vector<std::uint8_t> bytes = chunks_.readChunk(chunk);
+    Untrusted<std::vector<std::uint8_t>> bytes = chunks_.readChunk(chunk);
     ++statUntrustedReads;
-    const Slot expected = trustedSlotOf(chunk);
     ++statChecks;
     ++statAuthComputes;
-    if (!auth_.verify(bytes, expected) &&
-        !verificationDisabled(tree_, chunk)) {
+    if (verificationDisabled(tree_, chunk))
+        // The armed skip-verify fault hook (tree_debug.h) passes the
+        // bytes on unchecked, so the fuzzer can prove it notices.
+        return std::move(bytes).unverified();
+    std::optional<std::vector<std::uint8_t>> checked =
+        std::move(bytes).verified(auth_, expected);
+    if (!checked) {
         ++statCheckFailures;
         throw IntegrityException(chunk, "integrity check failed on "
                                         "chunk " +
                                             std::to_string(chunk));
     }
-    return bytes;
+    return std::move(*checked);
 }
 
 MerkleMemory::CacheEntry &
@@ -176,17 +182,7 @@ MerkleMemory::getCached(std::uint64_t chunk)
         return it->second;
     }
 
-    std::vector<std::uint8_t> bytes = chunks_.readChunk(chunk);
-    ++statUntrustedReads;
-    ++statChecks;
-    ++statAuthComputes;
-    if (!auth_.verify(bytes, expected) &&
-        !verificationDisabled(tree_, chunk)) {
-        ++statCheckFailures;
-        throw IntegrityException(chunk, "integrity check failed on "
-                                        "chunk " +
-                                            std::to_string(chunk));
-    }
+    std::vector<std::uint8_t> bytes = readAndCheck(chunk, expected);
 
     lru_.push_front(chunk);
     auto [pos, inserted] = cache_.emplace(chunk, CacheEntry{});
@@ -243,17 +239,19 @@ MerkleMemory::writeBack(std::uint64_t chunk, CacheEntry &entry)
         // play), update the MAC term by term, write only the dirty
         // blocks.
         Slot slot = trustedSlotOf(chunk);
+        Untrusted<std::vector<std::uint8_t>> old_block;
         for (unsigned j = 0; j < blocks; ++j) {
             if (!((entry.dirtyMask >> j) & 1))
                 continue;
-            std::vector<std::uint8_t> old_block(config_.blockSize);
             const std::uint64_t baddr =
                 tree_.chunkAddr(chunk) + j * config_.blockSize;
-            chunks_.read(baddr, old_block);
+            chunks_.readRange(baddr, config_.blockSize, old_block);
             const std::span<const std::uint8_t> new_block{
                 entry.data.data() + j * config_.blockSize,
                 config_.blockSize};
-            slot = auth_.updateSlot(slot, j, old_block, new_block);
+            // The i scheme's old-value read, unchecked by design.
+            slot = auth_.updateSlot(slot, j, old_block.unverified(),
+                                    new_block);
             ++statAuthUpdates;
             chunks_.write(baddr, new_block);
         }
@@ -307,24 +305,13 @@ MerkleMemory::storeDirect(std::uint64_t chunk, std::uint64_t offset,
     // then apply the modification and ripple new authenticators to
     // the root - O(depth) reads, digests and writes.
     std::vector<std::uint64_t> path; // leaf first
-    std::vector<std::vector<std::uint8_t>> images;
+    std::vector<Untrusted<std::vector<std::uint8_t>>> read;
     for (std::int64_t cur = static_cast<std::int64_t>(chunk); cur >= 0;
          cur = tree_.parentOf(static_cast<std::uint64_t>(cur))) {
         path.push_back(static_cast<std::uint64_t>(cur));
-        images.push_back(
-            chunks_.readChunk(static_cast<std::uint64_t>(cur)));
+        read.push_back(chunks_.readChunk(static_cast<std::uint64_t>(cur)));
         ++statUntrustedReads;
     }
-
-    auto slot_in = [&](std::size_t level, std::uint64_t child) {
-        Slot s;
-        std::memcpy(s.data(),
-                    images[level].data() +
-                        tree_.slotIndexOf(child) *
-                            TreeLayout::kSlotSize,
-                    s.size());
-        return s;
-    };
 
     // Verify every level against its parent (or the root register),
     // as one batched chain through the multi-stream digest. The whole
@@ -333,10 +320,12 @@ MerkleMemory::storeDirect(std::uint64_t chunk, std::uint64_t offset,
     std::vector<Slot> current_slots(path.size());
     std::vector<std::span<const std::uint8_t>> image_spans(path.size());
     for (std::size_t i = 0; i < path.size(); ++i) {
-        current_slots[i] = i + 1 < path.size()
-                               ? slot_in(i + 1, path[i])
-                               : tree_.rootOf(path[i]);
-        image_spans[i] = images[i];
+        current_slots[i] =
+            i + 1 < path.size()
+                ? slotFromImage(read[i + 1].forCheck(),
+                                tree_.slotIndexOf(path[i]))
+                : tree_.rootOf(path[i]);
+        image_spans[i] = read[i].forCheck();
     }
     const std::int64_t bad =
         auth_.verifyChainFirstFailure(image_spans, current_slots);
@@ -357,6 +346,11 @@ MerkleMemory::storeDirect(std::uint64_t chunk, std::uint64_t offset,
                                  "integrity check failed on chunk " +
                                      std::to_string(bad_chunk));
     }
+    std::vector<std::vector<std::uint8_t>> images;
+    images.reserve(path.size());
+    for (Untrusted<std::vector<std::uint8_t>> &image : read)
+        // Checked as one chain above, unless the fault hook skipped it.
+        images.push_back(std::move(image).unverified());
 
     // Apply the modification at the leaf.
     Slot new_slot;
@@ -434,7 +428,7 @@ MerkleMemory::load(std::uint64_t addr, std::span<std::uint8_t> out)
             std::memcpy(out.data() + done, entry.data.data() + offset,
                         take);
         } else {
-            const auto bytes = readAndCheckDirect(chunk);
+            const auto bytes = readAndCheck(chunk, trustedSlotOf(chunk));
             std::memcpy(out.data() + done, bytes.data() + offset, take);
         }
         done += take;
@@ -539,10 +533,12 @@ MerkleMemory::rebuild(std::uint64_t addr, std::uint64_t len)
     for (std::uint64_t a = alignDown(addr, tree_.chunkSize());
          a < addr + len; a += tree_.chunkSize()) {
         const std::uint64_t chunk = tree_.chunkOf(tree_.dataToRam(a));
-        const std::vector<std::uint8_t> bytes = chunks_.readChunk(chunk);
+        Untrusted<std::vector<std::uint8_t>> bytes =
+            chunks_.readChunk(chunk);
         ++statUntrustedReads;
         const Slot prev = trustedSlotOf(chunk);
-        const Slot next = auth_.compute(bytes, prev);
+        // A rebuild adopts the DMA-written bytes as authentic.
+        const Slot next = auth_.compute(bytes.unverified(), prev);
         ++statAuthComputes;
         updateParentSlot(chunk, next);
     }
@@ -583,20 +579,21 @@ MerkleMemory::verifyAll()
     // walk only the materialised ones plus their ancestors. Chunks
     // are checked in fixed-size batches through the chain verifier.
     constexpr std::size_t kBatch = 16;
-    std::vector<std::vector<std::uint8_t>> images(kBatch);
+    std::vector<Untrusted<std::vector<std::uint8_t>>> images(kBatch);
     std::array<std::span<const std::uint8_t>, kBatch> spans;
     std::array<Slot, kBatch> expected;
     std::size_t pending = 0;
     for (const std::uint64_t chunk : chunks_.touchedChunks()) {
-        images[pending] = chunks_.readChunk(chunk);
-        spans[pending] = images[pending];
+        chunks_.readChunk(chunk, images[pending]);
+        spans[pending] = images[pending].forCheck();
         const std::int64_t parent = tree_.parentOf(chunk);
         if (parent < 0) {
             expected[pending] = tree_.rootOf(chunk);
         } else {
-            expected[pending] = chunks_.readSlot(
-                static_cast<std::uint64_t>(parent),
-                tree_.slotIndexOf(chunk));
+            expected[pending] =
+                chunks_.readSlot(static_cast<std::uint64_t>(parent),
+                                 tree_.slotIndexOf(chunk))
+                    .forCheck();
         }
         if (++pending == kBatch) {
             if (!auth_.verifyChain({spans.data(), pending},

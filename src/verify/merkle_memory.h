@@ -202,11 +202,13 @@ class MerkleMemory
     /** Authenticator of @p chunk as trusted state says it should be. */
     Slot trustedSlotOf(std::uint64_t chunk);
 
-    /** Store @p value as the trusted authenticator of @p chunk. */
-    void setTrustedSlotOf(std::uint64_t chunk, const Slot &value);
-
-    /** Read + verify a chunk image from RAM (no caching). */
-    std::vector<std::uint8_t> readAndCheckDirect(std::uint64_t chunk);
+    /**
+     * ReadAndCheck: @p chunk's RAM image, checked against @p expected
+     * (trustedSlotOf(chunk), or a cached parent's slot) through
+     * Untrusted::verified(). Throws IntegrityException on a mismatch.
+     */
+    std::vector<std::uint8_t> readAndCheck(std::uint64_t chunk,
+                                           const Slot &expected);
 
     /**
      * Cached mode: return the trusted in-cache copy of @p chunk,

@@ -28,9 +28,6 @@ XomMemory::XomMemory(Storage &untrusted, std::uint64_t size,
         storeBlock(b, zeros);
 }
 
-// Verification here is the MAC-equality check + throw below, which
-// the analyzer's name-based taint rule cannot see as a verify call.
-// cmt-analyze: allow(trust-boundary)
 std::vector<std::uint8_t>
 XomMemory::loadBlock(std::uint64_t block)
 {

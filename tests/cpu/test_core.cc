@@ -217,7 +217,7 @@ TEST(CoreTest, StoresWriteThroughToL2)
     while (!f.events.empty())
         f.events.runUntil(f.events.nextEventTime());
     std::uint8_t buf[8];
-    f.ram.read(f.layout.dataToRam(0x2000), buf);
+    static_cast<Storage &>(f.ram).read(f.layout.dataToRam(0x2000), buf);
     std::uint64_t v = 0;
     for (int i = 7; i >= 0; --i)
         v = (v << 8) | buf[i];

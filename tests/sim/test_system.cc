@@ -116,12 +116,13 @@ TEST(SystemTest, TamperDuringRunIsDetected)
     sys.runUntilCommitted(50'000);
     // Flip bits across a swath of the random region's RAM.
     const auto &layout = sys.l2().layout();
+    Storage &ram = sys.ram();
     for (std::uint64_t addr = 64ULL << 20;
          addr < (64ULL << 20) + (256 << 10); addr += 4096) {
         std::uint8_t b;
-        sys.ram().read(layout.dataToRam(addr), {&b, 1});
+        ram.read(layout.dataToRam(addr), {&b, 1});
         b ^= 0xff;
-        sys.ram().write(layout.dataToRam(addr), {&b, 1});
+        ram.write(layout.dataToRam(addr), {&b, 1});
     }
     sys.runUntilCommitted(300'000);
     EXPECT_GT(sys.l2().integrityFailures(), 0u);
@@ -133,12 +134,13 @@ TEST(SystemTest, BaseSchemeCannotDetectTamper)
     System sys(cfg);
     sys.runUntilCommitted(50'000);
     const auto &layout = sys.l2().layout();
+    Storage &ram = sys.ram();
     for (std::uint64_t addr = 64ULL << 20;
          addr < (64ULL << 20) + (64 << 10); addr += 4096) {
         std::uint8_t b;
-        sys.ram().read(layout.dataToRam(addr), {&b, 1});
+        ram.read(layout.dataToRam(addr), {&b, 1});
         b ^= 0xff;
-        sys.ram().write(layout.dataToRam(addr), {&b, 1});
+        ram.write(layout.dataToRam(addr), {&b, 1});
     }
     sys.runUntilCommitted(200'000);
     EXPECT_EQ(sys.l2().integrityFailures(), 0u);

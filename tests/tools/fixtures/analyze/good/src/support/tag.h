@@ -1,4 +1,4 @@
-// Positive fixture: a type fill.h uses directly, so its include of
+// Positive fixture: a type image.h uses directly, so its include of
 // this header is not unused.
 #ifndef FIXTURE_SUPPORT_TAG_H
 #define FIXTURE_SUPPORT_TAG_H

@@ -150,72 +150,6 @@ TEST(Tokenizer, KeywordsClassify)
 
 // --- symbol index -----------------------------------------------------
 
-const FunctionInfo *
-findFn(const FileSummary &s, const std::string &name)
-{
-    for (const FunctionInfo &f : s.functions)
-        if (f.name == name)
-            return &f;
-    return nullptr;
-}
-
-TEST(Index, ExtractsFunctionShape)
-{
-    const FileSummary s = summarize(
-        "src/tree/x.cc",
-        "std::vector<std::uint8_t>\n"
-        "Widget::fetch(std::uint64_t chunk)\n"
-        "{\n"
-        "    return ram_.readChunk(chunk);\n"
-        "}\n");
-    const FunctionInfo *fn = findFn(s, "fetch");
-    ASSERT_NE(fn, nullptr);
-    EXPECT_EQ(fn->className, "Widget");
-    EXPECT_FALSE(fn->returnsVoid);
-    EXPECT_EQ(fn->nameLine, 2);
-    EXPECT_EQ(fn->bodyOpenLine, 3);
-    EXPECT_EQ(fn->endLine, 5);
-    ASSERT_EQ(fn->events.size(), 2u);
-    EXPECT_EQ(fn->events[0].kind, Event::Kind::kRead);
-    EXPECT_EQ(fn->events[1].kind, Event::Kind::kReturn);
-}
-
-TEST(Index, DetectsMutableSpanOutParams)
-{
-    const FileSummary s = summarize(
-        "src/tree/x.cc",
-        "void fill(std::span<std::uint8_t> out) {}\n"
-        "void peek(std::span<const std::uint8_t> in) {}\n");
-    ASSERT_NE(findFn(s, "fill"), nullptr);
-    EXPECT_TRUE(findFn(s, "fill")->hasMutableSpanParam);
-    ASSERT_NE(findFn(s, "peek"), nullptr);
-    EXPECT_FALSE(findFn(s, "peek")->hasMutableSpanParam);
-}
-
-TEST(Index, BranchesBecomeEvents)
-{
-    const FileSummary s = summarize(
-        "src/tree/x.cc",
-        "void f()\n"
-        "{\n"
-        "    if (cond()) {\n"
-        "        verify(a, b);\n"
-        "    } else {\n"
-        "        save(a);\n"
-        "    }\n"
-        "}\n");
-    const FunctionInfo *fn = findFn(s, "f");
-    ASSERT_NE(fn, nullptr);
-    std::vector<Event::Kind> kinds;
-    for (const Event &e : fn->events)
-        kinds.push_back(e.kind);
-    EXPECT_EQ(kinds,
-              (std::vector<Event::Kind>{
-                  Event::Kind::kCall, Event::Kind::kIfBegin,
-                  Event::Kind::kVerify, Event::Kind::kElseBegin,
-                  Event::Kind::kCall, Event::Kind::kIfEnd}));
-}
-
 TEST(Index, DeclaredSymbolsCoverTypesEnumsAliasesAndMacros)
 {
     const FileSummary s = summarize(
@@ -247,12 +181,12 @@ TEST(Index, AllowDirectivesCoverTheirLineAndTheNext)
 {
     const FileSummary s = summarize(
         "src/x.cc",
-        "int a; // cmt-analyze: allow(trust-boundary)\n"
+        "int a; // cmt-analyze: allow(naked-new)\n"
         "// cmt-analyze: allow(include-hygiene)\n"
         "int b;\n"
         "int c;\n");
-    EXPECT_TRUE(allowedAt(s, "trust-boundary", 1));
-    EXPECT_FALSE(allowedAt(s, "trust-boundary", 2));
+    EXPECT_TRUE(allowedAt(s, "naked-new", 1));
+    EXPECT_FALSE(allowedAt(s, "naked-new", 2));
     // A directive-only line covers itself and the next line.
     EXPECT_TRUE(allowedAt(s, "include-hygiene", 2));
     EXPECT_TRUE(allowedAt(s, "include-hygiene", 3));
@@ -277,8 +211,8 @@ TEST(Index, DirectiveInsideStringLiteralIsData)
 {
     const FileSummary s = summarize(
         "src/x.cc",
-        "const char *s = \"// cmt-analyze: allow(trust-boundary)\";\n");
-    EXPECT_FALSE(allowedAt(s, "trust-boundary", 1));
+        "const char *s = \"// cmt-analyze: allow(naked-new)\";\n");
+    EXPECT_FALSE(allowedAt(s, "naked-new", 1));
 }
 
 // --- per-file rules -------------------------------------------------
@@ -722,7 +656,7 @@ TEST(LintScrub, EscapedQuotesStayInsideStrings)
     EXPECT_NE(out.find("int keep;"), std::string::npos);
 }
 
-// --- trust-boundary ---------------------------------------------------
+// --- include-hygiene --------------------------------------------------
 
 std::vector<Diagnostic>
 runOn(const std::vector<std::pair<std::string, std::string>> &srcs,
@@ -733,112 +667,6 @@ runOn(const std::vector<std::pair<std::string, std::string>> &srcs,
         files.push_back(summarize(path, text));
     return runPasses(files, {rule});
 }
-
-TEST(TrustBoundary, GatedVerifyLeavesTheSkipPathTainted)
-{
-    // The CMT_FAULT_SKIP_VERIFY_SHARD shape: verification sits
-    // behind a condition, so one path returns unchecked bytes.
-    const auto diags = runOn(
-        {{"src/tree/fill.cc",
-          "std::vector<std::uint8_t> fill(std::uint64_t c)\n"
-          "{\n"
-          "    auto img = ram_.readChunk(c);\n"
-          "    if (!faultSkipVerifyShard(c)) {\n"
-          "        verify(c, img);\n"
-          "    }\n"
-          "    return img;\n"
-          "}\n"}},
-        "trust-boundary");
-    ASSERT_EQ(diags.size(), 1u);
-    EXPECT_EQ(diags[0].rule, "trust-boundary");
-    EXPECT_EQ(diags[0].line, 7);
-}
-
-TEST(TrustBoundary, UnconditionalVerifyIsClean)
-{
-    EXPECT_TRUE(runOn({{"src/tree/fill.cc",
-                        "std::vector<std::uint8_t> fill(int c)\n"
-                        "{\n"
-                        "    auto img = ram_.readChunk(c);\n"
-                        "    verify(c, img);\n"
-                        "    return img;\n"
-                        "}\n"}},
-                      "trust-boundary")
-                    .empty());
-}
-
-TEST(TrustBoundary, VerifyingHelperSanitizesAcrossFiles)
-{
-    const std::vector<std::pair<std::string, std::string>> srcs = {
-        {"src/tree/fill.cc",
-         "std::vector<std::uint8_t> fill(int c)\n"
-         "{\n"
-         "    auto img = ram_.readChunk(c);\n"
-         "    checkChunk(c, img);\n"
-         "    return img;\n"
-         "}\n"},
-        {"src/tree/check.cc",
-         "void checkChunk(int c, const Image &img)\n"
-         "{\n"
-         "    if (!auth_.verify(c, img))\n"
-         "        throw IntegrityError(c);\n"
-         "}\n"}};
-    EXPECT_TRUE(runOn(srcs, "trust-boundary").empty());
-    // Without the helper's definition, the call sanitizes nothing.
-    EXPECT_EQ(runOn({srcs[0]}, "trust-boundary").size(), 1u);
-}
-
-TEST(TrustBoundary, BothBranchesMustVerify)
-{
-    const auto diags = runOn(
-        {{"src/verify/x.cc",
-          "std::vector<std::uint8_t> f(int c)\n"
-          "{\n"
-          "    auto img = ram_.readChunk(c);\n"
-          "    if (fast) {\n"
-          "        verify(c, img);\n"
-          "        return img;\n"
-          "    }\n"
-          "    return img;\n"
-          "}\n"}},
-        "trust-boundary");
-    ASSERT_EQ(diags.size(), 1u);
-    EXPECT_EQ(diags[0].line, 8);
-}
-
-TEST(TrustBoundary, MutableSpanOutParamIsASink)
-{
-    const auto diags = runOn(
-        {{"src/tree/x.cc",
-          "void fill(int c, std::span<std::uint8_t> out)\n"
-          "{\n"
-          "    auto img = ram_.readChunk(c);\n"
-          "    copy(img, out);\n"
-          "}\n"}},
-        "trust-boundary");
-    EXPECT_EQ(diags.size(), 1u);
-}
-
-TEST(TrustBoundary, OnlyTreeAndVerifyDirsAreInScope)
-{
-    EXPECT_TRUE(runOn({{"src/sim/x.cc",
-                        "std::vector<std::uint8_t> f(int c)\n"
-                        "{ return ram_.readChunk(c); }\n"}},
-                      "trust-boundary")
-                    .empty());
-}
-
-TEST(TrustBoundary, FunctionScopedAllowSuppresses)
-{
-    EXPECT_TRUE(runOn({{"src/tree/x.cc",
-                        "// cmt-analyze: allow(trust-boundary)\n"
-                        "std::vector<std::uint8_t> raw(int c)\n"
-                        "{ return ram_.readChunk(c); }\n"}},
-                      "trust-boundary")
-                    .empty());
-}
-
-// --- include-hygiene --------------------------------------------------
 
 TEST(IncludeHygiene, UnusedAndTransitiveIncludesAreFlagged)
 {
@@ -928,7 +756,6 @@ TEST(AnalyzeTree, GoodFixtureTreeIsClean)
 TEST(AnalyzeTree, EachBadFixtureFiresExactlyItsRule)
 {
     const std::vector<std::pair<std::string, std::string>> cases = {
-        {"bad/trust_boundary", "trust-boundary"},
         {"bad/include_hygiene", "include-hygiene"}};
     for (const auto &[leaf, rule] : cases) {
         AnalyzeOptions opt;
@@ -947,8 +774,8 @@ TEST(AnalyzeTree, EachBadFixtureFiresExactlyItsRule)
 TEST(AnalyzeTree, RuleFilterRestrictsThePasses)
 {
     AnalyzeOptions opt;
-    opt.root = fixtureDir("bad/trust_boundary");
-    opt.rules = {"include-hygiene"};
+    opt.root = fixtureDir("bad/include_hygiene");
+    opt.rules = {"naked-new"};
     EXPECT_TRUE(analyzeTree(opt).diagnostics.empty());
 
     // The filter covers the per-file rules too.

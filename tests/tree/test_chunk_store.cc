@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "crypto/md5.h"
 #include "mem/backing_store.h"
 #include "tree/chunk_store.h"
+#include "tree/untrusted.h"
 
 namespace cmt
 {
@@ -27,7 +29,7 @@ TEST(ChunkStoreTest, VirginDataChunkReadsZero)
 {
     Fixture f;
     const auto bytes = f.store.readChunk(f.layout.firstDataChunk());
-    for (auto b : bytes)
+    for (auto b : bytes.forCheck())
         EXPECT_EQ(b, 0);
     EXPECT_EQ(f.base.pageCount(), 0u) << "reads must stay lazy";
 }
@@ -42,7 +44,7 @@ TEST(ChunkStoreTest, VirginHashChunkHoldsCanonicalSlots)
     EXPECT_EQ(f.store.canonicalSlot(3), leaf_slot);
 
     const std::uint64_t level2_chunk = f.layout.arity(); // first at L2
-    const auto bytes = f.store.readChunk(level2_chunk);
+    const auto bytes = f.store.readChunk(level2_chunk).forCheck();
     for (std::uint64_t s = 0; s < 4; ++s) {
         Slot got;
         std::copy(bytes.begin() + s * 16, bytes.begin() + s * 16 + 16,
@@ -61,7 +63,7 @@ TEST(ChunkStoreTest, CanonicalChainIsSelfConsistent)
         while (f.layout.levelOf(chunk) != level)
             ++chunk;
         const auto bytes = f.store.readChunk(chunk);
-        EXPECT_EQ(Md5::digest(bytes), f.store.canonicalSlot(level))
+        EXPECT_EQ(Md5::digest(bytes.forCheck()), f.store.canonicalSlot(level))
             << "level " << level;
     }
 }
@@ -76,14 +78,13 @@ TEST(ChunkStoreTest, WriteMaterialisesAndPersists)
     f.store.write(addr, data);
     EXPECT_TRUE(f.store.touched(chunk));
 
-    std::vector<std::uint8_t> out(3);
-    f.store.read(addr, out);
-    EXPECT_EQ(out, data);
+    Untrusted<std::vector<std::uint8_t>> out;
+    f.store.readRange(addr, 3, out);
+    EXPECT_EQ(out.forCheck(), data);
 
     // The rest of the chunk materialised as its canonical zeros.
-    std::uint8_t head;
-    f.store.read(f.layout.chunkAddr(chunk), {&head, 1});
-    EXPECT_EQ(head, 0);
+    f.store.readRange(f.layout.chunkAddr(chunk), 1, out);
+    EXPECT_EQ(out.forCheck(), std::vector<std::uint8_t>{0});
 }
 
 TEST(ChunkStoreTest, PartialWriteToHashChunkKeepsCanonicalRest)
@@ -92,9 +93,10 @@ TEST(ChunkStoreTest, PartialWriteToHashChunkKeepsCanonicalRest)
     const std::uint64_t chunk = 1; // level-1 hash chunk
     const Slot value{0xde, 0xad};
     f.store.writeSlot(chunk, 2, value);
-    EXPECT_EQ(f.store.readSlot(chunk, 2), value);
+    EXPECT_EQ(f.store.readSlot(chunk, 2).forCheck(), value);
     // Untouched slots keep the canonical level-2 authenticator.
-    EXPECT_EQ(f.store.readSlot(chunk, 0), f.store.canonicalSlot(2));
+    EXPECT_EQ(f.store.readSlot(chunk, 0).forCheck(),
+              f.store.canonicalSlot(2));
 }
 
 TEST(ChunkStoreTest, CrossChunkAccess)
@@ -106,9 +108,9 @@ TEST(ChunkStoreTest, CrossChunkAccess)
     f.store.write(addr, data);
     EXPECT_TRUE(f.store.touched(chunk));
     EXPECT_TRUE(f.store.touched(chunk + 1));
-    std::vector<std::uint8_t> out(8);
-    f.store.read(addr, out);
-    EXPECT_EQ(out, data);
+    Untrusted<std::vector<std::uint8_t>> out;
+    f.store.readRange(addr, 8, out);
+    EXPECT_EQ(out.forCheck(), data);
 }
 
 TEST(ChunkStoreTest, XorMacCanonicalSlotsVerify)
@@ -125,7 +127,8 @@ TEST(ChunkStoreTest, XorMacCanonicalSlotsVerify)
         while (layout.levelOf(chunk) != level)
             ++chunk;
         const auto bytes = store.readChunk(chunk);
-        EXPECT_TRUE(auth.verify(bytes, store.canonicalSlot(level)))
+        EXPECT_TRUE(
+            auth.verify(bytes.forCheck(), store.canonicalSlot(level)))
             << "level " << level;
     }
 }
@@ -168,9 +171,9 @@ TEST(ChunkStoreTest, LeafBoundaryAndLastChunkRoundTrip)
             static_cast<std::uint8_t>(i + 1), 0xab, 0xcd};
         written.store.write(written.layout.chunkAddr(c) + 8, data);
         EXPECT_TRUE(written.store.touched(c)) << c;
-        std::vector<std::uint8_t> out(3);
-        written.store.read(written.layout.chunkAddr(c) + 8, out);
-        EXPECT_EQ(out, data) << c;
+        Untrusted<std::vector<std::uint8_t>> out;
+        written.store.readRange(written.layout.chunkAddr(c) + 8, 3, out);
+        EXPECT_EQ(out.forCheck(), data) << c;
     }
     EXPECT_EQ(written.store.touchedChunks(), chunks);
 
@@ -196,6 +199,45 @@ TEST(ChunkStoreTest, TouchedChunksIterateAscending)
     expected.push_back(777);
     std::sort(expected.begin(), expected.end());
     EXPECT_EQ(f.store.touchedChunks(), expected);
+}
+
+// The checked unwrap hands the bytes out only when they match the
+// expected authenticator; one flipped bit and it yields nothing.
+TEST(UntrustedTest, CheckedUnwrapYieldsOnlyMatchingBytes)
+{
+    Fixture f;
+    const std::uint64_t chunk = f.layout.firstDataChunk() + 1;
+    f.store.write(f.layout.chunkAddr(chunk) + 4,
+                  std::vector<std::uint8_t>{1, 2, 3, 4});
+    const std::vector<std::uint8_t> image =
+        f.store.readChunk(chunk).forCheck();
+    const Slot slot = f.auth.compute(image, Slot{});
+
+    const std::optional<std::vector<std::uint8_t>> good =
+        f.store.readChunk(chunk).verified(f.auth, slot);
+    ASSERT_TRUE(good.has_value());
+    EXPECT_EQ(*good, image);
+
+    f.store.write(f.layout.chunkAddr(chunk), std::vector<std::uint8_t>{9});
+    EXPECT_FALSE(f.store.readChunk(chunk).verified(f.auth, slot));
+}
+
+// Reads into a caller-owned buffer reuse its storage: a scratch
+// buffer read chunk after chunk, or for a shorter range, never moves.
+TEST(UntrustedTest, ScratchReadsKeepTheirBuffer)
+{
+    Fixture f;
+    Untrusted<std::vector<std::uint8_t>> scratch;
+    f.store.readChunk(f.layout.firstDataChunk(), scratch);
+    const std::uint8_t *buffer = scratch.forCheck().data();
+    for (std::uint64_t c = 0; c < f.layout.totalChunks(); ++c) {
+        f.store.readChunk(c, scratch);
+        EXPECT_EQ(scratch.forCheck().size(), 64u);
+        EXPECT_EQ(scratch.forCheck().data(), buffer) << c;
+    }
+    f.store.readRange(f.layout.chunkAddr(5), 16, scratch);
+    EXPECT_EQ(scratch.forCheck().size(), 16u);
+    EXPECT_EQ(scratch.forCheck().data(), buffer);
 }
 
 } // namespace

@@ -13,6 +13,7 @@
 #include "mem/backing_store.h"
 #include "support/random.h"
 #include "tree/l2_controller.h"
+#include "verify/adversary.h"
 
 namespace cmt
 {
@@ -114,7 +115,7 @@ struct L2Fixture
     ramData64(std::uint64_t addr)
     {
         std::uint8_t buf[8];
-        ram.read(layout.dataToRam(addr), buf);
+        static_cast<Storage &>(ram).read(layout.dataToRam(addr), buf);
         std::uint64_t v = 0;
         for (int i = 7; i >= 0; --i)
             v = (v << 8) | buf[i];
@@ -241,10 +242,7 @@ TEST_P(L2ControllerSchemes, TamperingIsDetected)
     f.drain();
 
     // Flip a bit of the data in RAM.
-    std::uint8_t b;
-    f.ram.read(f.layout.dataToRam(0x200), {&b, 1});
-    b ^= 1;
-    f.ram.write(f.layout.dataToRam(0x200), {&b, 1});
+    Adversary(f.ram).flipBit(f.layout.dataToRam(0x200), 0);
 
     f.readWait(0x200);
     f.drain();
@@ -262,8 +260,8 @@ TEST_P(L2ControllerSchemes, ReplayIsDetected)
     f.write64(0x200, 1);
     f.l2.flushAllDirty();
     f.drain();
-    std::vector<std::uint8_t> stale(64);
-    f.ram.read(ram_addr, stale);
+    const std::vector<std::uint8_t> stale =
+        Adversary(f.ram).capture(ram_addr, 64);
 
     f.write64(0x200, 2);
     f.l2.flushAllDirty();

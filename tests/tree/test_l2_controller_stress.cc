@@ -97,7 +97,7 @@ struct DeepFixture
     ramData64(std::uint64_t addr)
     {
         std::uint8_t buf[8];
-        ram.read(layout.dataToRam(addr), buf);
+        static_cast<Storage &>(ram).read(layout.dataToRam(addr), buf);
         std::uint64_t v = 0;
         for (int i = 7; i >= 0; --i)
             v = (v << 8) | buf[i];

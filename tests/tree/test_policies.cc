@@ -105,11 +105,31 @@ struct PolicyFixture
     ramData64(std::uint64_t addr)
     {
         std::uint8_t buf[8];
-        ram.read(layout.dataToRam(addr), buf);
+        static_cast<Storage &>(ram).read(layout.dataToRam(addr), buf);
         std::uint64_t v = 0;
         for (int i = 7; i >= 0; --i)
             v = (v << 8) | buf[i];
         return v;
+    }
+
+    std::uint64_t
+    leafOf(std::uint64_t addr) const
+    {
+        return layout.chunkOf(layout.dataToRam(addr));
+    }
+
+    /** A data address in another leaf chunk under the same parent
+     *  as @p addr's. */
+    std::uint64_t
+    siblingOf(std::uint64_t addr, unsigned nth = 1) const
+    {
+        const std::uint64_t leaf = leafOf(addr);
+        for (std::uint64_t a = 0;; a += 64) {
+            const std::uint64_t c = leafOf(a);
+            if (c != leaf && layout.parentOf(c) == layout.parentOf(leaf) &&
+                --nth == 0)
+                return a;
+        }
     }
 
     /** Evict everything by streaming reads through a far region. */
@@ -233,6 +253,49 @@ TEST_P(TamperingAdversary, ReplayedStaleChunkIsDetected)
     EXPECT_GT(f.l2.integrityFailures(), before) << pc.name;
 }
 
+// A write-back rebuilds authenticators from RAM, so it must not hash
+// unchecked RAM into the tree. The adversary replaces a sibling chunk
+// and sets the parent's slot for it to the new bytes' digest; the
+// parent no longer matches its own slot. A write-back under the same
+// parent that hits in the L2 (so no miss checks anything) must report
+// that, rather than rebuild the tampered parent into the root, after
+// which the forged sibling verifies.
+TEST_P(TamperingAdversary, WriteBackDoesNotLaunderATamperedSibling)
+{
+    const PolicyCase &pc = GetParam();
+    if (pc.scheme == Scheme::kCached)
+        GTEST_SKIP() << "known leak: the c/m write-back merges the "
+                        "words a line lacks from RAM unchecked "
+                        "(CachedTreePolicy::evictDirty)";
+    PolicyFixture f(pc.scheme, 4096, 4, pc.chunkSize, pc.blockSize);
+    Adversary mallory(f.ram);
+    const std::uint64_t addr = 0;
+    const std::uint64_t sibling = f.leafOf(f.siblingOf(addr));
+    const auto parent = static_cast<std::uint64_t>(
+        f.layout.parentOf(f.leafOf(addr)));
+
+    f.write64(addr, 0x1111'2222'3333'4444ull);
+    f.drain();
+    f.l2.flushAllDirty();
+    f.drain();
+
+    const std::vector<std::uint8_t> forged(pc.chunkSize, 0x5a);
+    mallory.overwrite(f.layout.chunkAddr(sibling), forged);
+    mallory.overwrite(
+        f.layout.slotAddr(parent, f.layout.slotIndexOf(sibling)),
+        f.auth.compute(forged, Slot{}));
+
+    f.write64(addr, 0x5555'6666'7777'8888ull);
+    f.drain();
+    f.l2.flushAllDirty();
+    f.drain();
+    f.thrash();
+    f.readWait(f.siblingOf(addr));
+    f.drain();
+
+    EXPECT_GE(f.l2.integrityFailures(), 1u) << pc.name;
+}
+
 // Shard isolation: with K independent subtrees, tampering inside
 // shard i's region must be detected the moment shard i is touched,
 // while every other shard keeps verifying clean - the failure domain
@@ -299,26 +362,6 @@ struct NaiveMemoFixture : PolicyFixture
     computed() const
     {
         return stats.counterValue("naive.host_digests");
-    }
-
-    std::uint64_t
-    leafOf(std::uint64_t addr) const
-    {
-        return layout.chunkOf(layout.dataToRam(addr));
-    }
-
-    /** A data address in another leaf chunk under the same parent
-     *  as @p addr's. */
-    std::uint64_t
-    siblingOf(std::uint64_t addr, unsigned nth = 1) const
-    {
-        const std::uint64_t leaf = leafOf(addr);
-        for (std::uint64_t a = 0;; a += 64) {
-            const std::uint64_t c = leafOf(a);
-            if (c != leaf && layout.parentOf(c) == layout.parentOf(leaf) &&
-                --nth == 0)
-                return a;
-        }
     }
 };
 

@@ -112,8 +112,8 @@ analyzeTree(const AnalyzeOptions &options)
 {
     AnalyzeReport report;
 
-    // (path, indexed): the whole-program passes see only the trees
-    // their rules are defined over; explicit paths always index.
+    // (path, indexed): the whole-program pass sees only the trees
+    // its rule is defined over; explicit paths always index.
     std::vector<std::pair<std::string, bool>> roots;
     for (const std::string &path : options.paths)
         roots.emplace_back(path, true);

@@ -2,7 +2,7 @@
  * @file
  * cmt_analyze engine: walk the tree once, reading and lexing each
  * file once; run the per-file rules on every file and the
- * whole-program passes on the symbol index.
+ * whole-program pass on the symbol index.
  */
 
 #ifndef CMT_TOOLS_ANALYZE_ANALYSIS_H

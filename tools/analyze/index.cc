@@ -11,23 +11,6 @@ namespace cmt::analyze
 namespace
 {
 
-/** ChunkStore member calls that hand back untrusted RAM bytes. The
- *  method names are unique to the store (readChunk/readSlot), plus
- *  plain read() when the receiver is spelled like an untrusted
- *  store. Kept deliberately narrow: taint must start only at the
- *  paper's trust boundary, not at every read() in the tree. */
-bool
-isUntrustedReadCall(const std::string &name,
-                    const std::string &qualifier)
-{
-    if (name == "readChunk" || name == "readSlot")
-        return true;
-    if (name != "read")
-        return false;
-    return qualifier == "ram_" || qualifier == "chunks_" ||
-           qualifier == "store_" || qualifier == "untrusted_";
-}
-
 /** Tokens that may sit between a declarator's `)` and its body. */
 bool
 isFnQualifierToken(const Token &t)
@@ -61,7 +44,7 @@ class Parser
     void run()
     {
         scanDirectivesAndUses();
-        parseDeclScope(0, code_.size(), /*className=*/"");
+        parseDeclScope(0, code_.size());
     }
 
   private:
@@ -227,10 +210,9 @@ class Parser
     /**
      * Parse declarations in [i, end): namespace bodies, class
      * bodies, and the global scope all route here. Function bodies
-     * do not — they get the statement parser below.
+     * do not: parseFunctionDefinition skips them.
      */
-    void parseDeclScope(std::size_t i, std::size_t end,
-                        const std::string &className)
+    void parseDeclScope(std::size_t i, std::size_t end)
     {
         while (i < end) {
             const std::string &s = tok(i).text;
@@ -263,7 +245,7 @@ class Parser
                        s == "asm") {
                 i = findSemi(i, end) + 1;
             } else {
-                i = parseDeclaration(i, end, className);
+                i = parseDeclaration(i, end);
             }
         }
     }
@@ -277,7 +259,7 @@ class Parser
             return findSemi(i, end) + 1;
         if (is(i, "{")) {
             const std::size_t close = matchBracket(i, end);
-            parseDeclScope(i + 1, close, /*className=*/"");
+            parseDeclScope(i + 1, close);
             return close + 1;
         }
         return i;
@@ -323,7 +305,7 @@ class Parser
             out_.declaredSymbols.insert(name);
         }
         const std::size_t close = matchBracket(i, end);
-        parseDeclScope(i + 1, close, name);
+        parseDeclScope(i + 1, close);
         return close + 1;
     }
 
@@ -403,8 +385,7 @@ class Parser
      * balanced paren group that is in declarator position (no `=`
      * seen yet) is a candidate; what follows the group decides.
      */
-    std::size_t parseDeclaration(std::size_t i, std::size_t end,
-                                 const std::string &className)
+    std::size_t parseDeclaration(std::size_t i, std::size_t end)
     {
         bool sawEquals = false;
         std::string lastIdent;
@@ -443,9 +424,12 @@ class Parser
                 if (is(k, "{") || is(k, ":")) {
                     if (is(k, ":"))
                         k = skipCtorInitList(k, end);
-                    if (is(k, "{"))
-                        return parseFunctionDefinition(
-                            i, j, close, k, end, className);
+                    if (is(k, "{")) {
+                        // A definition: declare the name, skip the
+                        // body.
+                        out_.declaredSymbols.insert(tok(j - 1).text);
+                        return matchBracket(k, end) + 1;
+                    }
                 }
                 if (is(k, ";") || is(k, "=")) {
                     // Declaration (or `= default/delete/0`).
@@ -493,274 +477,6 @@ class Parser
     bool isInitItemBrace(std::size_t j) const
     {
         return j > 0 && isIdent(j - 1);
-    }
-
-    std::size_t parseFunctionDefinition(std::size_t declBegin,
-                                        std::size_t parenOpen,
-                                        std::size_t parenClose,
-                                        std::size_t bodyOpen,
-                                        std::size_t end,
-                                        const std::string &className)
-    {
-        FunctionInfo fn;
-        // Name chain: ident ( :: ident )* ending just before '('.
-        std::size_t nameBegin = parenOpen - 1;
-        fn.name = tok(nameBegin).text;
-        fn.nameLine = tok(nameBegin).line;
-        while (nameBegin >= 2 && is(nameBegin - 1, "::") &&
-               isIdent(nameBegin - 2))
-            nameBegin -= 2;
-        fn.className = className;
-        if (nameBegin + 1 <= parenOpen - 1) // qualified: A::name
-            fn.className = tok(nameBegin).text;
-        // Destructor: ~ belongs to the name.
-        if (nameBegin >= 1 && is(nameBegin - 1, "~"))
-            --nameBegin;
-
-        fn.returnsVoid = computeReturnsVoid(declBegin, nameBegin);
-        fn.hasMutableSpanParam =
-            computeMutableSpan(parenOpen + 1, parenClose);
-        fn.bodyOpenLine = tok(bodyOpen).line;
-        const std::size_t bodyClose = matchBracket(bodyOpen, end);
-        fn.endLine = bodyClose < end ? tok(bodyClose).line
-                                     : tok(end - 1).line;
-        out_.declaredSymbols.insert(fn.name);
-
-        // The ctor init list runs before the body.
-        if (is(parenClose + 1, ":"))
-            scanExpr(parenClose + 2, bodyOpen, fn.events);
-        parseStmts(bodyOpen + 1, bodyClose, fn.events);
-        out_.functions.push_back(std::move(fn));
-        return bodyClose + 1;
-    }
-
-    /** True when the declared return type, specifiers and
-     *  attributes stripped, is exactly `void` — or absent, as for
-     *  constructors and destructors: nothing flows out through the
-     *  return value. */
-    bool computeReturnsVoid(std::size_t declBegin,
-                            std::size_t nameBegin) const
-    {
-        std::size_t typeTokens = 0;
-        bool isVoid = false;
-        for (std::size_t j = declBegin; j < nameBegin; ++j) {
-            const std::string &s = tok(j).text;
-            if (s == "[") { // attribute: skip balanced
-                j = matchBracket(j, nameBegin);
-                continue;
-            }
-            if (s == "inline" || s == "static" || s == "constexpr" ||
-                s == "consteval" || s == "virtual" ||
-                s == "explicit" || s == "friend" || s == "extern" ||
-                s == "~")
-                continue;
-            ++typeTokens;
-            isVoid = s == "void";
-        }
-        return typeTokens == 0 || (typeTokens == 1 && isVoid);
-    }
-
-    bool computeMutableSpan(std::size_t i, std::size_t end) const
-    {
-        for (std::size_t j = i; j < end; ++j) {
-            if (tok(j).text != "span" || !is(j + 1, "<"))
-                continue;
-            bool isConst = false;
-            bool isBytes = false;
-            int depth = 0;
-            for (std::size_t k = j + 1; k < end; ++k) {
-                const std::string &s = tok(k).text;
-                if (s == "<")
-                    ++depth;
-                else if (s == ">")
-                    --depth;
-                else if (s == ">>")
-                    depth -= 2;
-                else if (s == "const")
-                    isConst = true;
-                else if (s == "uint8_t" || s == "byte" ||
-                         s == "Byte")
-                    isBytes = true;
-                if (depth <= 0)
-                    break;
-            }
-            if (isBytes && !isConst)
-                return true;
-        }
-        return false;
-    }
-
-    // ------------------------------------------- statement parsing
-
-    /** Parse statements in [i, end). */
-    void parseStmts(std::size_t i, std::size_t end,
-                    std::vector<Event> &ev)
-    {
-        while (i < end)
-            i = parseOneStmt(i, end, ev);
-    }
-
-    /** One statement (compound, control, or simple). Returns the
-     *  index just past it. */
-    std::size_t parseOneStmt(std::size_t i, std::size_t end,
-                             std::vector<Event> &ev)
-    {
-        if (i >= end)
-            return end;
-        const std::string &s = tok(i).text;
-
-        if (s == ";")
-            return i + 1;
-        if (s == "{") {
-            const std::size_t close = matchBracket(i, end);
-            parseStmts(i + 1, close, ev);
-            return close + 1;
-        }
-        if (s == "if") {
-            std::size_t j = i + 1;
-            if (is(j, "constexpr"))
-                ++j;
-            if (!is(j, "("))
-                return i + 1;
-            const std::size_t close = matchBracket(j, end);
-            scanExpr(j + 1, close, ev);
-            push(ev, Event::Kind::kIfBegin, tok(i).line);
-            std::size_t next = parseOneStmt(close + 1, end, ev);
-            if (next < end && is(next, "else")) {
-                push(ev, Event::Kind::kElseBegin, tok(next).line);
-                next = parseOneStmt(next + 1, end, ev);
-            }
-            push(ev, Event::Kind::kIfEnd, tok(i).line);
-            return next;
-        }
-        if (s == "while" || s == "for") {
-            std::size_t j = i + 1;
-            if (!is(j, "("))
-                return i + 1;
-            const std::size_t close = matchBracket(j, end);
-            scanExpr(j + 1, close, ev);
-            push(ev, Event::Kind::kMaybeBegin, tok(i).line);
-            const std::size_t next = parseOneStmt(close + 1, end, ev);
-            push(ev, Event::Kind::kMaybeEnd, tok(i).line);
-            return next;
-        }
-        if (s == "do") {
-            // The body runs at least once: parse it as executed,
-            // then consume `while (...);`.
-            std::size_t next = parseOneStmt(i + 1, end, ev);
-            if (next < end && is(next, "while") &&
-                is(next + 1, "(")) {
-                const std::size_t close =
-                    matchBracket(next + 1, end);
-                scanExpr(next + 2, close, ev);
-                next = close + 1;
-                if (next < end && is(next, ";"))
-                    ++next;
-            }
-            return next;
-        }
-        if (s == "switch") {
-            std::size_t j = i + 1;
-            if (!is(j, "("))
-                return i + 1;
-            const std::size_t close = matchBracket(j, end);
-            scanExpr(j + 1, close, ev);
-            push(ev, Event::Kind::kMaybeBegin, tok(i).line);
-            std::size_t next = close + 1;
-            if (next < end && is(next, "{")) {
-                const std::size_t bodyClose =
-                    matchBracket(next, end);
-                parseStmts(next + 1, bodyClose, ev);
-                next = bodyClose + 1;
-            }
-            push(ev, Event::Kind::kMaybeEnd, tok(i).line);
-            return next;
-        }
-        if (s == "case") {
-            std::size_t j = i + 1;
-            while (j < end && !is(j, ":"))
-                ++j;
-            return j + 1;
-        }
-        if (s == "default" && is(i + 1, ":"))
-            return i + 2;
-        if (s == "return") {
-            const std::size_t semi = findSemi(i + 1, end);
-            scanExpr(i + 1, semi, ev);
-            push(ev, Event::Kind::kReturn, tok(i).line);
-            return semi + 1;
-        }
-        if (s == "throw") {
-            const std::size_t semi = findSemi(i + 1, end);
-            scanExpr(i + 1, semi, ev);
-            push(ev, Event::Kind::kThrow, tok(i).line);
-            return semi + 1;
-        }
-        if (s == "try") {
-            std::size_t next = parseOneStmt(i + 1, end, ev);
-            while (next < end && is(next, "catch")) {
-                std::size_t j = next + 1;
-                if (is(j, "("))
-                    j = matchBracket(j, end) + 1;
-                push(ev, Event::Kind::kMaybeBegin, tok(next).line);
-                next = parseOneStmt(j, end, ev);
-                push(ev, Event::Kind::kMaybeEnd, tok(next - 1).line);
-            }
-            return next;
-        }
-        if (s == "break" || s == "continue" || s == "goto")
-            return findSemi(i, end) + 1;
-
-        // Simple statement: expression or local declaration.
-        const std::size_t semi = findSemi(i, end);
-        scanExpr(i, semi, ev);
-        return semi + 1;
-    }
-
-    void push(std::vector<Event> &ev, Event::Kind kind, int line)
-    {
-        Event e;
-        e.kind = kind;
-        e.line = line;
-        ev.push_back(std::move(e));
-    }
-
-    /**
-     * Scan an expression region for calls/reads/verifies. Braced
-     * subexpressions (lambda bodies, init lists) parse as 0-or-more
-     * regions — a lambda may never run.
-     */
-    void scanExpr(std::size_t i, std::size_t end,
-                  std::vector<Event> &ev)
-    {
-        for (std::size_t j = i; j < end; ++j) {
-            if (is(j, "{")) {
-                const std::size_t close = matchBracket(j, end);
-                push(ev, Event::Kind::kMaybeBegin, tok(j).line);
-                parseStmts(j + 1, close, ev);
-                push(ev, Event::Kind::kMaybeEnd, tok(j).line);
-                j = close;
-                continue;
-            }
-            if (!isIdent(j) || !is(j + 1, "("))
-                continue;
-            Event e;
-            e.name = tok(j).text;
-            e.line = tok(j).line;
-            if (j >= 2 &&
-                (is(j - 1, "::") || is(j - 1, ".") ||
-                 is(j - 1, "->")) &&
-                isIdent(j - 2))
-                e.qualifier = tok(j - 2).text;
-            if (e.name == "verify" || e.name == "verifyChain" ||
-                e.name == "verifyChainFirstFailure")
-                e.kind = Event::Kind::kVerify;
-            else if (isUntrustedReadCall(e.name, e.qualifier))
-                e.kind = Event::Kind::kRead;
-            else
-                e.kind = Event::Kind::kCall;
-            ev.push_back(std::move(e));
-        }
     }
 
     const std::vector<Token> &all_;

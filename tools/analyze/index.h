@@ -3,21 +3,17 @@
  * Cross-translation-unit symbol index for cmt_analyze.
  *
  * Each source file parses independently into a FileSummary: its
- * includes, the symbols it declares, the identifiers it uses, and
- * one FunctionInfo per function *definition*. A function
- * carries a flattened event tree (reads of untrusted memory, verify
- * calls, ordinary calls, returns/throws, and branch/loop brackets)
- * that the rule passes interpret without ever touching tokens again.
- * The whole-program passes then stitch summaries together: call
- * edges resolve by name across files, and the include graph closes
- * transitively.
+ * includes, the symbols it declares and the identifiers it uses.
+ * The whole-program pass (include-hygiene) stitches the summaries
+ * together by closing the include graph transitively.
  *
  * The parser is a recognizer, not a compiler: it runs on the shared
- * token stream (analyze/tokenizer.h), tracks namespace/class/function
- * scope by brace matching, and degrades conservatively on constructs
- * it does not model (emitting fewer events, never crashing). That is
- * the right trade for CI linting of our own codebase — the fixtures
- * under tests/tools/fixtures/analyze/ pin exactly what it recognizes.
+ * token stream (analyze/tokenizer.h), tracks namespace/class scope
+ * by brace matching, records a function definition's name and skips
+ * its body, and degrades conservatively on constructs it does not
+ * model (declaring fewer symbols, never crashing). That is the right
+ * trade for CI linting of our own codebase — the fixtures under
+ * tests/tools/fixtures/analyze/ pin exactly what it recognizes.
  *
  * The summary also carries the file's `// cmt-analyze: allow(...)`
  * directives: the one suppression scanner for every rule, per-file
@@ -38,46 +34,6 @@
 namespace cmt::analyze
 {
 
-/** One step in a function's flattened control/data event tree. */
-struct Event
-{
-    enum class Kind
-    {
-        kRead,       ///< direct read of untrusted bytes (ChunkStore)
-        kVerify,     ///< call literally named `verify`
-        kCall,       ///< any other call; name/qualifier identify it
-        kReturn,     ///< return statement (data may leave here)
-        kThrow,      ///< throw statement (path terminates)
-        kIfBegin,    ///< then-branch opens (condition events precede)
-        kElseBegin,  ///< else-branch opens
-        kIfEnd,      ///< branches merge
-        kMaybeBegin, ///< 0-or-more region: loop / switch / lambda /
-                     ///< catch body
-        kMaybeEnd,   ///< 0-or-more region closes
-    };
-
-    Kind kind = Kind::kCall;
-    std::string name;      ///< callee
-    std::string qualifier; ///< receiver before . / -> / :: (one hop)
-    int line = 0;
-};
-
-/** One function *definition* with its interpreted body. */
-struct FunctionInfo
-{
-    std::string name;      ///< unqualified (trailing id of the chain)
-    std::string className; ///< enclosing class or `A::` qualifier
-    int nameLine = 0;      ///< line of the declarator name
-    int bodyOpenLine = 0;  ///< line of the `{`
-    int endLine = 0;       ///< line of the matching `}`
-    /** Declared return type is `void`, or absent (ctor/dtor). */
-    bool returnsVoid = true;
-    /** Takes a mutable std::span<std::uint8_t> — data can leave
-     *  through an out-parameter even when returnsVoid. */
-    bool hasMutableSpanParam = false;
-    std::vector<Event> events;
-};
-
 /** What one header/source file declares and consumes. */
 struct FileSummary
 {
@@ -97,8 +53,6 @@ struct FileSummary
     /** Every identifier spelled in the file -> first line of use. */
     std::map<std::string, int> usedIdentifiers;
 
-    std::vector<FunctionInfo> functions;
-
     /** rule -> lines carrying `// cmt-analyze: allow(<rule>)`. A
      *  directive with no code before it on its line also covers the
      *  next line. */
@@ -110,7 +64,7 @@ struct FileSummary
 
 /** Parse one file's token stream (tokenize() of its contents) into
  *  a summary. Never throws on weird input; unmodeled constructs just
- *  yield fewer events. */
+ *  declare fewer symbols. */
 FileSummary summarizeSource(const std::string &path,
                             const std::vector<Token> &tokens);
 

@@ -1,27 +1,24 @@
 /**
  * @file
- * The rules of cmt_analyze: eight per-file rules and two
- * whole-program passes. See DESIGN.md §10 for the architecture and
- * the rule semantics, and tests/tools/fixtures/ for the pinned
- * behavior.
+ * The rules of cmt_analyze: eight per-file rules and one
+ * whole-program pass. See DESIGN.md §10 for the architecture and the
+ * rule semantics, and tests/tools/fixtures/ for the pinned behavior.
  *
  * The per-file rules (file_rules.cc) are line regexes over one
  * file's scrubbed text, scoped by path: nondeterminism,
  * stdout-discipline, naked-new, header-guard, catch-all,
  * root-registers, seed-nondeterminism and hot-path-alloc.
  *
- * The whole-program passes consume the per-file summaries
- * (analyze/index.h) of src/ tools/ bench/ and never re-read source:
+ * The whole-program pass, include-hygiene, consumes the per-file
+ * summaries (analyze/index.h) of src/ tools/ bench/ and never
+ * re-reads source: it flags unused quoted includes, and symbols
+ * reached only through transitive includes.
  *
- *  - trust-boundary: a function in src/tree/ or src/verify/ that
- *    reads untrusted ChunkStore bytes must reach a verify call on
- *    every path before data can leave (return value or mutable byte
- *    span). The paper's verify-before-use invariant as a taint rule.
- *  - include-hygiene: unused quoted includes, and symbols reached
- *    only through transitive includes.
- *
- * Two properties have no pass because an exact check holds them. A
- * dropped verify or persistence verdict does not compile: the
+ * Three properties have no pass because an exact check holds them.
+ * Bytes read from untrusted RAM are typed: ChunkStore's reads return
+ * Untrusted<T> (tree/untrusted.h), and using one without its check
+ * does not compile (the untrusted_unwrap ctest pins it). A dropped
+ * verify or persistence verdict does not compile either: the
  * verdicts are [[nodiscard]] and the build passes
  * -Werror=unused-result (the nodiscard_verdicts ctest pins it). Lock
  * order is TSan's lock-order-inversion detector's: cmt_served's loop
@@ -29,9 +26,7 @@
  * cmt::Mutex at once.
  *
  * Suppression: `// cmt-analyze: allow(<rule>)` on the offending line
- * or the line above; for the function-scoped trust-boundary rule the
- * directive may sit anywhere from just above the declarator to the
- * opening brace. A directive naming no known rule is itself a
+ * or the line above. A directive naming no known rule is itself a
  * `bad-directive` finding.
  */
 
@@ -54,8 +49,8 @@ struct Diagnostic
     std::string message;
 };
 
-/** Stable list of the ten rule names, the `--rule` and allow()
- *  vocabulary: the per-file rules, then the whole-program passes. */
+/** Stable list of the nine rule names, the `--rule` and allow()
+ *  vocabulary: the per-file rules, then the whole-program pass. */
 const std::vector<std::string> &ruleNames();
 
 /**
@@ -69,15 +64,13 @@ fileRulePass(const FileSummary &file, const std::string &scrubbed,
              const std::vector<std::string> &rules);
 
 std::vector<Diagnostic>
-trustBoundaryPass(const std::vector<FileSummary> &files);
-std::vector<Diagnostic>
 includeHygienePass(const std::vector<FileSummary> &files);
 
 /** Sort by file, then line, then rule. */
 void sortDiagnostics(std::vector<Diagnostic> &diags);
 
-/** Run the whole-program passes in @p rules (all when empty) and
- *  sort by file/line/rule. */
+/** Run the whole-program pass if @p rules names it (or is empty)
+ *  and sort by file/line/rule. */
 std::vector<Diagnostic>
 runPasses(const std::vector<FileSummary> &files,
           const std::vector<std::string> &rules);

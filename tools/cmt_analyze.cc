@@ -6,12 +6,12 @@
  * kinds of rule (tools/analyze/passes.h): eight per-file line rules
  * (nondeterminism, stdout-discipline, naked-new, header-guard,
  * catch-all, root-registers, seed-nondeterminism, hot-path-alloc)
- * on src/ bench/ tools/ tests/ examples/, and two whole-program
- * passes on a cross-translation-unit symbol index of src/ tools/
- * bench/: trust-boundary (the paper's verify-before-use invariant as
- * a taint rule) and include-hygiene. Discarded verify/persistence
- * verdicts are a compile error instead ([[nodiscard]] plus
- * -Werror=unused-result), and lock order is TSan's to check.
+ * on src/ bench/ tools/ tests/ examples/, and one whole-program
+ * pass, include-hygiene, on a cross-translation-unit symbol index of
+ * src/ tools/ bench/. Unchecked use of untrusted RAM bytes
+ * (Untrusted<T>) and discarded verify/persistence verdicts
+ * ([[nodiscard]] plus -Werror=unused-result) are compile errors
+ * instead, and lock order is TSan's to check.
  * Suppress one finding with `// cmt-analyze: allow(<rule>)`.
  *
  * Exit codes (contract covered by the analyze_* ctests):
