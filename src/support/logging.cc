@@ -108,22 +108,6 @@ warn(const char *fmt, ...)
 }
 
 void
-debugf(const char *fmt, ...)
-{
-    va_list args;
-    va_start(args, fmt);
-    va_list copy;
-    va_copy(copy, args);
-    const int n = std::vsnprintf(nullptr, 0, fmt, copy);
-    va_end(copy);
-    std::string msg(n > 0 ? static_cast<std::size_t>(n) : 0, '\0');
-    if (n > 0)
-        std::vsnprintf(msg.data(), msg.size() + 1, fmt, args);
-    va_end(args);
-    emit(msg);
-}
-
-void
 inform(const char *fmt, ...)
 {
     va_list args;

@@ -60,14 +60,6 @@ void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 /** Print an informational message to stderr. */
 void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
-/**
- * Write an already-gated debug trace to stderr through the serialized
- * sink (line-atomic under concurrent sweeps). No prefix, no implicit
- * newline: callers format complete lines. Debug machinery outside
- * src/support/ reports through this instead of owning a FILE*.
- */
-void debugf(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
 } // namespace cmt
 
 #define cmt_panic(...) ::cmt::panicImpl(__FILE__, __LINE__, __VA_ARGS__)

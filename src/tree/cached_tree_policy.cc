@@ -4,7 +4,6 @@
 
 #include "cache/cache_array.h"
 #include "tree/integrity_policy.h"
-#include "tree/tree_debug.h"
 
 namespace cmt
 {
@@ -13,7 +12,7 @@ void
 CachedTreePolicy::startDemandMiss(std::uint64_t block_addr)
 {
     const std::uint64_t chunk = tree_.chunkOf(block_addr);
-    fetchChunk(chunk, /*demand=*/true);
+    fetchChunk(chunk);
     // The chunk may already have filled (fetch raced ahead of this
     // miss); complete immediately in that case.
     const auto f = fetches_.find(chunk);
@@ -24,15 +23,13 @@ CachedTreePolicy::startDemandMiss(std::uint64_t block_addr)
 }
 
 void
-CachedTreePolicy::fetchChunk(std::uint64_t chunk, bool demand)
+CachedTreePolicy::fetchChunk(std::uint64_t chunk)
 {
     if (fetches_.contains(chunk))
         return;
 
     auto [it, inserted] = fetches_.try_emplace(chunk);
     ChunkFetch &f = it->second;
-    f.chunk = chunk;
-    f.demand = demand;
     tree_.buffersOfChunk(chunk).acquireRead();
 
     // Issue RAM reads for every block that is not clean-and-complete
@@ -69,7 +66,7 @@ CachedTreePolicy::fetchChunk(std::uint64_t chunk, bool demand)
     } else {
         const std::uint64_t pchunk = static_cast<std::uint64_t>(parent);
         ++l2_.stat_hashChunkFetches;
-        fetchChunk(pchunk, /*demand=*/false);
+        fetchChunk(pchunk);
         auto pit = fetches_.find(pchunk);
         if (pit != fetches_.end() && !pit->second.dataArrived) {
             pit->second.dependents.push_back(chunk);
@@ -102,35 +99,6 @@ CachedTreePolicy::chunkDataArrived(std::uint64_t chunk)
     ram_.readChunk(chunk, imageScratch_);
     const std::vector<std::uint8_t> &image = imageScratch_.forCheck();
     f.verdictOk = auth_.verify(image, l2_.expectedSlotNow(chunk));
-    if (static_cast<std::int64_t>(chunk) == traceChunkId()) {
-        debugf("@%llu dataArrived chunk=%llu ok=%d\n",
-               static_cast<unsigned long long>(events_.now()),
-               static_cast<unsigned long long>(chunk),
-               static_cast<int>(f.verdictOk));
-    }
-
-    if (!f.verdictOk && debugVerdictEnabled()) {
-        const std::int64_t parent = tree_.parentOf(chunk);
-        const Slot ram_slot =
-            parent < 0 ? tree_.rootOf(chunk)
-                       : ram_.readSlot(static_cast<std::uint64_t>(parent),
-                                       tree_.slotIndexOf(chunk))
-                             .forCheck();
-        const Slot expected = l2_.expectedSlotNow(chunk);
-        const Slot computed = auth_.compute(image, expected);
-        debugf(
-            "VERDICT FAIL @%llu chunk=%llu level=%u hash=%d "
-            "slot_cached=%d ram_slot_matches=%d exp=%02x%02x "
-            "ram=%02x%02x got=%02x%02x\n",
-            static_cast<unsigned long long>(events_.now()),
-            static_cast<unsigned long long>(chunk),
-            tree_.levelOf(chunk),
-            static_cast<int>(tree_.isHashChunk(chunk)),
-            static_cast<int>(l2_.parentSlotCachedNow(chunk)),
-            static_cast<int>(auth_.verify(image, ram_slot)),
-            expected[0], expected[1], ram_slot[0], ram_slot[1],
-            computed[0], computed[1]);
-    }
 
     // ReadAndCheck step 3: put the chunk's uncached blocks in the
     // cache. The fill may evict lines and trigger write-backs.
@@ -188,16 +156,14 @@ CachedTreePolicy::chunkMaybeComplete(std::uint64_t chunk)
 void
 CachedTreePolicy::evictDirty(const CacheArray::Victim &victim)
 {
-    FlowScope guard(l2_);
     const std::uint64_t chunk = tree_.chunkOf(victim.blockAddr);
-    const std::uint64_t shard = tree_.shardOfChunk(chunk);
-    tree_.context(shard).buffers.acquireWrite();
+    beginWriteBack(chunk);
 
     const std::uint64_t base = tree_.chunkAddr(chunk);
 
     // Assemble the new chunk image: victim words, other cached valid
     // words, RAM for the rest. Track which blocks must be written and
-    // how many RAM reads (missing words) the write-back needs.
+    // whether the write-back needs RAM reads (missing words).
     ram_.readChunk(chunk, imageScratch_);
     // Known leak: the words no cached line holds (a parent line
     // allocated unfetched holds one slot) come from RAM unchecked and
@@ -205,7 +171,6 @@ CachedTreePolicy::evictDirty(const CacheArray::Victim &victim)
     // slot is laundered into the tree.
     std::vector<std::uint8_t> &image = imageScratch_.unverified();
 
-    unsigned ram_reads = 0;
     unsigned dirty_blocks = 0;
     bool chunk_fully_cached = true;
 
@@ -228,9 +193,7 @@ CachedTreePolicy::evictDirty(const CacheArray::Victim &victim)
             dirty = line->dirty;
             // Section 5.4 Write-Back step 2: every cached block of the
             // chunk is written back together and marked clean.
-            if (line->dirty) {
-                line->dirty = false;
-            }
+            line->dirty = false;
         }
         if (valid != array_.fullMask())
             chunk_fully_cached = false;
@@ -244,11 +207,6 @@ CachedTreePolicy::evictDirty(const CacheArray::Victim &victim)
         if (dirty)
             ++dirty_blocks;
     }
-
-    // Timing reads: if the chunk was not entirely contained in the
-    // cache, the missing data comes from RAM via ReadAndCheckChunk.
-    if (!chunk_fully_cached)
-        ram_reads = 1; // modelled as one chunk-sized read
 
     // Functional commit, ordered to be safe against nested evictions:
     //  1. RAM gets the assembled image first, so any nested flow
@@ -266,18 +224,7 @@ CachedTreePolicy::evictDirty(const CacheArray::Victim &victim)
     const bool parent_slot_was_cached = l2_.parentSlotCachedNow(chunk);
 
     ram_.write(base, image);
-
-    const std::int64_t evict_parent = tree_.parentOf(chunk);
-    if (evict_parent >= 0) {
-        const std::uint64_t slot_addr = tree_.slotAddr(
-            static_cast<std::uint64_t>(evict_parent),
-            tree_.slotIndexOf(chunk));
-        if (array_.lookup(slot_addr, false) == nullptr) {
-            ++l2_.stat_writeMisses;
-            l2_.allocateLine(array_.blockAddr(slot_addr));
-        }
-        cmt_assert(array_.lookup(slot_addr, false) != nullptr);
-    }
+    makeParentSlotResident(chunk);
 
     // Timestamp bits of a MAC-kind slot carry over from the current
     // slot value.
@@ -285,89 +232,57 @@ CachedTreePolicy::evictDirty(const CacheArray::Victim &victim)
     ram_.readChunk(chunk, imageScratch_);
     // The image assembled above, or a nested write-back's newer one.
     const Slot new_slot = auth_.compute(imageScratch_.unverified(), prev);
-
-    if (static_cast<std::int64_t>(chunk) == traceChunkId()) {
-        debugf("@%llu cachedEvict chunk=%llu victim=%llx "
-               "valid=%llx fullycached=%d\n",
-               static_cast<unsigned long long>(events_.now()),
-               static_cast<unsigned long long>(chunk),
-               static_cast<unsigned long long>(victim.blockAddr),
-               static_cast<unsigned long long>(victim.validWords),
-               static_cast<int>(chunk_fully_cached));
-    }
-
     publishSlot(chunk, new_slot);
-    l2_.debugCheckInvariant("cachedEvict");
 
-    // Timing: the ReadAndCheckChunk for missing data also needs the
-    // parent authenticator; charge the recursive fetch when the slot
-    // is not resident (symmetric with the i scheme's parent read).
-    if (ram_reads > 0 && evict_parent >= 0 && !parent_slot_was_cached) {
-        ++l2_.stat_hashChunkFetches;
-        fetchChunk(static_cast<std::uint64_t>(evict_parent),
-                   /*demand=*/false);
-    }
-
-    // Timing: optional missing-data read, then the digest (plus one
-    // more digest for the ReadAndCheckChunk verification of the
-    // missing data), then the block writes.
-    if (ram_reads > 0) {
+    // Timing: if the chunk was not entirely contained in the cache,
+    // the missing data comes from RAM via ReadAndCheckChunk, modelled
+    // as one chunk-sized read plus one more digest to verify it, and
+    // that check needs the parent authenticator too. Then the digest
+    // of the new image and the dirty block writes.
+    if (!chunk_fully_cached) {
+        chargeParentSlotRead(chunk, parent_slot_was_cached);
         l2_.stat_integrityBlockReads += l2_.blocksPerChunk() > 1
                                             ? l2_.blocksPerChunk() - 1
                                             : 1;
-        WriteBackJob *job = writeBackJobs_.acquire();
-        job->self = this;
-        job->base = base;
-        job->shard = shard;
-        job->dirtyBlocks = dirty_blocks;
-        job->extraCheck = !chunk_fully_cached;
-        memory_.read(base, static_cast<unsigned>(params_.chunkSize),
-                     [job]() {
-                         job->self->writeBackReadDone(job);
-                     });
-    } else {
-        writeBackHashes(base, shard, dirty_blocks,
-                        /*extra_check=*/!chunk_fully_cached);
     }
+    const auto chunk_bytes = static_cast<unsigned>(params_.chunkSize);
+    finishWriteBack(base, {.reads = chunk_fully_cached ? 0u : 1u,
+                           .readBytes = chunk_bytes,
+                           .digests = chunk_fully_cached ? 1u : 2u,
+                           .digestBytes = chunk_bytes,
+                           .blockWrites = dirty_blocks});
 }
 
 void
-CachedTreePolicy::writeBackReadDone(WriteBackJob *job)
+CachedTreePolicy::makeParentSlotResident(std::uint64_t chunk)
 {
-    const std::uint64_t base = job->base;
-    const std::uint64_t shard = job->shard;
-    const unsigned dirty_blocks = job->dirtyBlocks;
-    const bool extra_check = job->extraCheck;
-    writeBackJobs_.release(job);
-    writeBackHashes(base, shard, dirty_blocks, extra_check);
+    const std::int64_t parent = tree_.parentOf(chunk);
+    if (parent < 0)
+        return;
+    const std::uint64_t slot_addr = tree_.slotAddr(
+        static_cast<std::uint64_t>(parent), tree_.slotIndexOf(chunk));
+    if (array_.lookup(slot_addr, false) == nullptr) {
+        ++l2_.stat_writeMisses;
+        l2_.allocateLine(array_.blockAddr(slot_addr));
+    }
+    // Fail loudly if a nested chain displaced the line again.
+    cmt_assert(array_.lookup(slot_addr, false) != nullptr);
 }
 
 void
-CachedTreePolicy::writeBackHashes(std::uint64_t base,
-                                  std::uint64_t shard,
-                                  unsigned dirty_blocks,
-                                  bool extra_check)
+CachedTreePolicy::chargeParentSlotRead(std::uint64_t chunk,
+                                       bool slot_was_cached)
 {
-    hasher_.hashChain(static_cast<unsigned>(params_.chunkSize),
-                      extra_check ? 2u : 1u,
-                      [this, shard]() {
-                          tree_.context(shard).buffers.releaseWrite();
-                          l2_.retryPendingMisses();
-                      },
-                      shard);
-    for (unsigned b = 0; b < dirty_blocks; ++b)
-        memory_.write(base + b * params_.blockSize, params_.blockSize);
+    const std::int64_t parent = tree_.parentOf(chunk);
+    if (slot_was_cached || parent < 0)
+        return;
+    ++l2_.stat_hashChunkFetches;
+    fetchChunk(static_cast<std::uint64_t>(parent));
 }
 
 void
 CachedTreePolicy::publishSlot(std::uint64_t chunk, const Slot &value)
 {
-    if (static_cast<std::int64_t>(chunk) == traceChunkId()) {
-        debugf("@%llu publishSlot chunk=%llu v=%02x%02x..\n",
-               static_cast<unsigned long long>(events_.now()),
-               static_cast<unsigned long long>(chunk), value[0],
-               value[1]);
-    }
     const std::int64_t parent = tree_.parentOf(chunk);
     if (parent < 0) {
         tree_.rootOf(chunk) = value;

@@ -19,9 +19,9 @@
 #define CMT_TREE_CACHED_TREE_POLICY_H
 
 #include <map>
+#include <vector>
 
 #include "cache/cache_array.h"
-#include "support/arena.h"
 #include "tree/integrity_policy.h"
 #include "tree/l2_controller.h"
 #include "tree/untrusted.h"
@@ -38,15 +38,15 @@ class CachedTreePolicy : public IntegrityPolicy
     void startDemandMiss(std::uint64_t block_addr) override;
     void evictDirty(const CacheArray::Victim &victim) override;
 
+  protected:
     /**
      * ReadAndCheckChunk (Section 5.4): read @p chunk's uncached
      * blocks, resolve its trusted parent authenticator (recursively
      * fetching the parent chunk if its slot is not cached), verify,
-     * and fill the L2. @p demand marks a fetch serving a demand miss.
+     * and fill the L2.
      */
-    void fetchChunk(std::uint64_t chunk, bool demand);
+    void fetchChunk(std::uint64_t chunk);
 
-  protected:
     /**
      * The Write algorithm's publish step: @p value lands in @p chunk's
      * parent slot in the (trusted) cache and flows to RAM when the
@@ -54,38 +54,31 @@ class CachedTreePolicy : public IntegrityPolicy
      */
     void publishSlot(std::uint64_t chunk, const Slot &value);
 
-  private:
     /**
-     * Deferred write-back tail, pooled (DESIGN.md §11): carries the
-     * hash/write parameters across the optional missing-data RAM read
-     * so its callback captures one pointer instead of a 30-byte pack
-     * that would push std::function onto the heap.
+     * Make the line holding @p chunk's parent slot resident before a
+     * write-back reads, updates and publishes that slot, so nothing
+     * between the read and the publish allocates (and so runs a nested
+     * write-back that could clobber or be clobbered by the update).
      */
-    struct WriteBackJob
-    {
-        CachedTreePolicy *self = nullptr;
-        std::uint64_t base = 0;
-        std::uint64_t shard = 0;
-        unsigned dirtyBlocks = 0;
-        bool extraCheck = false;
-    };
+    void makeParentSlotResident(std::uint64_t chunk);
 
-    /** The missing-data read of a write-back completed. */
-    void writeBackReadDone(WriteBackJob *job);
+    /**
+     * Timing of a write-back's read of @p chunk's parent slot through
+     * ReadAndCheck: free when the slot was cached (@p slot_was_cached,
+     * sampled before makeParentSlotResident()), else a recursive fetch
+     * of the parent chunk.
+     */
+    void chargeParentSlotRead(std::uint64_t chunk, bool slot_was_cached);
 
-    /** Write-back digest chain + dirty block writes. */
-    void writeBackHashes(std::uint64_t base, std::uint64_t shard,
-                         unsigned dirty_blocks, bool extra_check);
+  private:
     // ----- in-flight chunk verification ------------------------------
     struct ChunkFetch
     {
-        std::uint64_t chunk = 0;
         unsigned pendingReads = 0;
         bool dataArrived = false;
         bool hashDone = false;
         bool parentReady = false;
         bool verdictOk = true;
-        bool demand = false; ///< occupies a read-buffer entry
         /** Fetches of children waiting on this chunk's data. */
         std::vector<std::uint64_t> dependents;
     };
@@ -95,7 +88,6 @@ class CachedTreePolicy : public IntegrityPolicy
     void chunkMaybeComplete(std::uint64_t chunk);
 
     std::map<std::uint64_t, ChunkFetch> fetches_; ///< by chunk index
-    SlabPool<WriteBackJob> writeBackJobs_;
     /** A chunk's RAM image for one verdict, one write-back merge or
      *  one slot recompute; each use is over before any nested flow
      *  can start. */

@@ -7,8 +7,10 @@
 #include "tree/untrusted.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstring>
+#include <span>
 
 namespace cmt
 {
@@ -159,6 +161,35 @@ ChunkStore::readSlot(std::uint64_t chunk, std::uint64_t slot_index)
     Untrusted<Slot> out;
     read(tree_.slotAddr(chunk, slot_index), out.value_);
     return out;
+}
+
+bool
+ChunkStore::verifyTouched()
+{
+    constexpr std::size_t kBatch = 16;
+    std::vector<Untrusted<std::vector<std::uint8_t>>> images(kBatch);
+    std::array<std::span<const std::uint8_t>, kBatch> spans;
+    std::array<Slot, kBatch> expected;
+    std::size_t pending = 0;
+    const auto batchOk = [&] {
+        const bool ok = auth_.verifyChain({spans.data(), pending},
+                                          {expected.data(), pending});
+        pending = 0;
+        return ok;
+    };
+    for (const std::uint64_t chunk : touchedChunks()) {
+        readChunk(chunk, images[pending]);
+        spans[pending] = images[pending].forCheck();
+        const std::int64_t parent = tree_.parentOf(chunk);
+        expected[pending] =
+            parent < 0 ? tree_.rootOf(chunk)
+                       : readSlot(static_cast<std::uint64_t>(parent),
+                                  tree_.slotIndexOf(chunk))
+                             .forCheck();
+        if (++pending == kBatch && !batchOk())
+            return false;
+    }
+    return pending == 0 || batchOk();
 }
 
 void

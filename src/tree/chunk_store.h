@@ -99,6 +99,15 @@ class ChunkStore : public Storage
     void writeSlot(std::uint64_t chunk, std::uint64_t slot_index,
                    const Slot &value);
 
+    /**
+     * Whole-tree audit: every touched chunk's image against its
+     * parent's slot in RAM, or its root register, in batches through
+     * Authenticator::verifyChain. Untouched chunks hold canonical
+     * bytes and verify by construction. Call it with nothing dirty
+     * on chip. @return false on the first mismatch.
+     */
+    [[nodiscard]] bool verifyTouched();
+
     /** One shard's geometry (identical across shards). */
     const TreeLayout &layout() const { return tree_.shardLayout(); }
 

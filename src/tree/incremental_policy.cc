@@ -17,10 +17,8 @@ IncrementalPolicy::IncrementalPolicy(L2Controller &l2)
 void
 IncrementalPolicy::evictDirty(const CacheArray::Victim &victim)
 {
-    FlowScope guard(l2_);
     const std::uint64_t chunk = tree_.chunkOf(victim.blockAddr);
-    const std::uint64_t shard = tree_.shardOfChunk(chunk);
-    tree_.context(shard).buffers.acquireWrite();
+    beginWriteBack(chunk);
 
     const unsigned block_idx = static_cast<unsigned>(
         (victim.blockAddr % params_.chunkSize) / params_.blockSize);
@@ -50,22 +48,10 @@ IncrementalPolicy::evictDirty(const CacheArray::Victim &victim)
     // Make the parent slot's line resident next: allocating it inside
     // publishSlot could displace another dirty block of this same
     // chunk, whose nested MAC update would then be clobbered by our
-    // (stale) slot value. With the line resident, the
-    // read-update-publish below is atomic. Nested same-chunk slot
-    // updates that do land during this allocation commute with ours:
-    // each fixes only its own xor term.
-    const std::int64_t parent = tree_.parentOf(chunk);
-    if (parent >= 0) {
-        const std::uint64_t slot_addr =
-            tree_.slotAddr(static_cast<std::uint64_t>(parent),
-                           tree_.slotIndexOf(chunk));
-        if (array_.lookup(slot_addr, false) == nullptr) {
-            ++l2_.stat_writeMisses;
-            l2_.allocateLine(array_.blockAddr(slot_addr));
-        }
-        // Fail loudly if a nested chain displaced the line again.
-        cmt_assert(array_.lookup(slot_addr, false) != nullptr);
-    }
+    // (stale) slot value. Nested same-chunk slot updates that do land
+    // during this allocation commute with ours: each fixes only its
+    // own xor term.
+    makeParentSlotResident(chunk);
 
     const Slot old_slot = l2_.expectedSlotNow(chunk);
     const Slot new_slot =
@@ -73,42 +59,17 @@ IncrementalPolicy::evictDirty(const CacheArray::Victim &victim)
     --depth_;
     publishSlot(chunk, new_slot);
 
-    // Timing: the parent MAC is read via ReadAndCheck (free if its
-    // slot is cached, a recursive chunk fetch otherwise), the old
-    // block is read straight from RAM, two h_k terms are computed,
-    // then the block is written.
-    if (!parent_was_cached && tree_.parentOf(chunk) >= 0) {
-        ++l2_.stat_hashChunkFetches;
-        fetchChunk(static_cast<std::uint64_t>(tree_.parentOf(chunk)),
-                   /*demand=*/false);
-    }
-
+    // Timing: the parent MAC is read via ReadAndCheck, the old block
+    // is read straight from RAM, the two h_k terms stream through the
+    // hash unit as one chain, then the block is written.
+    chargeParentSlotRead(chunk, parent_was_cached);
     ++l2_.stat_integrityBlockReads; // the unchecked old-value read
-    WriteBackJob *job = writeBackJobs_.acquire();
-    job->self = this;
-    job->blockAddr = victim.blockAddr;
-    job->shard = shard;
-    memory_.read(victim.blockAddr, params_.blockSize,
-                 [job]() {
-                     job->self->oldValueArrived(job);
-                 });
-}
-
-void
-IncrementalPolicy::oldValueArrived(WriteBackJob *job)
-{
-    const std::uint64_t block_addr = job->blockAddr;
-    const std::uint64_t shard = job->shard;
-    writeBackJobs_.release(job);
-
-    // The two h_k terms stream through the hash unit as one chain.
-    hasher_.hashChain(static_cast<unsigned>(params_.blockSize), 2,
-                      [this, shard]() {
-                          tree_.context(shard).buffers.releaseWrite();
-                          l2_.retryPendingMisses();
-                      },
-                      shard);
-    memory_.write(block_addr, params_.blockSize);
+    const auto block_bytes = static_cast<unsigned>(params_.blockSize);
+    finishWriteBack(victim.blockAddr, {.reads = 1,
+                                       .readBytes = block_bytes,
+                                       .digests = 2,
+                                       .digestBytes = block_bytes,
+                                       .blockWrites = 1});
 }
 
 } // namespace cmt

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "cache/cache_array.h"
-#include "support/arena.h"
 #include "tree/cached_tree_policy.h"
 #include "tree/l2_controller.h"
 #include "tree/untrusted.h"
@@ -34,20 +33,6 @@ class IncrementalPolicy final : public CachedTreePolicy
     void evictDirty(const CacheArray::Victim &victim) override;
 
   private:
-    /** Pooled write-back tail (DESIGN.md §11): keeps the old-value
-     *  read callback down to one captured pointer. */
-    struct WriteBackJob
-    {
-        IncrementalPolicy *self = nullptr;
-        std::uint64_t blockAddr = 0;
-        std::uint64_t shard = 0;
-    };
-
-    /** The unchecked old-value read completed: h_k terms + write. */
-    void oldValueArrived(WriteBackJob *job);
-
-    SlabPool<WriteBackJob> writeBackJobs_;
-
     /** evictDirty's old and new block images; capacity is kept, so a
      *  write-back allocates nothing. */
     struct BlockImages

@@ -21,6 +21,57 @@ IntegrityPolicy::IntegrityPolicy(L2Controller &l2)
 {}
 
 void
+IntegrityPolicy::beginWriteBack(std::uint64_t chunk)
+{
+    tree_.buffersOfChunk(chunk).acquireWrite();
+}
+
+void
+IntegrityPolicy::finishWriteBack(std::uint64_t block_addr,
+                                 const WriteBackCost &cost)
+{
+    if (cost.reads == 0) {
+        writeBackReadsDone(block_addr, cost);
+        return;
+    }
+    WriteBackJob *job = writeBackJobs_.acquire();
+    job->self = this;
+    job->blockAddr = block_addr;
+    job->cost = cost;
+    memory_.readChain(cost.readBytes, cost.reads, [job]() {
+        IntegrityPolicy *self = job->self;
+        const std::uint64_t addr = job->blockAddr;
+        const WriteBackCost done = job->cost;
+        self->writeBackJobs_.release(job);
+        self->writeBackReadsDone(addr, done);
+    });
+}
+
+void
+IntegrityPolicy::writeBackReadsDone(std::uint64_t block_addr,
+                                    const WriteBackCost &cost)
+{
+    const std::uint64_t chunk = tree_.chunkOf(block_addr);
+    const std::uint64_t shard = tree_.shardOfChunk(chunk);
+    hasher_.hashChain(cost.digestBytes, cost.digests,
+                      [this, shard]() {
+                          tree_.context(shard).buffers.releaseWrite();
+                          l2_.retryPendingMisses();
+                      },
+                      shard);
+    for (unsigned b = 0; b < cost.blockWrites; ++b)
+        memory_.write(block_addr + b * params_.blockSize, params_.blockSize);
+    std::int64_t cur = tree_.parentOf(chunk);
+    for (unsigned c = 0; c < cost.chunkWrites; ++c) {
+        cmt_assert(cur >= 0);
+        const auto ancestor = static_cast<std::uint64_t>(cur);
+        memory_.write(tree_.chunkAddr(ancestor),
+                      static_cast<unsigned>(params_.chunkSize));
+        cur = tree_.parentOf(ancestor);
+    }
+}
+
+void
 mergeVictim(const CacheArray::Victim &victim, std::span<std::uint8_t> block)
 {
     for (unsigned w = 0; w < block.size() / kWordSize; ++w) {

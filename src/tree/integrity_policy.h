@@ -29,6 +29,7 @@
 
 #include "cache/cache_array.h"
 #include "mem/main_memory.h"
+#include "support/arena.h"
 #include "support/event.h"
 #include "tree/authenticator.h"
 #include "tree/chunk_store.h"
@@ -95,6 +96,39 @@ class IntegrityPolicy
   protected:
     explicit IntegrityPolicy(L2Controller &l2);
 
+    /**
+     * The timing half of one write-back, the same shape for every
+     * tree scheme: RAM reads of what the chip lacks, a digest chain
+     * through the hash unit, then the writes.
+     */
+    struct WriteBackCost
+    {
+        /** Chained RAM reads, readBytes each (0: none). */
+        unsigned reads = 0;
+        unsigned readBytes = 0;
+        /** Digests in the chain, digestBytes each. */
+        unsigned digests = 0;
+        unsigned digestBytes = 0;
+        /** Block-sized writes from the write-back's block on. */
+        unsigned blockWrites = 0;
+        /** Chunk-sized writes, one per ancestor chunk, bottom-up. */
+        unsigned chunkWrites = 0;
+    };
+
+    /** Take the write-buffer entry of @p chunk's shard (Section 6.5)
+     *  for a write-back that finishWriteBack() later frees. */
+    void beginWriteBack(std::uint64_t chunk);
+
+    /**
+     * Schedule the timing of the write-back of @p block_addr begun by
+     * beginWriteBack(): @p cost's reads as one chain, then its digest
+     * chain on the shard's hash lane and its writes. The chain's
+     * completion frees the write-buffer entry and re-admits deferred
+     * misses. With no reads the chain is issued now.
+     */
+    void finishWriteBack(std::uint64_t block_addr,
+                         const WriteBackCost &cost);
+
     L2Controller &l2_;
     EventQueue &events_;
     MainMemory &memory_;
@@ -106,25 +140,22 @@ class IntegrityPolicy
     const Authenticator &auth_;
     const L2Params &params_;
     CacheArray &array_;
-};
-
-/**
- * RAII marker for one in-flight eviction flow. While any flow is
- * open the debug invariant probe stays quiet (RAM and slots are
- * legitimately out of sync mid-flow); closing the outermost scope
- * re-checks the invariant.
- */
-class FlowScope
-{
-  public:
-    explicit FlowScope(L2Controller &l2) : l2_(l2) { l2_.flowEnter(); }
-    ~FlowScope() { l2_.flowExit(); }
-
-    FlowScope(const FlowScope &) = delete;
-    FlowScope &operator=(const FlowScope &) = delete;
 
   private:
-    L2Controller &l2_;
+    /** finishWriteBack()'s state across its reads, pooled so the read
+     *  callback captures one pointer. */
+    struct WriteBackJob
+    {
+        IntegrityPolicy *self = nullptr;
+        std::uint64_t blockAddr = 0;
+        WriteBackCost cost;
+    };
+
+    /** The write-back's reads arrived: digest chain, then writes. */
+    void writeBackReadsDone(std::uint64_t block_addr,
+                            const WriteBackCost &cost);
+
+    SlabPool<WriteBackJob> writeBackJobs_;
 };
 
 /** Copy @p victim's valid words over @p block, the RAM image of its

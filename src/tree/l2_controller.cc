@@ -15,7 +15,6 @@
 #include "tree/integrity_policy.h"
 #include "tree/layout.h"
 #include "tree/shard_router.h"
-#include "tree/tree_debug.h"
 #include "tree/untrusted.h"
 #include "tree/verify_buffer.h"
 
@@ -65,26 +64,6 @@ L2Controller::L2Controller(EventQueue &events, MainMemory &memory,
 }
 
 L2Controller::~L2Controller() = default;
-
-/**
- * Debug-only: verify that the traced chunk's authoritative slot
- * (valid L2 copy, else RAM) matches its current RAM image.
- */
-void
-L2Controller::debugCheckInvariant(const char *tag)
-{
-    const std::int64_t id = traceChunkId();
-    if (id < 0 || flowDepth_ > 0)
-        return;
-    const std::uint64_t chunk = static_cast<std::uint64_t>(id);
-    const auto image = ram_.readChunk(chunk);
-    const Slot expected = expectedSlotNow(chunk);
-    if (!auth_.verify(image.forCheck(), expected)) {
-        debugf("INVARIANT BROKEN @%llu after %s (chunk %llu)\n",
-               static_cast<unsigned long long>(events_.now()), tag,
-               static_cast<unsigned long long>(chunk));
-    }
-}
 
 // --------------------------------------------------------------------
 // Core-side interface
@@ -157,18 +136,9 @@ L2Controller::writeRam(std::uint64_t ram_addr,
             return;
         }
     }
-    if (traceChunkId() >= 0 &&
-        tree_.chunkOf(ram_addr) ==
-            static_cast<std::uint64_t>(traceChunkId())) {
-        debugf("@%llu writeRam into chunk=%lld addr=%llx size=%zu\n",
-               static_cast<unsigned long long>(events_.now()),
-               static_cast<long long>(traceChunkId()),
-               static_cast<unsigned long long>(ram_addr), data.size());
-    }
     std::memcpy(line->data.data() + offset, data.data(), data.size());
     line->validWords |= mask;
     line->dirty = true;
-    debugCheckInvariant("writeRam");
 }
 
 // --------------------------------------------------------------------
@@ -272,7 +242,6 @@ L2Controller::fillBlockFromRam(std::uint64_t block_addr)
                     bytes.data() + w * kWordSize, kWordSize);
     }
     line->validWords = array_.fullMask();
-    debugCheckInvariant("fillBlockFromRam");
 }
 
 void
@@ -368,14 +337,6 @@ L2Controller::handleEviction(CacheArray::Victim &&victim)
                          params_.blockSize);
     }
 
-    if (static_cast<std::int64_t>(tree_.chunkOf(victim.blockAddr)) ==
-        traceChunkId()) {
-        debugf("@%llu handleEviction chunk=%lld dirty=%d valid=%llx\n",
-               static_cast<unsigned long long>(events_.now()),
-               static_cast<long long>(traceChunkId()),
-               static_cast<int>(victim.dirty),
-               static_cast<unsigned long long>(victim.validWords));
-    }
     if (!victim.dirty) {
         ++stat_evictionsClean;
         return;
@@ -390,19 +351,8 @@ L2Controller::verifyTreeConsistency()
 {
     if (!policy_->verifiesIntegrity())
         return true;
-    for (const std::uint64_t chunk : ram_.touchedChunks()) {
-        const auto image = ram_.readChunk(chunk);
-        const std::int64_t parent = tree_.parentOf(chunk);
-        const Slot expected =
-            parent < 0
-                ? tree_.rootOf(chunk)
-                : ram_.readSlot(static_cast<std::uint64_t>(parent),
-                                tree_.slotIndexOf(chunk))
-                      .forCheck();
-        if (!auth_.verify(image.forCheck(), expected))
-            return false;
-    }
-    return true;
+    flushAllDirty();
+    return ram_.verifyTouched();
 }
 
 void

@@ -164,11 +164,12 @@ class L2Controller
     void flushAllDirty();
 
     /**
-     * Whole-tree audit: after a flushAllDirty, every touched chunk's
-     * RAM image must match its parent slot (or root register).
-     * @return false on any inconsistency. Tree schemes only.
+     * Whole-tree audit: flush every dirty line, then check every
+     * touched chunk's RAM image against its parent's RAM slot (or
+     * root register), as ChunkStore::verifyTouched() does.
+     * @return false on any inconsistency; true for the base scheme.
      */
-    bool verifyTreeConsistency();
+    [[nodiscard]] bool verifyTreeConsistency();
 
     /** Number of integrity-check mismatches observed so far. */
     std::uint64_t integrityFailures() const
@@ -264,18 +265,6 @@ class L2Controller
     /** Re-admit deferred demand misses while buffer space lasts. */
     void retryPendingMisses();
 
-    /** Debug-only invariant probe for the CMT_TRACE_CHUNK chunk. */
-    void debugCheckInvariant(const char *tag);
-
-    /** Nesting bookkeeping for in-flight eviction flows (debug
-     *  gating); use FlowScope (integrity_policy.h), not these. */
-    void flowEnter() { ++flowDepth_; }
-    void flowExit()
-    {
-        if (--flowDepth_ == 0)
-            debugCheckInvariant("cascade-exit");
-    }
-
   private:
     struct Mshr
     {
@@ -316,8 +305,6 @@ class L2Controller
     /** The scheme's miss/write-back logic (never null after init). */
     std::unique_ptr<IntegrityPolicy> policy_;
 
-    /** Nesting depth of in-flight eviction flows (debug gating). */
-    unsigned flowDepth_ = 0;
     unsigned evictionDepth_ = 0;
 };
 

@@ -164,10 +164,8 @@ NaivePolicy::missChecked(MissJob *job)
 void
 NaivePolicy::evictDirty(const CacheArray::Victim &victim)
 {
-    FlowScope guard(l2_);
     const std::uint64_t chunk = tree_.chunkOf(victim.blockAddr);
-    const std::uint64_t shard = tree_.shardOfChunk(chunk);
-    tree_.context(shard).buffers.acquireWrite();
+    beginWriteBack(chunk);
 
     // Functional: check the old path, then merge, write, and rebuild
     // it now. Without the check, the rebuild would hash a tampered
@@ -180,52 +178,18 @@ NaivePolicy::evictDirty(const CacheArray::Victim &victim)
     const auto ancestors = static_cast<unsigned>(evictPath_.size() - 1);
 
     // Timing: read every ancestor (read-modify-write) plus the block's
-    // missing words if it was partial, hash every level, write
-    // everything back.
+    // missing words if it was partial, hash every level as one chain,
+    // write the block plus every ancestor chunk.
     const bool partial = victim.validWords != array_.fullMask();
     const unsigned reads = ancestors + (partial ? 1 : 0);
     l2_.stat_integrityBlockReads += reads;
-
-    EvictJob *job = evictJobs_.acquire();
-    job->self = this;
-    job->chunk = chunk;
-    job->shard = shard;
-    job->ancestors = ancestors;
-
-    if (reads == 0) {
-        evictReadsDone(job);
-        return;
-    }
-    memory_.readChain(static_cast<unsigned>(params_.chunkSize), reads,
-                      [job]() { job->self->evictReadsDone(job); });
-}
-
-void
-NaivePolicy::evictReadsDone(EvictJob *job)
-{
-    // One chain covers the block plus every ancestor level.
-    hasher_.hashChain(static_cast<unsigned>(params_.chunkSize),
-                      job->ancestors + 1,
-                      [job]() { job->self->evictChecked(job); },
-                      job->shard);
-
-    // Write the block plus every ancestor chunk.
-    memory_.write(tree_.chunkAddr(job->chunk), params_.blockSize);
-    std::int64_t cur = tree_.parentOf(job->chunk);
-    while (cur >= 0) {
-        memory_.write(tree_.chunkAddr(static_cast<std::uint64_t>(cur)),
-                      static_cast<unsigned>(params_.chunkSize));
-        cur = tree_.parentOf(static_cast<std::uint64_t>(cur));
-    }
-}
-
-void
-NaivePolicy::evictChecked(EvictJob *job)
-{
-    const std::uint64_t shard = job->shard;
-    evictJobs_.release(job);
-    tree_.context(shard).buffers.releaseWrite();
-    l2_.retryPendingMisses();
+    const auto chunk_bytes = static_cast<unsigned>(params_.chunkSize);
+    finishWriteBack(victim.blockAddr, {.reads = reads,
+                                       .readBytes = chunk_bytes,
+                                       .digests = ancestors + 1,
+                                       .digestBytes = chunk_bytes,
+                                       .blockWrites = 1,
+                                       .chunkWrites = ancestors});
 }
 
 void

@@ -66,11 +66,11 @@ class NaivePolicy final : public IntegrityPolicy
 
   private:
     /**
-     * Per-demand-miss state, pooled (DESIGN.md §11). The path vector
-     * keeps its capacity across misses, and every callback along the
-     * flow captures just the job pointer - small enough for
-     * std::function's inline storage - so the steady-state miss path
-     * performs no heap allocation.
+     * Per-demand-miss state, pooled (DESIGN.md §11 "Memory layout").
+     * The path vector keeps its capacity across misses, and every
+     * callback along the flow captures just the job pointer, so the
+     * steady-state miss path performs no heap allocation. Write-backs
+     * use the base class's pooled job instead.
      */
     struct MissJob
     {
@@ -80,15 +80,6 @@ class NaivePolicy final : public IntegrityPolicy
         bool ok = true;
         /** Leaf chunk plus every ancestor, bottom-up. */
         std::vector<std::uint64_t> path;
-    };
-
-    /** Per-write-back state, pooled like MissJob. */
-    struct EvictJob
-    {
-        NaivePolicy *self = nullptr;
-        std::uint64_t chunk = 0;
-        std::uint64_t shard = 0;
-        unsigned ancestors = 0;
     };
 
     /** Fill @p out with @p chunk plus every ancestor, bottom-up (the
@@ -109,10 +100,6 @@ class NaivePolicy final : public IntegrityPolicy
     void missDataArrived(MissJob *job);
     /** The miss's hash chain completed: announce and release. */
     void missChecked(MissJob *job);
-    /** All of @p job's read-modify-write reads arrived. */
-    void evictReadsDone(EvictJob *job);
-    /** The write-back's hash chain completed. */
-    void evictChecked(EvictJob *job);
 
     /**
      * Write @p victim back and rebuild its path (evictPath_) up to
@@ -134,7 +121,6 @@ class NaivePolicy final : public IntegrityPolicy
                   std::span<const std::uint8_t> image, const Slot &slot);
 
     SlabPool<MissJob> missJobs_;
-    SlabPool<EvictJob> evictJobs_;
 
     /**
      * The memo, as flat arrays. Empty when the slot is not a pure

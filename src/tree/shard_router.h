@@ -227,6 +227,13 @@ class ShardRouter
         cmt_assert(layout_.parentOf(localChunk(chunk)) < 0);
         return contexts_[shardOfChunk(chunk)].roots[localChunk(chunk)];
     }
+    /** Read-only rootOf(), for audits. */
+    const Slot &
+    rootOf(std::uint64_t chunk) const
+    {
+        cmt_assert(layout_.parentOf(localChunk(chunk)) < 0);
+        return contexts_[shardOfChunk(chunk)].roots[localChunk(chunk)];
+    }
 
     /** Check buffers of the shard owning global chunk @p chunk. */
     VerifyBuffer &buffersOfChunk(std::uint64_t chunk)

@@ -17,24 +17,6 @@ std::atomic<std::int64_t> faultSkipShard{kFaultUnresolved};
 } // namespace
 
 std::int64_t
-traceChunkId()
-{
-    static std::int64_t id = [] {
-        const char *env = std::getenv("CMT_TRACE_CHUNK");
-        return env ? std::atoll(env) : -1;
-    }();
-    return id;
-}
-
-bool
-debugVerdictEnabled()
-{
-    static const bool enabled =
-        std::getenv("CMT_DEBUG_VERDICT") != nullptr;
-    return enabled;
-}
-
-std::int64_t
 faultSkipVerifyShard()
 {
     std::int64_t v = faultSkipShard.load(std::memory_order_relaxed);

@@ -1,22 +1,11 @@
 /**
  * @file
- * Environment-gated debug hooks shared by the L2 controller and the
- * integrity policies (see CONTRIBUTING.md "Debug hooks"):
- *
- *  - CMT_TRACE_CHUNK=<index> traces every functional mutation touching
- *    that chunk and enables the cascade-exit invariant probe;
- *  - CMT_DEBUG_VERDICT=1 prints a diagnostic line for every failed
- *    chunk verification;
- *  - CMT_FAULT_SKIP_VERIFY_SHARD=<shard> deliberately disables chunk
- *    verification on one shard of the functional MerkleMemory - a
- *    fault-injection hook that exists so the differential fuzzer
- *    (tools/cmt_fuzz, DESIGN.md section 9) can prove it detects a
- *    policy that silently stops checking. Never set it outside fuzz
- *    or test harnesses.
- *
- * All resolve their environment variable once and are free when
- * unset. Output goes through cmt::debugf (logging.h), never a raw
- * FILE*.
+ * The skip-verify fault hook. CMT_FAULT_SKIP_VERIFY_SHARD=<shard>
+ * deliberately disables chunk verification on one shard of the
+ * functional MerkleMemory, so the differential fuzzer (tools/cmt_fuzz,
+ * DESIGN.md section 9) can prove it detects a policy that silently
+ * stops checking. Never set it outside fuzz or test harnesses. The
+ * variable is resolved once and is free when unset.
  */
 
 #ifndef CMT_TREE_TREE_DEBUG_H
@@ -26,12 +15,6 @@
 
 namespace cmt
 {
-
-/** Chunk index selected by CMT_TRACE_CHUNK, or -1 when unset. */
-std::int64_t traceChunkId();
-
-/** True when CMT_DEBUG_VERDICT is set in the environment. */
-bool debugVerdictEnabled();
 
 /**
  * Shard whose MerkleMemory chunk verifications are deliberately

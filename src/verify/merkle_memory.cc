@@ -1,7 +1,6 @@
 #include "verify/merkle_memory.h"
 
 #include <algorithm>
-#include <array>
 #include <cstring>
 #include <optional>
 
@@ -574,39 +573,7 @@ bool
 MerkleMemory::verifyAll()
 {
     flush();
-    // Every chunk, touched or canonical, must verify against its
-    // trusted parent slot. Canonical chunks verify by construction;
-    // walk only the materialised ones plus their ancestors. Chunks
-    // are checked in fixed-size batches through the chain verifier.
-    constexpr std::size_t kBatch = 16;
-    std::vector<Untrusted<std::vector<std::uint8_t>>> images(kBatch);
-    std::array<std::span<const std::uint8_t>, kBatch> spans;
-    std::array<Slot, kBatch> expected;
-    std::size_t pending = 0;
-    for (const std::uint64_t chunk : chunks_.touchedChunks()) {
-        chunks_.readChunk(chunk, images[pending]);
-        spans[pending] = images[pending].forCheck();
-        const std::int64_t parent = tree_.parentOf(chunk);
-        if (parent < 0) {
-            expected[pending] = tree_.rootOf(chunk);
-        } else {
-            expected[pending] =
-                chunks_.readSlot(static_cast<std::uint64_t>(parent),
-                                 tree_.slotIndexOf(chunk))
-                    .forCheck();
-        }
-        if (++pending == kBatch) {
-            if (!auth_.verifyChain({spans.data(), pending},
-                                   {expected.data(), pending}))
-                return false;
-            pending = 0;
-        }
-    }
-    if (pending > 0 &&
-        !auth_.verifyChain({spans.data(), pending},
-                           {expected.data(), pending}))
-        return false;
-    return true;
+    return chunks_.verifyTouched();
 }
 
 } // namespace cmt

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -277,6 +278,47 @@ TEST_P(L2ControllerSchemes, ReplayIsDetected)
     f.drain();
     EXPECT_GT(f.l2.integrityFailures(), 0u)
         << "stale-but-authentic data must fail freshness";
+}
+
+// The audit must reject a tree it did not build: after a flush, one
+// flipped byte of a touched data chunk, or of a touched hash chunk,
+// no longer matches its parent's slot or root register. The cached
+// scheme runs as c (64 B chunks) and as m (128 B chunks).
+TEST_P(L2ControllerSchemes, AuditRejectsAFlippedByte)
+{
+    if (GetParam() == Scheme::kBase)
+        GTEST_SKIP() << "base keeps no tree to audit";
+    std::vector<std::uint64_t> chunk_sizes{64};
+    if (GetParam() == Scheme::kCached)
+        chunk_sizes.push_back(128);
+    for (const std::uint64_t chunk_size : chunk_sizes) {
+        for (const bool hash_chunk : {false, true}) {
+            SCOPED_TRACE(testing::Message()
+                         << "chunk " << chunk_size
+                         << (hash_chunk ? ", hash chunk" : ", data chunk"));
+            L2Fixture f(GetParam(), 4096, chunk_size);
+            f.write64(0x200, 42);
+            f.drain();
+            f.l2.flushAllDirty();
+            f.drain();
+            ASSERT_TRUE(f.l2.verifyTreeConsistency());
+
+            const std::vector<std::uint64_t> touched =
+                f.ram.touchedChunks();
+            const auto target = std::find_if(
+                touched.begin(), touched.end(), [&](std::uint64_t c) {
+                    return f.layout.isHashChunk(c) == hash_chunk;
+                });
+            ASSERT_NE(target, touched.end());
+            Storage &raw = f.ram;
+            const std::uint64_t addr = f.layout.chunkAddr(*target) + 5;
+            std::uint8_t byte = 0;
+            raw.read(addr, {&byte, 1});
+            byte ^= 0x10;
+            raw.write(addr, {&byte, 1});
+            EXPECT_FALSE(f.l2.verifyTreeConsistency());
+        }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

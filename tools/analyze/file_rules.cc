@@ -174,7 +174,7 @@ stdoutPatterns()
         {"stdout-discipline", "stdio",
          std::regex(R"(#\s*include\s*<\s*(cstdio|stdio\.h)\s*>)"),
          "<cstdio> outside src/support/ invites raw FILE* output; "
-         "report through logging.h (debugf/warn/inform) or justify "
+         "report through logging.h (warn/inform) or justify "
          "the FILE* owner with an allow directive"},
     };
     return patterns;

@@ -6,14 +6,16 @@
  *     --bench <name>      one of the nine specgen benchmarks (gcc...)
  *     --trace <file>      drive the core from a CMT trace file instead
  *     --scheme <s>        base | naive | cached | incremental
- *     --l2-size <bytes>   L2 capacity            (default 1048576)
+ *     --l2-size <bytes>   L2 capacity            (default 1048576;
+ *                         --l2-block x 4 ways x a power of two)
  *     --l2-block <bytes>  L2 line size           (default 64; a
  *                         power of two >= the 32 B L1 line)
  *     --chunk <bytes>     tree chunk size        (default = block;
  *                         a power of two >= 32, a multiple of block)
  *     --shards <k>        independent subtrees   (default 1; a power
  *                         of two)
- *     --buffers <n>       hash read/write buffer entries (default 16)
+ *     --buffers <n>       hash read/write buffer entries (default 16;
+ *                         at least 1)
  *     --hash-gbps <f>     hash throughput        (default 3.2)
  *     --no-spec           block until checks complete (ablation)
  *     --encrypt           enable the privacy extension
@@ -160,6 +162,17 @@ main(int argc, char **argv)
                    "--chunk must be a power of two of at least 32");
     if (cfg.l2.chunkSize % cfg.l2.blockSize != 0)
         usageError("cmt_sim", "--chunk must be a multiple of --l2-block");
+    // The L2 indexes its sets with a mask.
+    const std::uint64_t set_bytes =
+        std::uint64_t{cfg.l2.blockSize} * cfg.l2.assoc;
+    if (cfg.l2.sizeBytes % set_bytes != 0 ||
+        !isPow2(cfg.l2.sizeBytes / set_bytes))
+        usageError("cmt_sim",
+                   "--l2-size must be --l2-block x %u ways x a power of "
+                   "two",
+                   cfg.l2.assoc);
+    if (cfg.l2.readBufferEntries == 0)
+        usageError("cmt_sim", "--buffers must be at least 1");
 
     printConfigTable(std::cout, cfg);
 
