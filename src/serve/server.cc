@@ -381,17 +381,12 @@ Server::executeFrames(Connection &c)
             c.stopRead = true;
             break;
         }
-        const std::uint8_t op = in[off + kHeaderBytes];
-        if (op == static_cast<std::uint8_t>(Op::kWrite)) {
-            off += executeWriteRun(in.subspan(off), c.outbuf);
-        } else {
-            executeRequest(op,
-                           in.subspan(off + kHeaderBytes + 1,
-                                      bytes - kHeaderBytes - 1),
-                           c.outbuf);
-            requests_.fetch_add(1);
-            off += bytes;
-        }
+        executeRequest(in[off + kHeaderBytes],
+                       in.subspan(off + kHeaderBytes + 1,
+                                  bytes - kHeaderBytes - 1),
+                       c.outbuf);
+        requests_.fetch_add(1);
+        off += bytes;
     }
     c.inbuf.erase(c.inbuf.begin(),
                   c.inbuf.begin() + static_cast<std::ptrdiff_t>(off));
@@ -507,19 +502,31 @@ Server::executeRequest(std::uint8_t op,
         }
         std::vector<std::uint8_t> data;
         std::string err;
-        switch (s->read(addr, len, &data, &err)) {
-        case StoreOutcome::kOk:
-            appendReply(replies, Status::kOk,
-                        std::span<const std::uint8_t>(data));
-            return;
-        case StoreOutcome::kCorrupt:
-            verifyFailures_.fetch_add(1);
-            appendReply(replies, Status::kCorrupt, err);
-            return;
-        default:
-            appendReply(replies, Status::kError, err);
+        const StoreOutcome outcome = s->read(addr, len, &data, &err);
+        replyStoreOutcome(outcome, data, err, replies);
+        return;
+    }
+    case Op::kWrite: {
+        std::uint32_t sid = 0;
+        std::uint64_t addr = 0;
+        std::uint32_t len = 0;
+        std::span<const std::uint8_t> data;
+        if (!r.u32(&sid) || !r.u64(&addr) || !r.u32(&len) ||
+            !r.bytes(len, &data) || !r.done()) {
+            appendReply(replies, Status::kError,
+                        std::string("malformed write request"));
             return;
         }
+        ServeStore *s = store(sid);
+        if (s == nullptr) {
+            appendReply(replies, Status::kError,
+                        std::string("no such store"));
+            return;
+        }
+        std::string err;
+        const StoreOutcome outcome = s->write(addr, data, &err);
+        replyStoreOutcome(outcome, kNoBytes, err, replies);
+        return;
     }
     case Op::kVerify:
     case Op::kSync:
@@ -570,7 +577,6 @@ Server::executeRequest(std::uint8_t op,
         // before the loop closes the connection.
         stopping_.store(true);
         return;
-    case Op::kWrite: // unreachable: executeFrames routes writes
     default:
         appendReply(replies, Status::kError,
                     std::string("unknown opcode"));
@@ -578,77 +584,24 @@ Server::executeRequest(std::uint8_t op,
     }
 }
 
-std::size_t
-Server::executeWriteRun(std::span<const std::uint8_t> in,
-                        std::vector<std::uint8_t> &replies)
+void
+Server::replyStoreOutcome(StoreOutcome outcome,
+                          std::span<const std::uint8_t> data,
+                          const std::string &err,
+                          std::vector<std::uint8_t> &replies)
 {
-    // Collect the longest run of complete, well-formed writes aimed at
-    // one store; the store applies them under a single lock
-    // acquisition, grouped by shard.
-    std::vector<WriteOp> ops;
-    std::uint32_t sid = 0;
-    std::size_t off = 0;
-    std::size_t bytes = 0;
-    while (scanFrame(in.subspan(off), &bytes) == FrameScan::kComplete &&
-           in[off + kHeaderBytes] ==
-               static_cast<std::uint8_t>(Op::kWrite)) {
-        WireReader r(in.subspan(off + kHeaderBytes + 1,
-                                bytes - kHeaderBytes - 1));
-        std::uint32_t s = 0;
-        std::uint64_t addr = 0;
-        std::uint32_t len = 0;
-        std::span<const std::uint8_t> data;
-        if (!r.u32(&s) || !r.u64(&addr) || !r.u32(&len) ||
-            !r.bytes(len, &data) || !r.done())
-            break;
-        if (!ops.empty() && s != sid)
-            break;
-        sid = s;
-        WriteOp op;
-        op.addr = addr;
-        op.data.assign(data.begin(), data.end());
-        ops.push_back(std::move(op));
-        off += bytes;
-    }
-    const std::size_t n = ops.size();
-    if (n == 0) {
-        appendReply(replies, Status::kError,
-                    std::string("malformed write request"));
-        requests_.fetch_add(1);
-        return kHeaderBytes + readU32(in.data());
-    }
-    requests_.fetch_add(n);
-    ServeStore *s = store(sid);
-    if (s == nullptr) {
-        for (std::size_t i = 0; i < n; ++i)
-            appendReply(replies, Status::kError,
-                        std::string("no such store"));
-        return off;
-    }
-    std::vector<StoreOutcome> fates;
-    std::string err;
-    const StoreOutcome overall =
-        s->applyWriteBatch(ops, &fates, &err);
-    if (overall == StoreOutcome::kCorrupt)
+    switch (outcome) {
+    case StoreOutcome::kOk:
+        appendReply(replies, Status::kOk, data);
+        return;
+    case StoreOutcome::kCorrupt:
         verifyFailures_.fetch_add(1);
-    for (std::size_t i = 0; i < n; ++i) {
-        switch (fates[i]) {
-        case StoreOutcome::kOk:
-            appendReply(replies, Status::kOk, kNoBytes);
-            break;
-        case StoreOutcome::kCorrupt:
-            appendReply(replies, Status::kCorrupt, err);
-            break;
-        case StoreOutcome::kBadRequest:
-            appendReply(replies, Status::kError, err);
-            break;
-        default:
-            appendReply(replies, Status::kError,
-                        std::string("not applied: batch aborted"));
-            break;
-        }
+        appendReply(replies, Status::kCorrupt, err);
+        return;
+    default:
+        appendReply(replies, Status::kError, err);
+        return;
     }
-    return off;
 }
 
 } // namespace cmt::serve

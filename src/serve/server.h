@@ -158,10 +158,12 @@ class Server
     void executeRequest(std::uint8_t op,
                         std::span<const std::uint8_t> payload,
                         std::vector<std::uint8_t> &replies);
-    /** Execute the run of kWrite frames at the front of @p in aimed at
-     *  one store as one store batch; returns the bytes consumed. */
-    std::size_t executeWriteRun(std::span<const std::uint8_t> in,
-                                std::vector<std::uint8_t> &replies);
+    /** Reply to a read or write: @p data on kOk, else @p err under the
+     *  outcome's status (kCorrupt also counts a verify failure). */
+    void replyStoreOutcome(StoreOutcome outcome,
+                           std::span<const std::uint8_t> data,
+                           const std::string &err,
+                           std::vector<std::uint8_t> &replies);
     /** Flush as much of outbuf as the socket accepts right now. */
     void sendPending(Connection &c);
     void updateInterest(Connection &c, std::uint32_t events);

@@ -1,6 +1,5 @@
 #include "serve/store.h"
 
-#include <algorithm>
 #include <fstream>
 #include <utility>
 
@@ -25,8 +24,7 @@ fileExists(const std::string &path)
 } // namespace
 
 ServeStore::ServeStore(std::string name, const MerkleConfig &config)
-    : name_(std::move(name)), memory_(backing_, config),
-      size_(memory_.size()), shards_(memory_.tree().shards())
+    : name_(std::move(name)), memory_(backing_, config)
 {}
 
 StoreOutcome
@@ -37,7 +35,7 @@ ServeStore::read(std::uint64_t addr, std::uint32_t len,
         *err = "read length out of range";
         return StoreOutcome::kBadRequest;
     }
-    if (addr > size_ || size_ - addr < len) {
+    if (addr > size() || size() - addr < len) {
         *err = "read beyond protected region";
         return StoreOutcome::kBadRequest;
     }
@@ -54,19 +52,25 @@ ServeStore::read(std::uint64_t addr, std::uint32_t len,
 }
 
 StoreOutcome
-ServeStore::applyOne(const WriteOp &op, std::size_t index,
-                     std::vector<StoreOutcome> *per_op, std::string *err)
+ServeStore::write(std::uint64_t addr, std::span<const std::uint8_t> data,
+                  std::string *err)
 {
+    if (data.empty() || data.size() > kMaxFrameBytes) {
+        *err = "write length out of range";
+        return StoreOutcome::kBadRequest;
+    }
+    if (addr > size() || size() - addr < data.size()) {
+        *err = "write beyond protected region";
+        return StoreOutcome::kBadRequest;
+    }
     try {
-        memory_.store(op.addr, std::span<const std::uint8_t>(op.data));
+        memory_.store(addr, data);
     } catch (const IntegrityException &e) {
         corruptions_.fetch_add(1);
-        (*per_op)[index] = StoreOutcome::kCorrupt;
         *err = e.what();
         return StoreOutcome::kCorrupt;
     }
     writeOps_.fetch_add(1);
-    (*per_op)[index] = StoreOutcome::kOk;
     return StoreOutcome::kOk;
 }
 
@@ -76,52 +80,10 @@ ServeStore::applyWriteBatch(std::span<const WriteOp> ops,
                             std::string *err)
 {
     per_op->assign(ops.size(), StoreOutcome::kFailed);
-
-    // Validate everything up front so a bad op rejects before any
-    // sibling mutates the tree: the batch either starts applying or
-    // bounces whole.
     for (std::size_t i = 0; i < ops.size(); ++i) {
-        const WriteOp &op = ops[i];
-        if (op.data.empty() || op.data.size() > kMaxFrameBytes ||
-            op.addr > size_ || size_ - op.addr < op.data.size()) {
-            (*per_op)[i] = StoreOutcome::kBadRequest;
-            *err = "write beyond protected region";
-            return StoreOutcome::kBadRequest;
-        }
-    }
-
-    // Shard-major replay: bucket ops by destination subtree so
-    // consecutive updates share hot ancestor chunks, keeping arrival
-    // order within each shard. Only equivalence-preserving when no op
-    // straddles a shard boundary - those batches replay in arrival
-    // order instead.
-    bool straddles = false;
-    for (const WriteOp &op : ops) {
-        if (memory_.tree().shardOfData(op.addr) !=
-            memory_.tree().shardOfData(op.addr + op.data.size() - 1)) {
-            straddles = true;
-            break;
-        }
-    }
-
-    if (shards_ <= 1 || ops.size() < 2 || straddles) {
-        for (std::size_t i = 0; i < ops.size(); ++i) {
-            const StoreOutcome r = applyOne(ops[i], i, per_op, err);
-            if (r != StoreOutcome::kOk)
-                return r;
-        }
-        return StoreOutcome::kOk;
-    }
-
-    std::vector<std::vector<std::size_t>> byShard(shards_);
-    for (std::size_t i = 0; i < ops.size(); ++i)
-        byShard[memory_.tree().shardOfData(ops[i].addr)].push_back(i);
-    for (const auto &group : byShard) {
-        for (std::size_t i : group) {
-            const StoreOutcome r = applyOne(ops[i], i, per_op, err);
-            if (r != StoreOutcome::kOk)
-                return r;
-        }
+        (*per_op)[i] = write(ops[i].addr, ops[i].data, err);
+        if ((*per_op)[i] != StoreOutcome::kOk)
+            return (*per_op)[i];
     }
     return StoreOutcome::kOk;
 }

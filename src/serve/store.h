@@ -14,16 +14,6 @@
  * memoryForTest()) touches a store only while no request is in
  * flight. TSan (the tsan preset) checks that claim at run time.
  *
- * Writes arrive in batches: the server passes each run of pipelined
- * writes to one store to applyWriteBatch(), which groups the batch by
- * destination shard. Shards partition the address space
- * (tree/shard_router.h), so two writes to different shards never
- * alias and replaying them shard-by-shard is equivalence-preserving,
- * while writes within one shard keep their arrival order. Grouping
- * matters because consecutive same-shard updates reuse the shard's
- * hot ancestor chunks in the trusted cache instead of ping-ponging
- * between subtrees.
- *
  * Persistence goes through verify/persistence.h: the image first, then
  * the roots, each individually atomic (tmp + rename). A crash between
  * the two leaves image and roots from different epochs, which load
@@ -45,7 +35,8 @@
 namespace cmt::serve
 {
 
-/** One queued write (absolute address into the protected region). */
+/** One write for applyWriteBatch() (absolute address into the
+ *  protected region). */
 struct WriteOp
 {
     std::uint64_t addr = 0;
@@ -60,7 +51,7 @@ enum class StoreOutcome
     kBadRequest,
     /** Integrity verification failed while serving the request. */
     kCorrupt,
-    /** Host-side failure (e.g. persistence I/O error). */
+    /** Not applied: applyWriteBatch() stopped at an earlier op. */
     kFailed,
 };
 
@@ -70,14 +61,14 @@ class ServeStore
   public:
     /**
      * @param name    store label (reports, state file naming)
-     * @param config  tree geometry; shards > 1 enables shard batching
+     * @param config  tree geometry and trusted-cache size
      */
     ServeStore(std::string name, const MerkleConfig &config);
 
     const std::string &name() const { return name_; }
 
     /** Protected capacity in bytes. */
-    std::uint64_t size() const { return size_; }
+    std::uint64_t size() const { return memory_.size(); }
 
     /**
      * Verified read of [addr, addr+len). On kCorrupt, @p err carries
@@ -87,12 +78,21 @@ class ServeStore
                       std::vector<std::uint8_t> *out, std::string *err);
 
     /**
-     * Apply @p ops, grouped by destination
-     * shard (arrival order preserved within each shard). @p per_op is
-     * resized to ops.size() and filled with the fate of each op by its
-     * original index: kOk once applied, kCorrupt for the op whose tree
-     * update hit tampering, kFailed for ops abandoned after a failure.
+     * Verified write of @p data at [addr, addr+data.size()). On
+     * kCorrupt, @p err carries the integrity failure message; a write
+     * spanning chunks keeps the chunks stored before the failing one.
+     */
+    StoreOutcome write(std::uint64_t addr,
+                       std::span<const std::uint8_t> data,
+                       std::string *err);
+
+    /**
+     * Apply @p ops one by one through write(), in order, stopping at
+     * the first failure. @p per_op is resized to ops.size() and
+     * filled with each op's fate: kOk once applied, the failing op's
+     * outcome, and kFailed for the ops after it.
      * @return kOk, or the first failure outcome with @p err set.
+     * Kept only for perfbench's in-process replay.
      */
     StoreOutcome applyWriteBatch(std::span<const WriteOp> ops,
                                  std::vector<StoreOutcome> *per_op,
@@ -141,11 +141,6 @@ class ServeStore
     std::uint64_t corruptions() const { return corruptions_.load(); }
 
   private:
-    /** Apply one op; records its fate in (*per_op)[index]. */
-    StoreOutcome applyOne(const WriteOp &op, std::size_t index,
-                          std::vector<StoreOutcome> *per_op,
-                          std::string *err);
-
     const std::string name_;
     std::string imagePath_;
     std::string rootsPath_;
@@ -154,9 +149,6 @@ class ServeStore
     BackingStore backing_;
     /** The verified view; every client byte moves through here. */
     MerkleMemory memory_;
-    /** Geometry is immutable after build. */
-    const std::uint64_t size_;
-    const unsigned shards_;
 
     std::atomic<std::uint64_t> readOps_{0};
     std::atomic<std::uint64_t> writeOps_{0};

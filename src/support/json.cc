@@ -479,14 +479,6 @@ toJson(const StatGroup &stats)
     stats.forEachCounter([&](const Counter &c) {
         obj.set(c.name(), Json(c.value()));
     });
-    stats.forEachDistribution([&](const Distribution &d) {
-        Json entry = Json::object();
-        entry.set("count", Json(d.count()));
-        entry.set("mean", Json(d.mean()));
-        entry.set("min", Json(d.min()));
-        entry.set("max", Json(d.max()));
-        obj.set(d.name(), std::move(entry));
-    });
     return obj;
 }
 

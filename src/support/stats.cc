@@ -13,28 +13,6 @@ Counter::Counter(StatGroup &group, std::string name, std::string desc)
     group.registerCounter(this);
 }
 
-Distribution::Distribution(StatGroup &group, std::string name,
-                           std::string desc)
-    : name_(std::move(name)), desc_(std::move(desc))
-{
-    group.registerDistribution(this);
-}
-
-void
-Distribution::sample(double v)
-{
-    if (count_ == 0) {
-        min_ = max_ = v;
-    } else {
-        if (v < min_)
-            min_ = v;
-        if (v > max_)
-            max_ = v;
-    }
-    sum_ += v;
-    ++count_;
-}
-
 void
 StatGroup::registerCounter(Counter *c)
 {
@@ -42,25 +20,11 @@ StatGroup::registerCounter(Counter *c)
     counters_.push_back(c);
 }
 
-void
-StatGroup::registerDistribution(Distribution *d)
-{
-    MutexLock lock(mu_);
-    distributions_.push_back(d);
-}
-
 std::vector<Counter *>
 StatGroup::counterSnapshot() const
 {
     MutexLock lock(mu_);
     return counters_;
-}
-
-std::vector<Distribution *>
-StatGroup::distributionSnapshot() const
-{
-    MutexLock lock(mu_);
-    return distributions_;
 }
 
 std::uint64_t
@@ -78,8 +42,6 @@ StatGroup::resetAll()
 {
     for (Counter *c : counterSnapshot())
         c->reset();
-    for (Distribution *d : distributionSnapshot())
-        d->reset();
 }
 
 void
@@ -91,26 +53,12 @@ StatGroup::forEachCounter(
 }
 
 void
-StatGroup::forEachDistribution(
-    const std::function<void(const Distribution &)> &fn) const
-{
-    for (const Distribution *d : distributionSnapshot())
-        fn(*d);
-}
-
-void
 StatGroup::dump(std::ostream &os) const
 {
     for (const Counter *c : counterSnapshot()) {
         os << std::left << std::setw(36) << c->name() << " "
            << std::right << std::setw(16) << c->value()
            << "  # " << c->desc() << "\n";
-    }
-    for (const Distribution *d : distributionSnapshot()) {
-        os << std::left << std::setw(36) << d->name() << " "
-           << std::right << std::setw(16) << d->mean()
-           << "  # mean of " << d->count() << " samples; " << d->desc()
-           << "\n";
     }
 }
 

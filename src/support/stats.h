@@ -2,8 +2,7 @@
  * @file
  * Lightweight named-statistics registry.
  *
- * Components own Counter/Distribution members registered with a
- * StatGroup; a whole group can be dumped, reset, or queried by name.
+ * Components own Counter members registered with a StatGroup; a whole group can be dumped, reset, or queried by name.
  * This mirrors the role of the gem5 stats package at laptop scale.
  */
 
@@ -46,49 +45,21 @@ class Counter
     std::uint64_t value_ = 0;
 };
 
-/** Running mean/min/max over observed samples. */
-class Distribution
-{
-  public:
-    Distribution() = default;
-    Distribution(StatGroup &group, std::string name, std::string desc);
-
-    void sample(double v);
-
-    std::uint64_t count() const { return count_; }
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-    double min() const { return count_ ? min_ : 0.0; }
-    double max() const { return count_ ? max_ : 0.0; }
-    void reset() { count_ = 0; sum_ = 0; min_ = 0; max_ = 0; }
-
-    const std::string &name() const { return name_; }
-    const std::string &desc() const { return desc_; }
-
-  private:
-    std::string name_;
-    std::string desc_;
-    std::uint64_t count_ = 0;
-    double sum_ = 0;
-    double min_ = 0;
-    double max_ = 0;
-};
-
 /**
  * Owner of a flat namespace of statistics. Components hold a reference
  * to one group and prefix their stat names ("l2.misses").
  *
- * Thread model: the registry (the pointer vectors) is mutex-guarded,
+ * Thread model: the registry (the pointer vector) is mutex-guarded,
  * so components on different threads may register with, reset, or
- * read through a shared group. The Counter/Distribution values
- * themselves are NOT synchronized - each statistic must still be
- * written from one thread at a time (in practice every simulation
- * owns its group and all its stats on one worker thread).
+ * read through a shared group. The Counter values themselves are NOT
+ * synchronized - each counter must still be written from one thread
+ * at a time (in practice every simulation owns its group and all its
+ * stats on one worker thread).
  */
 class StatGroup
 {
   public:
     void registerCounter(Counter *c) CMT_EXCLUDES(mu_);
-    void registerDistribution(Distribution *d) CMT_EXCLUDES(mu_);
 
     /** Look up a counter value by exact name; 0 if absent. */
     std::uint64_t counterValue(const std::string &name) const
@@ -98,15 +69,12 @@ class StatGroup
     void resetAll() CMT_EXCLUDES(mu_);
 
     /**
-     * Visit every statistic in registration order (serializers).
+     * Visit every counter in registration order (serializers).
      * @p fn runs outside the registry lock, so it may re-enter the
      * group (e.g. registering while serializing is legal, if odd).
      */
     void forEachCounter(
         const std::function<void(const Counter &)> &fn) const
-        CMT_EXCLUDES(mu_);
-    void forEachDistribution(
-        const std::function<void(const Distribution &)> &fn) const
         CMT_EXCLUDES(mu_);
 
     /** Write "name value  # desc" lines for everything registered. */
@@ -115,12 +83,9 @@ class StatGroup
   private:
     /** Registration-order snapshots taken under @ref mu_. */
     std::vector<Counter *> counterSnapshot() const CMT_EXCLUDES(mu_);
-    std::vector<Distribution *> distributionSnapshot() const
-        CMT_EXCLUDES(mu_);
 
     mutable Mutex mu_;
     std::vector<Counter *> counters_ CMT_GUARDED_BY(mu_);
-    std::vector<Distribution *> distributions_ CMT_GUARDED_BY(mu_);
 };
 
 } // namespace cmt

@@ -71,12 +71,8 @@ MerkleMemory::MerkleMemory(Storage &untrusted, const MerkleConfig &config)
     cmt_assert(config_.blockSize <= config_.chunkSize);
     cmt_assert(config_.chunkSize / config_.blockSize <=
                XorMac::kMaxBlocks);
-    if (config_.cacheChunks > 0) {
-        // The cached mode pins a root-to-leaf path while loading, so
-        // the cache must comfortably exceed the (per-shard) tree
-        // height.
-        cmt_assert(config_.cacheChunks >= 2 * tree_.levels() + 2);
-    }
+    cmt_assert(config_.cacheChunks == 0 ||
+               config_.cacheChunks >= minCacheChunks(config_));
 
     // Every shard's root registers start at the canonical
     // (all-virgin) values; this *is* the paper's initialisation
@@ -84,6 +80,13 @@ MerkleMemory::MerkleMemory(Storage &untrusted, const MerkleConfig &config)
     tree_.resetRoots(chunks_.canonicalSlot(1));
 }
 
+std::size_t
+MerkleMemory::minCacheChunks(const MerkleConfig &config)
+{
+    const TreeLayout shard(config.chunkSize,
+                           config.protectedSize / config.shards);
+    return 2 * std::size_t{shard.levels()} + 2;
+}
 
 std::uint64_t
 MerkleMemory::load64(std::uint64_t addr)

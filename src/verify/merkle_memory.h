@@ -93,6 +93,13 @@ class MerkleMemory
      */
     MerkleMemory(Storage &untrusted, const MerkleConfig &config);
 
+    /**
+     * Smallest nonzero cacheChunks that @p config admits: the cached
+     * mode pins a root-to-leaf path while loading, so the cache must
+     * comfortably exceed the (per-shard) tree height.
+     */
+    static std::size_t minCacheChunks(const MerkleConfig &config);
+
     /** Protected capacity in bytes (all shards together). */
     std::uint64_t size() const { return tree_.dataBytes(); }
 

@@ -150,6 +150,28 @@ pipelinedReads(const std::vector<std::uint64_t> &addrs, std::uint32_t len)
     return raw;
 }
 
+/** A kWrite frame putting @p data at @p addr of store 0. */
+std::vector<std::uint8_t>
+writeFrame(std::uint64_t addr, const std::vector<std::uint8_t> &data)
+{
+    std::vector<std::uint8_t> payload;
+    appendU32(payload, 0);
+    appendU64(payload, addr);
+    appendU32(payload, static_cast<std::uint32_t>(data.size()));
+    payload.insert(payload.end(), data.begin(), data.end());
+    return frameRequest(Op::kWrite, payload);
+}
+
+/** Concatenate frames into one byte stream, to go out in one send. */
+std::vector<std::uint8_t>
+pipeline(const std::vector<std::vector<std::uint8_t>> &frames)
+{
+    std::vector<std::uint8_t> raw;
+    for (const std::vector<std::uint8_t> &frame : frames)
+        raw.insert(raw.end(), frame.begin(), frame.end());
+    return raw;
+}
+
 /**
  * Poll the daemon's executed-read count until it has not moved for
  * 200 ms (or 10 s pass) and return it: the number of reads the
@@ -419,6 +441,48 @@ TEST(ServedFraming, PipelinedFloodRepliesInOrderPastTinyQueue)
     }
 }
 
+TEST(ServedFraming, PipelinedWritesExecuteInArrivalOrder)
+{
+    // Writes sent in one burst run one by one, like any other request:
+    // a refused write in the middle leaves the ones around it applied.
+    Daemon d("pipewrite");
+    ASSERT_TRUE(d.started) << d.startErr;
+    Client c;
+    std::string err;
+    ASSERT_TRUE(c.connectTo(d.path, &err)) << err;
+
+    const std::vector<std::uint8_t> blockA = patternBlock(31, 64);
+    const std::vector<std::uint8_t> blockB = patternBlock(32, 64);
+    const std::vector<std::uint8_t> blockC = patternBlock(33, 64);
+    const std::uint64_t addrA = 0;
+    const std::uint64_t addrB = std::uint64_t{1} << 16; // past the end
+    const std::uint64_t addrC = 3 * 16384 + 64;
+    ASSERT_TRUE(c.sendRaw(pipeline({writeFrame(addrA, blockA),
+                                    writeFrame(addrB, blockB),
+                                    writeFrame(addrC, blockC),
+                                    pipelinedReads({addrA, addrC}, 64)}),
+                          &err))
+        << err;
+
+    const Status want[] = {Status::kOk, Status::kError, Status::kOk,
+                           Status::kOk, Status::kOk};
+    std::vector<std::vector<std::uint8_t>> payloads;
+    for (int i = 0; i < 5; ++i) {
+        Status status = Status::kError;
+        std::vector<std::uint8_t> payload;
+        ASSERT_TRUE(c.recvReply(&status, &payload, &err))
+            << "reply " << i << ": " << err;
+        EXPECT_EQ(status, want[i])
+            << "reply " << i << ": "
+            << std::string(payload.begin(), payload.end());
+        payloads.push_back(std::move(payload));
+    }
+    EXPECT_EQ(std::string(payloads[1].begin(), payloads[1].end()),
+              "write beyond protected region");
+    EXPECT_EQ(payloads[3], blockA);
+    EXPECT_EQ(payloads[4], blockC);
+}
+
 TEST(ServedFraming, UnreadRepliesStopExecutionAtTheBacklogBound)
 {
     // A client pipelines 64 reads of 64 KiB and reads no reply. The
@@ -684,6 +748,54 @@ TEST(ServedIntegrity, TamperedRamSurfacesAsCorruptOverTheWire)
     ASSERT_EQ(c.readBlock(0, 128, 64, &got, &err), CallResult::kOk)
         << err;
     EXPECT_EQ(got, block);
+}
+
+TEST(ServedIntegrity, CorruptWriteDoesNotAbortTheNextOne)
+{
+    // A write that meets tampered RAM fails alone: the write pipelined
+    // behind it, to a later shard, still runs, and the tampered chunk
+    // keeps its old bytes.
+    Daemon d("corruptwrite", 1, smallConfig(4, 0));
+    ASSERT_TRUE(d.started) << d.startErr;
+    Client c;
+    std::string err;
+    ASSERT_TRUE(c.connectTo(d.path, &err)) << err;
+
+    const std::uint64_t addrX = 128;         // shard 0
+    const std::uint64_t addrY = 3 * 16384;   // shard 3
+    const std::vector<std::uint8_t> x = patternBlock(41, 64);
+    const std::vector<std::uint8_t> x2 = patternBlock(42, 64);
+    const std::vector<std::uint8_t> y = patternBlock(43, 64);
+    ASSERT_EQ(c.writeBlock(0, addrX, x, &err), CallResult::kOk) << err;
+
+    MerkleMemory &mm = d.server->store(0)->memoryForTest();
+    ASSERT_LT(mm.tree().shardOfData(addrX), mm.tree().shardOfData(addrY));
+    Adversary adv(mm.ram());
+    const std::uint64_t ramAddr = mm.tree().dataToRam(addrX);
+    adv.flipBit(ramAddr, 3);
+
+    ASSERT_TRUE(c.sendRaw(pipeline({writeFrame(addrX, x2),
+                                    writeFrame(addrY, y),
+                                    pipelinedReads({addrY}, 64)}),
+                          &err))
+        << err;
+    const Status want[] = {Status::kCorrupt, Status::kOk, Status::kOk};
+    std::vector<std::uint8_t> payload;
+    for (int i = 0; i < 3; ++i) {
+        Status status = Status::kError;
+        ASSERT_TRUE(c.recvReply(&status, &payload, &err))
+            << "reply " << i << ": " << err;
+        EXPECT_EQ(status, want[i])
+            << "reply " << i << ": "
+            << std::string(payload.begin(), payload.end());
+    }
+    EXPECT_EQ(payload, y);
+
+    adv.flipBit(ramAddr, 3);
+    std::vector<std::uint8_t> got;
+    ASSERT_EQ(c.readBlock(0, addrX, 64, &got, &err), CallResult::kOk)
+        << err;
+    EXPECT_EQ(got, x);
 }
 
 TEST(ServedPersistence, ShutdownSaveReloadServesTheSameBytes)

@@ -27,36 +27,9 @@ TEST(StatsTest, ResetAllClearsEverything)
 {
     StatGroup group;
     Counter c(group, "a", "");
-    Distribution d(group, "b", "");
     c += 10;
-    d.sample(3.0);
     group.resetAll();
     EXPECT_EQ(c.value(), 0u);
-    EXPECT_EQ(d.count(), 0u);
-    EXPECT_EQ(d.mean(), 0.0);
-}
-
-TEST(StatsTest, DistributionMoments)
-{
-    StatGroup group;
-    Distribution d(group, "lat", "latency");
-    d.sample(10);
-    d.sample(20);
-    d.sample(30);
-    EXPECT_EQ(d.count(), 3u);
-    EXPECT_DOUBLE_EQ(d.mean(), 20.0);
-    EXPECT_DOUBLE_EQ(d.min(), 10.0);
-    EXPECT_DOUBLE_EQ(d.max(), 30.0);
-}
-
-TEST(StatsTest, DistributionSingleSample)
-{
-    StatGroup group;
-    Distribution d(group, "x", "");
-    d.sample(-5);
-    EXPECT_DOUBLE_EQ(d.min(), -5.0);
-    EXPECT_DOUBLE_EQ(d.max(), -5.0);
-    EXPECT_DOUBLE_EQ(d.mean(), -5.0);
 }
 
 TEST(StatsTest, DumpContainsNamesAndValues)

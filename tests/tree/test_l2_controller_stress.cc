@@ -127,6 +127,15 @@ struct StressCase
     const char *name;
 };
 
+// gtest would print a StressCase as its raw bytes, padding and the
+// `name` pointer included, and gtest_discover_tests puts that print
+// into the ctest name, which then moves with every build.
+void
+PrintTo(const StressCase &sc, std::ostream *os)
+{
+    *os << sc.name;
+}
+
 class DeepTreeStress : public ::testing::TestWithParam<StressCase>
 {
 };

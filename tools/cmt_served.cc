@@ -19,8 +19,10 @@
  *     --stores N             independent stores to host (default 1)
  *     --shards K             subtrees per store, a power of two
  *                            (default 4)
- *     --protected-size B     bytes protected per store (default 1 MiB)
- *     --cache-chunks N       trusted chunk cache entries (default 64)
+ *     --protected-size B     bytes protected per store, a multiple of
+ *                            K (default 1 MiB)
+ *     --cache-chunks N       trusted chunk cache entries: 0 (naive) or
+ *                            at least 2 * tree levels + 2 (default 64)
  *     --state-dir DIR        save stores here on shutdown / kSave
  *     --load                 restore saved state at startup
  */
@@ -113,6 +115,11 @@ parseArgs(int argc, char **argv)
         usageError("cmt_served", "--stores must be at least 1");
     if (!isPow2(opt.shards))
         usageError("cmt_served", "--shards must be a power of two");
+    if (opt.protectedSize % opt.shards != 0)
+        usageError("cmt_served",
+                   "--protected-size %llu is not a multiple of --shards %u",
+                   static_cast<unsigned long long>(opt.protectedSize),
+                   opt.shards);
     if (opt.load && opt.stateDir.empty())
         usageError("cmt_served", "--load requires --state-dir");
     return opt;
@@ -129,6 +136,12 @@ main(int argc, char **argv)
     mc.protectedSize = opt.protectedSize;
     mc.cacheChunks = opt.cacheChunks;
     mc.shards = opt.shards;
+    const std::size_t minChunks = MerkleMemory::minCacheChunks(mc);
+    if (mc.cacheChunks != 0 && mc.cacheChunks < minChunks)
+        usageError("cmt_served",
+                   "--cache-chunks must be 0 (naive) or at least %zu for "
+                   "this tree",
+                   minChunks);
 
     serve::ServeConfig sc;
     sc.socketPath = opt.socketPath;
